@@ -81,6 +81,12 @@ class RunConfig:
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
+        if self.lr <= 0:
+            raise ConfigError("lr must be positive")
+        if self.hidden_width < 1 or self.fc_width < 1:
+            raise ConfigError("hidden_width and fc_width must be positive")
+        if self.dataset == "synth" and not 2 <= self.synth_classes <= self.synth_size**2:
+            raise ConfigError("synth_classes must lie between 2 and synth_size**2")
         if self.train_subset < 0 or self.test_subset < 0:
             raise ConfigError("subset sizes must be non-negative")
         if not self.augment_scale_low <= self.augment_scale_high:

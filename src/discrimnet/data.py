@@ -148,30 +148,31 @@ class AffineConfig:
     scale_high: float = 1.1
 
 
-def affine_transform(image, rotation_deg=0.0, scale=1.0, translate=(0.0, 0.0)):
-    """Rotate/scale about the image center, then translate by pixels.
+def _resample(images, rotation_deg, scale, translate_y, translate_x):
+    """Affine-resample a batch of (h, w, c) images, one transform each.
 
-    translate is (rows down, cols right). Bilinear resampling with zero
-    padding; the output shape equals the input shape.
+    The parameters are (n,) arrays. Each output pixel is mapped back into
+    its source image (undo the translation, then the inverse rotation and
+    scale about the center) and read by bilinear interpolation with zero
+    padding. Returns float64 (n, h, w, c).
     """
-    image = np.asarray(image)
-    h, w = image.shape[:2]
-    chans = image.reshape(h, w, -1)
+    n, h, w, c = images.shape
+    pixels = images.reshape(n * h * w, c)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
-    theta = np.deg2rad(rotation_deg)
+    theta = np.deg2rad(rotation_deg)[:, None, None]
     cos_t, sin_t = np.cos(theta), np.sin(theta)
+    scale = scale[:, None, None]
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    # Invert the output->input mapping: undo translation, then the
-    # inverse rotation/scale about the center.
-    dy = rows - cy - translate[0]
-    dx = cols - cx - translate[1]
+    dy = rows - cy - translate_y[:, None, None]
+    dx = cols - cx - translate_x[:, None, None]
     src_y = (cos_t * dy + sin_t * dx) / scale + cy
     src_x = (-sin_t * dy + cos_t * dx) / scale + cx
     y0 = np.floor(src_y).astype(np.int64)
     x0 = np.floor(src_x).astype(np.int64)
     wy = src_y - y0
     wx = src_x - x0
-    out = np.zeros_like(chans, dtype=np.float64)
+    first_pixel = (np.arange(n) * (h * w))[:, None, None]
+    out = np.zeros((n, h, w, c), dtype=np.float64)
     for oy, ox, weight in (
         (0, 0, (1 - wy) * (1 - wx)),
         (0, 1, (1 - wy) * wx),
@@ -181,20 +182,45 @@ def affine_transform(image, rotation_deg=0.0, scale=1.0, translate=(0.0, 0.0)):
         yy = y0 + oy
         xx = x0 + ox
         inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        vals = chans[np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1), :]
+        vals = pixels[first_pixel + np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1)]
         out += np.where(inside[..., None], weight[..., None] * vals, 0.0)
-    return out.reshape(image.shape)
+    return out
 
 
-def affine_augment(image, rng, config):
-    """Apply one random affine perturbation within the config bounds."""
+def affine_transform(image, rotation_deg=0.0, scale=1.0, translate=(0.0, 0.0)):
+    """Rotate/scale about the image center, then translate by pixels.
+
+    translate is (rows down, cols right). Bilinear resampling with zero
+    padding; the output shape equals the input shape.
+    """
+    image = np.asarray(image)
     h, w = image.shape[:2]
+    params = np.array([[rotation_deg, scale, translate[0], translate[1]]], dtype=np.float64)
+    return _resample(image.reshape(1, h, w, -1), *params.T).reshape(image.shape)
+
+
+def _draw_affine(rng, config, h, w):
+    """One (rotation, scale, rows shift, cols shift) draw within the bounds."""
     theta = rng.uniform(-config.rotation_deg, config.rotation_deg)
     scale = rng.uniform(config.scale_low, config.scale_high)
     ty = rng.uniform(-config.translate_frac * h, config.translate_frac * h)
     tx = rng.uniform(-config.translate_frac * w, config.translate_frac * w)
+    return theta, scale, ty, tx
+
+
+def affine_augment(image, rng, config):
+    """Apply one random affine perturbation within the config bounds."""
+    theta, scale, ty, tx = _draw_affine(rng, config, *image.shape[:2])
     return affine_transform(image, rotation_deg=theta, scale=scale, translate=(ty, tx))
 
 
 def augment_batch(images, rng, config):
-    return np.stack([affine_augment(img, rng, config) for img in images])
+    """affine_augment applied to each image in turn, resampled in one pass.
+
+    The draws are made image by image in the same order, so the result
+    equals stacking per-image affine_augment calls bit for bit.
+    """
+    images = np.asarray(images)
+    n, h, w = images.shape[:3]
+    params = np.array([_draw_affine(rng, config, h, w) for _ in range(n)], dtype=np.float64)
+    return _resample(images.reshape(n, h, w, -1), *params.T).reshape(images.shape)

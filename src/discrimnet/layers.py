@@ -8,6 +8,7 @@ the gradient with respect to its input.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .tensor import default_dtype
 
@@ -35,6 +36,17 @@ class Layer:
         pass
 
 
+def _select(mask, values):
+    """``np.where(mask, values, 0)`` bit for bit, several times faster.
+
+    Multiplies the values' bit patterns, as unsigned integers, by the 0/1
+    mask: selected entries keep every bit (the sign of a zero, NaN), the
+    rest become +0.0. ``mask`` and ``values`` may broadcast.
+    """
+    bits = values.view(np.dtype(f"u{values.itemsize}"))
+    return (mask * bits).view(values.dtype)
+
+
 def _he_uniform(rng, fan_in, shape):
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, shape).astype(default_dtype())
@@ -56,7 +68,9 @@ class Dense(Layer):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"expected (N, {self.in_dim}) input, got {x.shape}")
         self._x = x
-        return x @ self.w + self.b
+        out = x @ self.w
+        out += self.b
+        return out
 
     def backward(self, grad):
         self.dw = self._x.T @ grad
@@ -73,9 +87,14 @@ class Dense(Layer):
 class Conv2d(Layer):
     """3x3 convolution, stride 1, padding 0 or 1, NHWC layout.
 
-    Patches are gathered into columns so both passes run as single
-    matrix products; the kernel is stored as (3*3*in_channels, out_channels)
-    with patch entries ordered (row offset, col offset, channel).
+    The kernel is stored as (3*3*in_channels, out_channels) with patch
+    entries ordered (row offset, col offset, channel). Forward copies a
+    strided sliding-window view of the padded input into that column
+    order and runs one matrix product; the weight gradient is one
+    product against the cached columns. The input gradient runs one
+    product per kernel offset, ``grad @ w[offset].T``, and adds each
+    (N, oh, ow, in_channels) result into its shifted window of the
+    padded input gradient.
     """
 
     KSIZE = 3
@@ -108,14 +127,14 @@ class Conv2d(Layer):
         ow = w + 2 * self.padding - self.KSIZE + 1
         if oh < 1 or ow < 1:
             raise ValueError(f"input {h}x{w} too small for a 3x3 kernel with padding {self.padding}")
-        xp = self._pad(x)
-        cols = np.concatenate(
-            [xp[:, i : i + oh, j : j + ow, :] for i in range(self.KSIZE) for j in range(self.KSIZE)],
-            axis=3,
-        )
-        self._cols = cols.reshape(n * oh * ow, -1)
+        k = self.KSIZE
+        # (n, oh, ow, c, k, k) window view -> (n, oh, ow, k, k, c): the
+        # reshape copies it into (row offset, col offset, channel) columns.
+        windows = sliding_window_view(self._pad(x), (k, k), axis=(1, 2))
+        self._cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, -1)
         self._in_shape = x.shape
-        out = self._cols @ self.w + self.b
+        out = self._cols @ self.w
+        out += self.b
         return out.reshape(n, oh, ow, self.out_channels)
 
     def backward(self, grad):
@@ -123,15 +142,13 @@ class Conv2d(Layer):
         g2 = grad.reshape(n * oh * ow, self.out_channels)
         self.dw = self._cols.T @ g2
         self.db = g2.sum(axis=0)
-        dcols = (g2 @ self.w.T).reshape(n, oh, ow, -1)
         _, h, w, c = self._in_shape
         p = self.padding
         dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=grad.dtype)
-        block = 0
+        w_blocks = self.w.reshape(self.KSIZE, self.KSIZE, c, self.out_channels)
         for i in range(self.KSIZE):
             for j in range(self.KSIZE):
-                dxp[:, i : i + oh, j : j + ow, :] += dcols[:, :, :, block : block + c]
-                block += c
+                dxp[:, i : i + oh, j : j + ow, :] += (g2 @ w_blocks[i, j].T).reshape(n, oh, ow, c)
         return dxp[:, p : p + h, p : p + w, :] if p else dxp
 
     def parameters(self):
@@ -142,20 +159,27 @@ class Conv2d(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0). Forward keeps the boolean mask x > 0; backward keeps
+    the gradient where it is set and zeroes it elsewhere, so the
+    derivative at exactly 0 is 0."""
+
     def forward(self, x, train=False):
-        self._mask = x > 0  # derivative at exactly 0 is taken as 0
-        return np.where(self._mask, x, np.zeros((), dtype=x.dtype))
+        self._mask = x > 0
+        return np.maximum(x, 0)
 
     def backward(self, grad):
-        return np.where(self._mask, grad, np.zeros((), dtype=grad.dtype))
+        return _select(self._mask, grad)
 
 
 class MaxPool2x2(Layer):
     """2x2 max pooling with stride 2.
 
-    Odd trailing rows/columns are dropped. Backward routes each output
-    gradient to the first maximal element of its window in row-major
-    (row offset, col offset) order.
+    Odd trailing rows/columns are dropped, and receive zero gradient.
+    Backward routes each output gradient to the first maximal element of
+    its window in row-major (row offset, col offset) order: it views the
+    input as (n, h/2, 2, w/2, 2, c) windows, compares them once against
+    the pooled output, keeps the first hit per window, and writes the
+    gradient with one select broadcast over the windows.
     """
 
     _OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -175,15 +199,20 @@ class MaxPool2x2(Layer):
         return out
 
     def backward(self, grad):
-        h, w = self._in_shape[1:3]
+        n, h, w, c = self._in_shape
         h2, w2 = h // 2, w // 2
-        dx = np.zeros(self._in_shape, dtype=grad.dtype)
-        taken = np.zeros(grad.shape, dtype=bool)
-        for dy, dxo in self._OFFSETS:
-            view = self._x[:, dy : 2 * h2 : 2, dxo : 2 * w2 : 2, :]
-            hit = (view == self._out) & ~taken
-            dx[:, dy : 2 * h2 : 2, dxo : 2 * w2 : 2, :][hit] = grad[hit]
+        windows = (n, h2, 2, w2, 2, c)
+        hits = self._x[:, : 2 * h2, : 2 * w2, :].reshape(windows) == self._out[:, :, None, :, None, :]
+        taken = hits[:, :, 0, :, 0, :].copy()
+        for dy, dxo in self._OFFSETS[1:]:
+            hit = hits[:, :, dy, :, dxo, :]  # a view: clearing it edits hits
+            hit &= ~taken
             taken |= hit
+        routed = _select(hits, grad[:, :, None, :, None, :]).reshape(n, 2 * h2, 2 * w2, c)
+        if (h, w) == (2 * h2, 2 * w2):
+            return routed
+        dx = np.zeros(self._in_shape, dtype=grad.dtype)
+        dx[:, : 2 * h2, : 2 * w2, :] = routed
         return dx
 
 

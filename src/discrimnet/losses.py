@@ -348,7 +348,10 @@ def combined_objective(cfg, taps, labels_onehot, state=None, order=None):
     dz_total = dz_ce
     total = ls
 
-    if cfg.lambda_discriminant > 0:
+    if cfg.lambda_discriminant > 0 and z.shape[0] < 2:
+        # Batch statistics need two samples; a trailing batch of one skips them.
+        notes.append("discriminant criterion skipped: batch of 1")
+    elif cfg.lambda_discriminant > 0:
         ld, dz = discriminant_criterion(z, t, eps=cfg.epsilon)
         components["discriminant"] = ld
         notes.extend(absent_class_sides(t))

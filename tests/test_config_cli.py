@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -261,6 +263,33 @@ def test_cli_bad_config_file(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("dataset = synth\nwat = 9\n")
     assert main(["train", "--config", str(bad), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("override", [{"lr": 0.0}, {"synth_classes": 1}, {"hidden_width": 0}])
+def test_cli_rejects_invalid_values_with_exit_2(tmp_path, override):
+    cfg = synth_config(tmp_path, name="bad", synth_size=4, epochs=1, **override)
+    cfg_path = write_config(cfg, tmp_path / "cfg.txt")
+    src = os.path.dirname(os.path.dirname(dn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "discrimnet.cli", "train", "--config", cfg_path, "--quiet"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "config error" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_trailing_batch_of_one_with_batch_discriminant(tmp_path):
+    # 10 classes x 8 = 80 samples, 64 train rows: batches of 63 and 1.
+    cfg = synth_config(tmp_path, name="one", synth_classes=10, synth_size=4,
+                       synth_per_class=8, batch_size=63, epochs=2,
+                       lambda_discriminant=0.01)
+    cfg_path = write_config(cfg, tmp_path / "cfg.txt")
+    assert main(["train", "--config", cfg_path, "--quiet"]) == 0
+    steps = [line.split(",") for line in open(tmp_path / "one" / "steps.csv").read().splitlines()]
+    ld = steps[0].index("L_D")
+    assert [row[ld] == "" for row in steps[1:]] == [False, True, False, True]
 
 
 def test_cli_seed_and_out_overrides(tmp_path):

@@ -9,6 +9,7 @@ from discrimnet.data import (
     AffineConfig,
     IdxFormatError,
     affine_transform,
+    augment_batch,
     load_idx_dir,
 )
 
@@ -158,3 +159,28 @@ def test_affine_augment_respects_shape_and_determinism():
     b = dn.affine_augment(img, dn.Rng(7), cfg)
     assert a.shape == img.shape
     assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(5, 9, 13, 3), (4, 28, 28, 1), (3, 6, 6)])
+def test_augment_batch_equals_per_image_augment(shape):
+    cfg = AffineConfig(rotation_deg=15.0, translate_frac=0.2, scale_low=0.8, scale_high=1.2)
+    images = dn.Rng(63).uniform(0.0, 1.0, shape)
+    images[images < 0.2] = 0.0
+    got = augment_batch(images, dn.Rng(8), cfg)
+    rng = dn.Rng(8)
+    want = np.stack([dn.affine_augment(im, rng, cfg) for im in images])
+    assert got.dtype == want.dtype and got.shape == want.shape == images.shape
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_affine_augment_draw_order():
+    # One image consumes four draws: rotation, scale, rows shift, cols shift.
+    cfg = AffineConfig(rotation_deg=12.0, translate_frac=0.25, scale_low=0.85, scale_high=1.15)
+    img = dn.Rng(64).uniform(0.0, 1.0, (8, 12, 2))
+    twin = dn.Rng(9)
+    theta = twin.uniform(-12.0, 12.0)
+    scale = twin.uniform(0.85, 1.15)
+    ty = twin.uniform(-0.25 * 8, 0.25 * 8)
+    tx = twin.uniform(-0.25 * 12, 0.25 * 12)
+    want = affine_transform(img, rotation_deg=theta, scale=scale, translate=(ty, tx))
+    assert_array_equal(dn.affine_augment(img, dn.Rng(9), cfg), want)

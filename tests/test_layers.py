@@ -157,6 +157,126 @@ def test_maxpool_odd_input_drops_tail():
     assert np.all(dx[:, 6, :, :] == 0) and np.all(dx[:, :, 6, :] == 0)
 
 
+# --- kernel oracles -----------------------------------------------------------------
+# The loop-and-mask kernels the engine used before its vectorized ones,
+# kept as slow references. The fast kernels must reproduce them bit for
+# bit (sign of zero included), except where noted.
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.view(np.dtype(f"u{a.itemsize}"))
+
+
+def assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert_array_equal(_bits(got), _bits(want))
+
+
+def reference_relu(x, grad):
+    mask = x > 0
+    return np.where(mask, x, np.zeros((), x.dtype)), np.where(mask, grad, np.zeros((), grad.dtype))
+
+
+def reference_pool_backward(x, out, grad):
+    """Boolean-mask routing to the first maximum of each 2x2 window."""
+    h2, w2 = out.shape[1:3]
+    dx = np.zeros(x.shape, dtype=grad.dtype)
+    taken = np.zeros(grad.shape, dtype=bool)
+    for dy, dxo in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        view = x[:, dy : 2 * h2 : 2, dxo : 2 * w2 : 2, :]
+        hit = (view == out) & ~taken
+        dx[:, dy : 2 * h2 : 2, dxo : 2 * w2 : 2, :][hit] = grad[hit]
+        taken |= hit
+    return dx
+
+
+def _reference_cols(x, padding):
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding), (0, 0)))
+    oh, ow = xp.shape[1] - 2, xp.shape[2] - 2
+    cols = np.concatenate(
+        [xp[:, i : i + oh, j : j + ow, :] for i in range(3) for j in range(3)], axis=3
+    )
+    return cols.reshape(-1, cols.shape[3]), oh, ow
+
+
+def reference_conv(x, w, b, padding, grad):
+    """Concatenated im2col, one product per pass and a strided col2im.
+
+    Returns (out, dw, db, dx) for the upstream gradient ``grad``."""
+    n, h, wd, c = x.shape
+    cols, oh, ow = _reference_cols(x, padding)
+    out = (cols @ w + b).reshape(n, oh, ow, -1)
+    g2 = grad.reshape(n * oh * ow, -1)
+    dcols = (g2 @ w.T).reshape(n, oh, ow, -1)
+    dxp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=grad.dtype)
+    for block, (i, j) in enumerate((i, j) for i in range(3) for j in range(3)):
+        dxp[:, i : i + oh, j : j + ow, :] += dcols[:, :, :, block * c : (block + 1) * c]
+    dx = dxp[:, padding : padding + h, padding : padding + wd, :]
+    return out, cols.T @ g2, g2.sum(axis=0), dx
+
+
+def post_relu_input(rng, shape, dtype):
+    """Rectified normals, about half exact zeros, plus ties among coarsely
+    rounded positives and a few negative zeros."""
+    x = np.maximum(np.round(rng.normal(shape) * 2.0) / 2.0, 0.0)
+    x[rng.uniform(0.0, 1.0, shape) < 0.05] = -0.0
+    return x.astype(dtype)
+
+
+def signed_gradient(rng, shape, dtype):
+    g = rng.normal(shape)
+    g[rng.uniform(0.0, 1.0, shape) < 0.05] = -0.0
+    return g.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_matches_where_reference(dtype):
+    rng = dn.Rng(40)
+    x = signed_gradient(rng, (3, 7, 7, 4), dtype)
+    x[0, 0, 0, :] = [-0.0, 0.0, -1.0, 1.0]
+    grad = signed_gradient(rng, x.shape, dtype)
+    relu = dn.ReLU()
+    want_out, want_dx = reference_relu(x, grad)
+    assert_bitwise_equal(relu.forward(x), want_out)
+    assert_bitwise_equal(relu.backward(grad), want_dx)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(4, 8, 8, 3), (3, 7, 7, 2), (2, 6, 9, 5)])
+def test_maxpool_backward_matches_mask_reference(dtype, shape):
+    rng = dn.Rng(41)
+    x = post_relu_input(rng, shape, dtype)
+    pool = dn.MaxPool2x2()
+    out = pool.forward(x)
+    grad = signed_gradient(rng, out.shape, dtype)
+    assert_bitwise_equal(pool.backward(grad), reference_pool_backward(x, out, grad))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("cin", [1, 3])
+def test_conv_matches_im2col_reference(dtype, padding, cin):
+    rng = dn.Rng(42)
+    conv = dn.Conv2d(cin, 4, padding=padding, rng=rng)
+    conv.w = conv.w.astype(dtype)
+    conv.b = rng.uniform(-0.5, 0.5, 4).astype(dtype)
+    x = post_relu_input(rng, (3, 7, 6, cin), dtype)
+    out = conv.forward(x)
+    grad = signed_gradient(rng, out.shape, dtype)
+    dx = conv.backward(grad)
+    want_out, want_dw, want_db, want_dx = reference_conv(x, conv.w, conv.b, padding, grad)
+    assert_bitwise_equal(out, want_out)
+    assert_bitwise_equal(conv.dw, want_dw)
+    assert_bitwise_equal(conv.db, want_db)
+    if cin > 1:
+        assert_bitwise_equal(dx, want_dx)
+    else:
+        # One input channel makes each per-offset product a matrix-vector
+        # product, which BLAS may sum in another order.
+        assert dx.dtype == want_dx.dtype
+        assert rel_error(dx, want_dx) < {np.float32: 1e-5, np.float64: 1e-12}[dtype]
+
+
 # --- flatten ---------------------------------------------------------------------
 
 def test_flatten_round_trip():
@@ -230,6 +350,7 @@ def test_dropout_training_masks_and_scales():
     assert_allclose(out[kept], 2.0)  # inverted scaling by 1/keep
     grads = drop.backward(np.ones_like(x))
     assert_array_equal(grads != 0, kept)
+    assert_array_equal(grads, out)  # same mask and scale as forward
 
 
 def test_dropout_keep_prob_validation():

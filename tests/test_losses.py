@@ -474,3 +474,16 @@ def test_combined_report_flags_absent_classes():
     cfg = dn.ObjectiveConfig(lambda_discriminant=0.1)
     report = dn.combined_objective(cfg, {"logits": z}, t, state=None)
     assert any("class 2" in note for note in report.notes)
+
+
+def test_combined_skips_batch_discriminant_for_one_sample():
+    z = np.array([[1.0, 0.0, 2.0]])
+    t = onehot([1], 3)
+    cfg = dn.ObjectiveConfig(lambda_discriminant=0.1)
+    report = dn.combined_objective(cfg, {"logits": z}, t, state=None)
+    assert "discriminant" not in report.components
+    assert any("batch of 1" in note for note in report.notes)
+    _, dz_ce = dn.softmax_cross_entropy(z, t)
+    assert_array_equal(report.gradients["logits"], dz_ce)
+    with pytest.raises(ValueError, match="at least 2"):
+        dn.discriminant_criterion(z, t)  # direct callers still get the error
