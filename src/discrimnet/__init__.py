@@ -26,22 +26,7 @@ from .streaming import (
     masked_weighted_mean_direct,
     weighted_moments_direct,
 )
-from .tensor import (
-    CheckpointError,
-    NonFiniteError,
-    Rng,
-    ShapeMismatchError,
-    Tensor,
-    default_dtype,
-    elementwise,
-    load_bundle,
-    load_tensor,
-    matmul,
-    reduce,
-    save_bundle,
-    save_tensor,
-    set_default_dtype,
-)
+from .tensor import CheckpointError, NonFiniteError, Rng, load_bundle, save_bundle
 from .train import evaluate, load_checkpoint, load_run_datasets, run_training
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, apply_preset, load_config_file, PRESETS
 from .data import IdxFormatError
-from .tensor import CheckpointError, NonFiniteError, default_dtype
+from .tensor import CheckpointError, NonFiniteError
 from .train import evaluate, load_checkpoint, load_run_datasets, run_training
 
 
@@ -41,19 +41,6 @@ def _dataset_for(args, cfg):
     return train if args.split == "train" else test
 
 
-def _forward_taps(net, dataset, batch_size=256):
-    logits = []
-    hidden = []
-    for start in range(0, len(dataset), batch_size):
-        x = dataset.images[start : start + batch_size].astype(default_dtype(), copy=False)
-        taps = net.forward(x, train=False)
-        logits.append(taps["logits"])
-        hidden.append(taps.get("hidden_preact"))
-    return np.concatenate(logits), (
-        np.concatenate(hidden) if hidden[0] is not None else None
-    )
-
-
 def cmd_train(args):
     cfg = _build_run_config(args)
     run_dir = run_training(cfg, progress=not args.quiet)
@@ -75,7 +62,7 @@ def cmd_export_histogram(args):
     k = args.neuron
     if not 0 <= k < dataset.num_classes:
         raise ConfigError(f"neuron {k} out of range for {dataset.num_classes} classes")
-    logits, _ = _forward_taps(net, dataset)
+    logits = net.predict(dataset.images, cfg.batch_size)["logits"]
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("logit,is_target\n")
         for value, label in zip(logits[:, k], dataset.labels):
@@ -92,7 +79,7 @@ def cmd_export_scatter(args):
             f"scatter export needs a checkpoint trained with hidden width 2, got {width}"
         )
     dataset = _dataset_for(args, cfg)
-    _, hidden = _forward_taps(net, dataset)
+    hidden = net.predict(dataset.images, cfg.batch_size)["hidden_preact"]
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("x1,x2,class\n")
         for (x1, x2), label in zip(hidden, dataset.labels):

@@ -83,10 +83,14 @@ class RunConfig:
             raise ConfigError("epochs and batch_size must be positive")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
+        if self.lr_drop_factor <= 0 or self.lr_drop_period < 1:
+            raise ConfigError("lr_drop_factor and lr_drop_period must be positive")
         if self.hidden_width < 1 or self.fc_width < 1:
             raise ConfigError("hidden_width and fc_width must be positive")
         if self.dataset == "synth" and not 2 <= self.synth_classes <= self.synth_size**2:
             raise ConfigError("synth_classes must lie between 2 and synth_size**2")
+        if self.dataset == "synth" and self.synth_per_class < 1:
+            raise ConfigError("synth_per_class must be positive")
         if self.train_subset < 0 or self.test_subset < 0:
             raise ConfigError("subset sizes must be non-negative")
         if not self.augment_scale_low <= self.augment_scale_high:

@@ -10,12 +10,8 @@ the gradient with respect to its input.
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import default_dtype
-
 
 class Layer:
-    train_only_random = False
-
     def forward(self, x, train=False):
         raise NotImplementedError
 
@@ -47,19 +43,19 @@ def _select(mask, values):
     return (mask * bits).view(values.dtype)
 
 
-def _he_uniform(rng, fan_in, shape):
+def _he_uniform(rng, fan_in, shape, dtype):
     limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, shape).astype(default_dtype())
+    return rng.uniform(-limit, limit, shape).astype(dtype)
 
 
 class Dense(Layer):
     """Fully connected layer: y = x @ w + b."""
 
-    def __init__(self, in_dim, out_dim, rng):
+    def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
-        self.w = _he_uniform(rng, self.in_dim, (self.in_dim, self.out_dim))
-        self.b = np.zeros(self.out_dim, dtype=default_dtype())
+        self.w = _he_uniform(rng, self.in_dim, (self.in_dim, self.out_dim), dtype)
+        self.b = np.zeros(self.out_dim, dtype=dtype)
         self.dw = None
         self.db = None
         self._x = None
@@ -99,15 +95,15 @@ class Conv2d(Layer):
 
     KSIZE = 3
 
-    def __init__(self, in_channels, out_channels, padding, rng):
+    def __init__(self, in_channels, out_channels, padding, rng, dtype=np.float64):
         if padding not in (0, 1):
             raise ValueError("padding must be 0 or 1")
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
         self.padding = int(padding)
         fan_in = self.KSIZE * self.KSIZE * self.in_channels
-        self.w = _he_uniform(rng, fan_in, (fan_in, self.out_channels))
-        self.b = np.zeros(self.out_channels, dtype=default_dtype())
+        self.w = _he_uniform(rng, fan_in, (fan_in, self.out_channels), dtype)
+        self.b = np.zeros(self.out_channels, dtype=dtype)
         self.dw = None
         self.db = None
         self._cols = None
@@ -230,13 +226,12 @@ class BatchNorm(Layer):
     statistics for evaluation mode. Evaluating before any training batch
     is an error because the running statistics are undefined."""
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5):
+    def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=np.float64):
         self.channels = int(channels)
         self.momentum = float(momentum)
         self.eps = float(eps)
-        dt = default_dtype()
-        self.gamma = np.ones(self.channels, dtype=dt)
-        self.beta = np.zeros(self.channels, dtype=dt)
+        self.gamma = np.ones(self.channels, dtype=dtype)
+        self.beta = np.zeros(self.channels, dtype=dtype)
         self.running_mean = np.zeros(self.channels, dtype=np.float64)
         self.running_var = np.ones(self.channels, dtype=np.float64)
         self.batches_seen = 0
@@ -303,8 +298,6 @@ class BatchNorm(Layer):
 
 class Dropout(Layer):
     """Inverted dropout: active only in training mode, identity in eval."""
-
-    train_only_random = True
 
     def __init__(self, keep_prob, rng):
         if not 0.0 < keep_prob <= 1.0:

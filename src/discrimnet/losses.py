@@ -124,12 +124,11 @@ def absent_class_sides(t):
     return flags
 
 
-def adaptive_discriminant(z, t, stats, eps=1e-8, order=None):
+def adaptive_discriminant(z, t, stats, eps=1e-8):
     """Forgetting-statistics version of the discriminant criterion.
 
-    Every sample in the batch advances the accumulators once, in
-    ``order`` (row order by default; the trainer passes shuffle order).
-    The loss is the post-batch ratio sum; the gradient treats all
+    Every sample in the batch advances the accumulators once, in row
+    order. The loss is the post-batch ratio sum; the gradient treats all
     statistics as constants, pairing each sample with the means that
     were current when it was folded in. Mutates ``stats``; returns
     (loss, dz).
@@ -140,15 +139,10 @@ def adaptive_discriminant(z, t, stats, eps=1e-8, order=None):
     _check_onehot(t, n)
     if k != stats.num_classes:
         raise ValueError(f"stats track {stats.num_classes} classes, batch has {k}")
-    if order is None:
-        order = range(n)
-    order = [int(i) for i in order]
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the batch rows")
     mu_pre = np.empty_like(z)
     mu_hat_pre = np.empty_like(z)
     mu_total_pre = np.empty_like(z)
-    for i in order:
+    for i in range(n):
         mu_pre[i] = stats.mu
         mu_hat_pre[i] = stats.mu_hat
         mu_total_pre[i] = stats.mu_total
@@ -185,11 +179,11 @@ def center_loss(x, t, bank):
     return loss, dx
 
 
-def adaptive_center_loss(x, t, bank, order=None):
+def adaptive_center_loss(x, t, bank):
     """Center loss against forgetting centroids.
 
-    Each sample first folds itself into its class centroid (in ``order``,
-    row order by default); the loss and gradient are then taken against
+    Each sample first folds itself into its class centroid, in row
+    order; the loss and gradient are then taken against
     the post-batch centroids, which are treated as constants. Mutates
     ``bank``; returns (loss, dx).
     """
@@ -197,13 +191,9 @@ def adaptive_center_loss(x, t, bank, order=None):
     t = _as2d(t, "labels")
     n = x.shape[0]
     _check_onehot(t, n)
-    if bank.mode != "adaptive":
-        raise RuntimeError("adaptive center loss requires an adaptive-mode bank")
     labels = t.argmax(axis=1)
-    if order is None:
-        order = range(n)
-    for i in order:
-        bank.update_sample(x[int(i)], labels[int(i)])
+    for i in range(n):
+        bank.update_sample(x[i], labels[i])
     return center_loss(x, t, bank)
 
 
@@ -272,6 +262,8 @@ class ObjectiveConfig:
             raise ValueError("epsilon must be positive")
         if self.ce_reduction not in ("mean", "sum"):
             raise ValueError(f"unknown ce_reduction {self.ce_reduction!r}")
+        if self.lambda_center > 0 and self.lambda_adaptive_center > 0:
+            raise ValueError("enable only one of lambda_center / lambda_adaptive_center")
         return self
 
     @property
@@ -283,26 +275,18 @@ class AuxState:
     """Mutable accumulators owned by one training run.
 
     Holds the per-neuron forgetting statistics (when the adaptive
-    discriminant loss is on) and the centroid bank (adaptive mode for
-    the adaptive center loss, minibatch mode for the plain center loss).
+    discriminant loss is on) and the centroid bank (when either center
+    loss is on). ``combined_objective`` is their only writer.
     """
 
     def __init__(self, cfg, num_classes, feature_dim):
         cfg.validate()
-        if cfg.lambda_center > 0 and cfg.lambda_adaptive_center > 0:
-            raise ValueError("enable only one of center / adaptive center")
         self.neuron_stats = None
         self.center_bank = None
         if cfg.lambda_adaptive_discriminant > 0:
             self.neuron_stats = NeuronClassStats(num_classes, cfg.alpha)
-        if cfg.lambda_adaptive_center > 0:
-            self.center_bank = CenterBank(
-                num_classes, feature_dim, "adaptive", alpha=cfg.alpha
-            )
-        elif cfg.lambda_center > 0:
-            self.center_bank = CenterBank(
-                num_classes, feature_dim, "minibatch", beta=cfg.beta
-            )
+        if cfg.uses_center_tap:
+            self.center_bank = CenterBank(num_classes, feature_dim, cfg.alpha, cfg.beta)
 
     def state_arrays(self):
         arrays = {}
@@ -325,12 +309,14 @@ class AuxState:
             )
 
 
-def combined_objective(cfg, taps, labels_onehot, state=None, order=None):
+def combined_objective(cfg, taps, labels_onehot, state=None):
     """Evaluate the full training objective at the given tap features.
 
     taps maps tap-point names to feature batches; labels_onehot is the
-    batch's one-hot label matrix. Adaptive losses advance their
-    accumulators in ``state`` as a side effect. Returns a LossReport
+    batch's one-hot label matrix. Every enabled loss with state advances
+    it in ``state``: the adaptive losses fold each sample in before they
+    are evaluated, and the minibatch center rule moves the centroids
+    after the center loss has read them. Returns a LossReport
     whose gradients are, per tap point, the weighted sum of the enabled
     component gradients (in the tap's own dtype).
     """
@@ -361,9 +347,7 @@ def combined_objective(cfg, taps, labels_onehot, state=None, order=None):
     if cfg.lambda_adaptive_discriminant > 0:
         if state is None or state.neuron_stats is None:
             raise ValueError("adaptive discriminant loss needs AuxState.neuron_stats")
-        lad, dz = adaptive_discriminant(
-            z, t, state.neuron_stats, eps=cfg.epsilon, order=order
-        )
+        lad, dz = adaptive_discriminant(z, t, state.neuron_stats, eps=cfg.epsilon)
         components["adaptive_discriminant"] = lad
         dz_total = dz_total + cfg.lambda_adaptive_discriminant * dz
         total += cfg.lambda_adaptive_discriminant * lad
@@ -381,7 +365,7 @@ def combined_objective(cfg, taps, labels_onehot, state=None, order=None):
             dx_total = cfg.lambda_center * dx
             total += cfg.lambda_center * lc
         else:
-            lac, dx = adaptive_center_loss(x, t, state.center_bank, order=order)
+            lac, dx = adaptive_center_loss(x, t, state.center_bank)
             components["adaptive_center"] = lac
             dx_total = cfg.lambda_adaptive_center * dx
             total += cfg.lambda_adaptive_center * lac
@@ -389,6 +373,8 @@ def combined_objective(cfg, taps, labels_onehot, state=None, order=None):
     for name, value in components.items():
         if not np.isfinite(value):
             raise NonFiniteError(f"loss component {name!r} is non-finite ({value})")
+    if cfg.lambda_center > 0:
+        state.center_bank.update_minibatch(x, t)
 
     if dx_total is not None and cfg.center_tap == cfg.logits_tap:
         dz_total = dz_total + dx_total  # both losses read the same features

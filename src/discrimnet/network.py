@@ -11,13 +11,14 @@ second-to-last fully connected layer.
 import numpy as np
 
 from .layers import BatchNorm, Conv2d, Dense, Dropout, Flatten, MaxPool2x2, ReLU
-from .tensor import CheckpointError, Rng, default_dtype, load_bundle, save_bundle
+from .tensor import CheckpointError, Rng, load_bundle, save_bundle
 
 ARCHITECTURES = ("mnist_small", "comparison")
 
 
 class Network:
-    def __init__(self, layers, taps, arch="custom", arch_params=None, seed=None):
+    def __init__(self, layers, taps, arch="custom", arch_params=None, seed=None,
+                 dtype=np.float64):
         self.layers = list(layers)
         if "logits" not in taps:
             raise ValueError("a network must declare a 'logits' tap")
@@ -28,11 +29,13 @@ class Network:
         self.arch = arch
         self.arch_params = dict(arch_params or {})
         self.seed = seed
+        self.dtype = np.dtype(dtype)
         self._outputs = None
 
     def forward(self, x, train=False):
-        """Run the chain; returns a dict of tap name -> feature batch."""
-        x = np.asarray(x, dtype=default_dtype())
+        """Run the chain in the network's dtype; returns a dict of tap
+        name -> feature batch."""
+        x = np.asarray(x, dtype=self.dtype)
         outputs = []
         for layer in self.layers:
             x = layer.forward(x, train=train)
@@ -59,6 +62,15 @@ class Network:
                 grad = grad + by_index[i]
             grad = self.layers[i].backward(grad)
         return grad
+
+    def predict(self, images, batch_size):
+        """Evaluation-mode forward over ``images`` in batches of
+        ``batch_size``; returns tap name -> features of every image."""
+        batches = [
+            self.forward(images[start : start + batch_size], train=False)
+            for start in range(0, len(images), batch_size)
+        ]
+        return {name: np.concatenate([taps[name] for taps in batches]) for name in self.taps}
 
     def trace_shapes(self, x):
         """Per-layer output shapes for a given input batch (audit helper)."""
@@ -111,7 +123,7 @@ class Network:
 
     @classmethod
     def load(cls, path):
-        """Rebuild a network from a checkpoint.
+        """Rebuild a network from a checkpoint, in the dtype it was saved in.
 
         Returns (network, manifest, extra arrays not consumed by the
         network itself).
@@ -161,6 +173,7 @@ def build_architecture(
     conv_channels=None,
     fc1_width=256,
     dropout_keep=0.5,
+    dtype="float64",
 ):
     """Construct one of the two stock classification networks.
 
@@ -168,15 +181,20 @@ def build_architecture(
     layers. "comparison": nine conv stages with batchnorm, three pools,
     then three fully connected layers with dropout. Both expose the
     ``hidden_preact`` tap (width ``hidden_width``) feeding the final
-    classifier, and the ``logits`` tap at the output.
+    classifier, and the ``logits`` tap at the output. Parameters and
+    activations are ``dtype``, float32 or float64.
     """
     if rng is None:
         rng = Rng(0)
+    dt = np.dtype(dtype)
+    if dt.name not in ("float32", "float64"):
+        raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
     h, w, c = (int(d) for d in input_shape)
     arch_params = {
         "input_shape": (h, w, c),
         "num_classes": int(num_classes),
         "hidden_width": int(hidden_width),
+        "dtype": dt.name,
     }
     if arch == "mnist_small":
         cc = tuple(conv_channels) if conv_channels else (32, 64)
@@ -184,18 +202,18 @@ def build_architecture(
         arch_params.update({"conv_channels": cc, "fc1_width": int(fc1_width)})
         flat = (h // 4) * (w // 4) * cc[1]
         layers = [
-            Conv2d(c, cc[0], padding=1, rng=rng),
+            Conv2d(c, cc[0], padding=1, rng=rng, dtype=dt),
             ReLU(),
             MaxPool2x2(),
-            Conv2d(cc[0], cc[1], padding=1, rng=rng),
+            Conv2d(cc[0], cc[1], padding=1, rng=rng, dtype=dt),
             ReLU(),
             MaxPool2x2(),
             Flatten(),
-            Dense(flat, fc1_width, rng),
+            Dense(flat, fc1_width, rng, dt),
             ReLU(),
-            Dense(fc1_width, hidden_width, rng),
+            Dense(fc1_width, hidden_width, rng, dt),
             ReLU(),
-            Dense(hidden_width, num_classes, rng),
+            Dense(hidden_width, num_classes, rng, dt),
         ]
         taps = {"hidden_preact": 9, "logits": 11}
     elif arch == "comparison":
@@ -211,9 +229,8 @@ def build_architecture(
         layers = []
 
         def conv_block(cin, cout, padding):
-            layers.extend(
-                [Conv2d(cin, cout, padding=padding, rng=rng), BatchNorm(cout), ReLU()]
-            )
+            conv = Conv2d(cin, cout, padding=padding, rng=rng, dtype=dt)
+            layers.extend([conv, BatchNorm(cout, dtype=dt), ReLU()])
 
         conv_block(c, 128, 1)
         conv_block(128, 128, 1)
@@ -230,17 +247,17 @@ def build_architecture(
         layers.append(Flatten())
         layers.extend(
             [
-                Dense(flat, fc_width, rng),
+                Dense(flat, fc_width, rng, dt),
                 ReLU(),
                 Dropout(dropout_keep, rng),
-                Dense(fc_width, hidden_width, rng),
+                Dense(fc_width, hidden_width, rng, dt),
                 ReLU(),
                 Dropout(dropout_keep, rng),
-                Dense(hidden_width, num_classes, rng),
+                Dense(hidden_width, num_classes, rng, dt),
             ]
         )
         hidden_idx = len(layers) - 4  # the Dense feeding the last ReLU/Dropout pair
         taps = {"hidden_preact": hidden_idx, "logits": len(layers) - 1}
     else:
         raise ValueError(f"unknown architecture {arch!r}")
-    return Network(layers, taps, arch=arch, arch_params=arch_params, seed=rng.seed)
+    return Network(layers, taps, arch=arch, arch_params=arch_params, seed=rng.seed, dtype=dt)

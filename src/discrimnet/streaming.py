@@ -150,29 +150,23 @@ class NeuronClassStats:
 
 
 class CenterBank:
-    """Per-class centroid vectors with one of two update rules.
+    """Per-class centroid vectors and their two update rules.
 
-    mode "adaptive": each sample moves its class centroid by the
-    forgetting-mean recurrence c <- a*c + (1-a)*x.
-    mode "minibatch": centroids move once per batch by a damped delta
-    rule, c <- c - beta * sum(c - x_i over class members) / (1 + count).
-    A bank instance is committed to a single mode.
+    ``update_sample`` (adaptive center loss) moves one class centroid by
+    the forgetting-mean recurrence c <- a*c + (1-a)*x.
+    ``update_minibatch`` (center loss) moves every centroid once per
+    batch by a damped delta rule,
+    c <- c - beta * sum(c - x_i over class members) / (1 + count).
     """
 
-    MODES = ("adaptive", "minibatch")
-
-    def __init__(self, num_classes, dim, mode, alpha=None, beta=None):
-        if mode not in self.MODES:
-            raise ValueError(f"unknown center update mode {mode!r}")
+    def __init__(self, num_classes, dim, alpha=0.99, beta=1.0):
         self.num_classes = int(num_classes)
         self.dim = int(dim)
-        self.mode = mode
-        self.alpha = _check_alpha(alpha) if mode == "adaptive" else None
-        if mode == "minibatch":
-            beta = float(beta)
-            if not 0.0 <= beta <= 1.0:
-                raise ValueError(f"beta must lie in [0, 1], got {beta}")
-        self.beta = beta if mode == "minibatch" else None
+        self.alpha = _check_alpha(alpha)
+        beta = float(beta)
+        if not 0.0 <= beta <= 1.0:
+            raise ValueError(f"beta must lie in [0, 1], got {beta}")
+        self.beta = beta
         self.centers = np.zeros((self.num_classes, self.dim))
         self.steps = 0
 
@@ -184,9 +178,7 @@ class CenterBank:
         return x
 
     def update_sample(self, x, class_id):
-        """Adaptive mode: fold one feature vector into its class centroid."""
-        if self.mode != "adaptive":
-            raise RuntimeError("per-sample updates require an adaptive-mode bank")
+        """Fold one feature vector into its class centroid."""
         x = self._check_vec(x)
         k = int(class_id)
         if not 0 <= k < self.num_classes:
@@ -196,12 +188,10 @@ class CenterBank:
         self.steps += 1
 
     def update_minibatch(self, features, labels_onehot):
-        """Minibatch mode: apply the damped delta rule for every class.
+        """Apply the damped delta rule for every class.
 
         Classes with no members in the batch are left unchanged.
         """
-        if self.mode != "minibatch":
-            raise RuntimeError("batch updates require a minibatch-mode bank")
         x = np.asarray(features, dtype=np.float64)
         t = np.asarray(labels_onehot, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dim:

@@ -1,13 +1,11 @@
-"""Dense float tensors, a seeded deterministic RNG, and binary serialization.
+"""A seeded deterministic RNG and the binary bundle format of checkpoints.
 
-The Tensor class is the validated numeric carrier of the engine: a shape
-tuple over a flat row-major float buffer. Every public operation checks
-its result for NaN/Inf and raises instead of propagating bad values.
-Internally the heavy numerics (layers, losses) run on plain numpy arrays;
-Tensor is the boundary type used for golden files and checkpoints.
+A bundle is a JSON manifest followed by one DTRN0001 tensor record per
+named array; records always store little-endian float64.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -15,203 +13,13 @@ import numpy as np
 TENSOR_MAGIC = b"DTRN0001"
 BUNDLE_MAGIC = b"DTRB0001"
 
-_DEFAULT_DTYPE = np.float64
-
-
-class ShapeMismatchError(ValueError):
-    """Operand shapes are incompatible for the requested operation."""
-
 
 class NonFiniteError(ArithmeticError):
     """An operation produced or received NaN/Inf values."""
 
 
 class CheckpointError(RuntimeError):
-    """A serialized tensor file or bundle is malformed or truncated."""
-
-
-def set_default_dtype(dtype):
-    """Switch the storage dtype for newly created tensors and parameters.
-
-    float64 is the default and is what all tests and oracles assume;
-    float32 halves memory and roughly doubles GEMM throughput for
-    training runs.
-    """
-    global _DEFAULT_DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    _DEFAULT_DTYPE = dt.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
-def _prod(shape):
-    p = 1
-    for d in shape:
-        p *= int(d)
-    return p
-
-
-class Tensor:
-    """Immutable dense array of finite floats in row-major layout.
-
-    Invariants: product(shape) == buffer length, and every value is
-    finite after construction and after every public operation.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, values, shape=None, dtype=None):
-        dt = np.dtype(dtype) if dtype is not None else np.dtype(_DEFAULT_DTYPE)
-        a = np.asarray(values, dtype=dt)
-        if shape is not None:
-            shape = tuple(int(d) for d in shape)
-            if any(d < 0 for d in shape):
-                raise ShapeMismatchError(f"negative dimension in shape {shape}")
-            if a.size != _prod(shape):
-                raise ShapeMismatchError(
-                    f"buffer of {a.size} values cannot fill shape {shape}"
-                )
-            a = a.reshape(shape)
-        a = np.ascontiguousarray(a)
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError("tensor holds non-finite values")
-        a.flags.writeable = False
-        self._a = a
-
-    @classmethod
-    def _wrap(cls, arr):
-        t = object.__new__(cls)
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
-        t._a = arr
-        return t
-
-    @property
-    def shape(self):
-        return self._a.shape
-
-    @property
-    def array(self):
-        """Read-only numpy view of the tensor."""
-        return self._a
-
-    @property
-    def data(self):
-        """Flat row-major buffer (read-only 1-D view)."""
-        return self._a.reshape(-1)
-
-    def item(self):
-        return float(self._a.reshape(-1)[0]) if self._a.size == 1 else self._a.item()
-
-    def tolist(self):
-        return self._a.tolist()
-
-    def __len__(self):
-        return self._a.shape[0]
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, data={self._a!r})"
-
-    def __add__(self, other):
-        return elementwise("add", self, other)
-
-    def __sub__(self, other):
-        return elementwise("sub", self, other)
-
-    def __mul__(self, other):
-        return elementwise("mul", self, other)
-
-    def __truediv__(self, other):
-        return elementwise("div", self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-_ELEMENTWISE = {
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.divide,
-}
-
-
-def elementwise(op, a, b):
-    """Componentwise add/sub/mul/div of two equal-shape tensors.
-
-    The second operand may be a plain scalar; no other broadcasting is
-    allowed, so shape mistakes fail loudly.
-    """
-    if op not in _ELEMENTWISE:
-        raise ValueError(f"unknown elementwise op {op!r}")
-    if isinstance(b, Tensor):
-        if a.shape != b.shape:
-            raise ShapeMismatchError(f"shape mismatch {a.shape} vs {b.shape}")
-        rhs = b.array
-    elif np.isscalar(b):
-        rhs = b
-    else:
-        raise ShapeMismatchError("second operand must be a Tensor or a scalar")
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = _ELEMENTWISE[op](a.array, rhs)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError(f"{op} produced non-finite values")
-    return Tensor._wrap(out)
-
-
-def matmul(a, b):
-    """Matrix product of a 2-D [M x K] tensor with a 2-D [K x N] tensor."""
-    if len(a.shape) != 2 or len(b.shape) != 2:
-        raise ShapeMismatchError("matmul requires 2-D operands")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(
-            f"inner dimensions disagree: {a.shape} @ {b.shape}"
-        )
-    out = a.array @ b.array
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError("matmul produced non-finite values")
-    return Tensor._wrap(out)
-
-
-def reduce(op, a, axis=None):
-    """Reduce a tensor with sum/mean/max/argmax along one axis (or all).
-
-    The reduced axis is dropped from the output shape. Sums and means
-    accumulate strictly left to right (via cumsum) so results are
-    bit-reproducible against a flat-loop reference on any platform.
-    """
-    arr = a.array
-    if axis is not None:
-        axis = int(axis)
-        if not -arr.ndim <= axis < arr.ndim:
-            raise ShapeMismatchError(f"axis {axis} invalid for shape {a.shape}")
-    if op in ("sum", "mean"):
-        flat = arr.reshape(-1) if axis is None else arr
-        ax = 0 if axis is None else axis
-        if flat.shape[ax] == 0:
-            out = np.zeros(flat.sum(axis=ax).shape, dtype=arr.dtype)
-            if op == "mean":
-                raise NonFiniteError("mean over an empty axis")
-        else:
-            out = np.cumsum(flat, axis=ax).take(-1, axis=ax)
-            if op == "mean":
-                out = out / flat.shape[ax]
-    elif op in ("max", "argmax"):
-        size = arr.size if axis is None else arr.shape[axis]
-        if size == 0:
-            raise ValueError(f"{op} over an empty axis")
-        fn = np.max if op == "max" else np.argmax
-        out = fn(arr.reshape(-1) if axis is None else arr, axis=None if axis is None else axis)
-    else:
-        raise ValueError(f"unknown reduce op {op!r}")
-    out = np.asarray(out, dtype=arr.dtype)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError(f"{op} produced non-finite values")
-    return Tensor._wrap(out)
+    """A bundle is malformed or truncated."""
 
 
 class Rng:
@@ -283,25 +91,9 @@ def _read_tensor_record(f):
     shape = tuple(
         struct.unpack("<I", _read_exact(f, 4, "dims"))[0] for _ in range(rank)
     )
-    count = _prod(shape)
-    payload = _read_exact(f, 8 * count, "payload")
+    payload = _read_exact(f, 8 * math.prod(shape), "payload")
     arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
     return arr
-
-
-def save_tensor(path, tensor):
-    """Write one tensor: magic DTRN0001, u32 rank, u32 dims (LE), f64 payload."""
-    arr = tensor.array if isinstance(tensor, Tensor) else np.asarray(tensor)
-    with open(path, "wb") as f:
-        _write_tensor_record(f, arr)
-
-
-def load_tensor(path):
-    with open(path, "rb") as f:
-        arr = _read_tensor_record(f)
-        if f.read(1):
-            raise CheckpointError("trailing bytes after tensor payload")
-    return Tensor(arr, dtype=np.float64)
 
 
 def save_bundle(path, manifest, arrays):

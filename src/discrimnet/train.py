@@ -18,7 +18,7 @@ from .losses import (
 )
 from .network import Network, build_architecture
 from .optim import SGD
-from .tensor import Rng, default_dtype, load_bundle, set_default_dtype
+from .tensor import Rng
 
 EPOCH_COLUMNS = (
     "epoch", "lr", "train_loss", "train_acc", "test_loss", "test_acc",
@@ -72,18 +72,10 @@ def _batch_ranges(n, batch_size):
 
 def evaluate(net, dataset, batch_size=100):
     """Mean cross-entropy and top-1 accuracy of a network on a dataset."""
-    onehot = dataset.one_hot()
-    total_ce = 0.0
-    correct = 0
-    for idx in _batch_ranges(len(dataset), batch_size):
-        x = dataset.images[idx].astype(default_dtype(), copy=False)
-        taps = net.forward(x, train=False)
-        z = taps["logits"]
-        ce, _ = softmax_cross_entropy(z, onehot[idx], reduction="sum")
-        total_ce += ce
-        correct += int((z.argmax(axis=1) == dataset.labels[idx]).sum())
+    z = net.predict(dataset.images, batch_size)["logits"]
+    ce, _ = softmax_cross_entropy(z, dataset.one_hot(), reduction="sum")
     n = len(dataset)
-    return total_ce / n, correct / n
+    return ce / n, int((z.argmax(axis=1) == dataset.labels).sum()) / n
 
 
 def _fmt(values):
@@ -97,15 +89,17 @@ def run_training(cfg: RunConfig, progress=False):
     a per-epoch metrics CSV, a summary, and the final checkpoint.
     """
     cfg.validate()
-    set_default_dtype(cfg.dtype)
     train, test = load_run_datasets(cfg)
     num_classes = train.num_classes
     model_rng = Rng(cfg.seed).child(_MODEL_STREAM)
     h, w, c = train.images.shape[1:]
-    net = build_architecture(
-        cfg.arch, input_shape=(h, w, c), num_classes=num_classes, rng=model_rng,
-        hidden_width=cfg.hidden_width, fc_width=cfg.fc_width,
-    )
+    try:
+        net = build_architecture(
+            cfg.arch, input_shape=(h, w, c), num_classes=num_classes, rng=model_rng,
+            hidden_width=cfg.hidden_width, fc_width=cfg.fc_width, dtype=cfg.dtype,
+        )
+    except ValueError as e:  # the input size does not fit the architecture
+        raise ConfigError(str(e)) from e
     obj = cfg.objective()
     aux = AuxState(obj, num_classes, cfg.hidden_width)
     opt = SGD(
@@ -123,7 +117,7 @@ def run_training(cfg: RunConfig, progress=False):
     os.makedirs(run_dir, exist_ok=True)
     save_config_file(cfg, os.path.join(run_dir, "config.txt"))
 
-    train_x = train.images.astype(default_dtype())
+    train_x = train.images.astype(net.dtype)
     train_t = train.one_hot()
     step = 0
     best = None
@@ -140,15 +134,13 @@ def run_training(cfg: RunConfig, progress=False):
                 batch = order[rows]
                 x = train_x[batch]
                 if cfg.augment:
-                    x = augment_batch(x, model_rng, affine).astype(default_dtype())
+                    x = augment_batch(x, model_rng, affine).astype(net.dtype)
                 t = train_t[batch]
                 taps = net.forward(x, train=True)
                 report = combined_objective(obj, taps, t, state=aux)
                 steps_f.write(report.csv_row(step) + "\n")
                 net.backward(report.gradients)
                 opt.step(net.parameters(), net.gradients(), lr)
-                if obj.lambda_center > 0:
-                    aux.center_bank.update_minibatch(taps[obj.center_tap], t)
                 for name, value in report.components.items():
                     sums[name] = sums.get(name, 0.0) + value
                     counts[name] = counts.get(name, 0) + 1
@@ -186,16 +178,13 @@ def run_training(cfg: RunConfig, progress=False):
 def load_checkpoint(path):
     """Load a trainer checkpoint: (network, run config, aux state).
 
-    Sets the default dtype to the checkpoint's training dtype so the
-    rebuilt network matches bit for bit.
+    The network comes back in the dtype it was trained in.
     """
-    manifest, _ = load_bundle(path)
+    net, manifest, leftovers = Network.load(path)
     cfg_dict = manifest.get("config")
     if cfg_dict is None:
         raise ConfigError("checkpoint carries no run config")
     cfg = RunConfig(**cfg_dict)
-    set_default_dtype(cfg.dtype)
-    net, manifest, leftovers = Network.load(path)
     obj = cfg.objective()
     aux = AuxState(obj, net.arch_params["num_classes"], cfg.hidden_width)
     aux.load_state_arrays(

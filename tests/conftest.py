@@ -3,16 +3,6 @@ import os
 import numpy as np
 import pytest
 
-import discrimnet as dn
-
-
-@pytest.fixture(autouse=True)
-def _float64_default():
-    # Tests and oracles run in 64-bit; individual tests opt into float32.
-    dn.set_default_dtype(np.float64)
-    yield
-    dn.set_default_dtype(np.float64)
-
 
 def finite_difference(f, x, h=1e-5):
     """Central-difference gradient of scalar f at x, elementwise."""

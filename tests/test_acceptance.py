@@ -121,7 +121,7 @@ def test_2_gradient_verification():
         assert rel_error(dz, fd) < 1e-4, "batch discriminant"
 
         centers = rng.normal((k, d))
-        bank = dn.CenterBank(k, d, "minibatch", beta=1.0)
+        bank = dn.CenterBank(k, d, beta=1.0)
         bank.centers = centers.copy()
         _, dx = dn.center_loss(x, t, bank)
         fd = finite_difference(lambda v: dn.center_loss(v, t, bank)[0], x)
@@ -158,7 +158,7 @@ def test_2_gradient_verification():
         assert rel_error(dz, fd) < 1e-4, "adaptive discriminant (surrogate)"
 
         # adaptive center: finite differences against post-update centers
-        abank = dn.CenterBank(k, d, "adaptive", alpha=alpha)
+        abank = dn.CenterBank(k, d, alpha=alpha)
         abank.centers = centers.copy()
         _, dx = dn.adaptive_center_loss(x, t, abank)
         frozen = abank.centers.copy()
@@ -262,7 +262,7 @@ def test_4_hand_computed_values():
     assert abs(loss - 2.0 / 11.0) < 1e-12
 
     # center loss 1.0 on the two-point fixture
-    bank = dn.CenterBank(1, 2, "minibatch", beta=1.0)
+    bank = dn.CenterBank(1, 2, beta=1.0)
     bank.centers = np.array([[2.0, 0.0]])
     loss, dx = dn.center_loss(
         np.array([[1.0, 0.0], [3.0, 0.0]]), np.array([[1.0], [1.0]]), bank
@@ -271,7 +271,7 @@ def test_4_hand_computed_values():
     assert np.abs(dx - [[-1.0, 0.0], [1.0, 0.0]]).max() < 1e-12
 
     # minibatch center update lands on (0.5, 0.5)
-    bank = dn.CenterBank(2, 2, "minibatch", beta=1.0)
+    bank = dn.CenterBank(2, 2, beta=1.0)
     bank.centers = np.array([[1.0, 1.0], [0.0, 0.0]])
     bank.update_minibatch([[0.0, 0.0]], [[1.0, 0.0]])
     assert np.abs(bank.centers[0] - [0.5, 0.5]).max() < 1e-12
@@ -306,11 +306,7 @@ def _test_logit_ratio(run_dir):
     """Output-layer discriminant ratio sum over the run's test subset."""
     net, cfg, _ = dn.load_checkpoint(os.path.join(run_dir, "final.ckpt"))
     _, test = load_run_datasets(cfg)
-    logits = []
-    for start in range(0, len(test), 250):
-        x = test.images[start : start + 250].astype(dn.default_dtype())
-        logits.append(net.forward(x, train=False)["logits"].astype(np.float64))
-    z = np.concatenate(logits)
+    z = net.predict(test.images, 250)["logits"]
     loss, _ = dn.discriminant_criterion(z, onehot(test.labels, test.num_classes))
     return loss
 

@@ -265,9 +265,19 @@ def test_cli_bad_config_file(tmp_path):
     assert main(["train", "--config", str(bad), "--quiet"]) == 2
 
 
-@pytest.mark.parametrize("override", [{"lr": 0.0}, {"synth_classes": 1}, {"hidden_width": 0}])
+@pytest.mark.parametrize("override", [
+    {"lr": 0.0},
+    {"synth_classes": 1},
+    {"hidden_width": 0},
+    {"lr_drop_period": 0},
+    {"lr_drop_factor": 0.0},
+    {"synth_per_class": 0},
+    {"lambda_center": 0.01},  # together with synth_config's adaptive center
+    {"synth_size": 6},  # mnist_small halves the input twice
+    {"synth_size": 8, "arch": "comparison"},  # its unpadded convolutions need 32
+])
 def test_cli_rejects_invalid_values_with_exit_2(tmp_path, override):
-    cfg = synth_config(tmp_path, name="bad", synth_size=4, epochs=1, **override)
+    cfg = synth_config(tmp_path, name="bad", **{"synth_size": 4, "epochs": 1, **override})
     cfg_path = write_config(cfg, tmp_path / "cfg.txt")
     src = os.path.dirname(os.path.dirname(dn.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -319,8 +329,22 @@ def test_checkpoint_restores_accumulator_state(synth_run):
     bank = aux.center_bank
     assert stats is not None and stats.steps == 3 * 144  # one advance per sample
     assert np.any(stats.var_within > 0) and np.any(stats.var_total > 0)
-    assert bank is not None and bank.mode == "adaptive"
+    assert bank is not None and bank.steps == 3 * 144  # the per-sample rule ran
     assert np.any(bank.centers != 0)
+
+
+def test_float32_checkpoint_owns_its_dtype(tmp_path):
+    run_dir = dn.run_training(synth_config(tmp_path, name="f32", epochs=1, dtype="float32"))
+    ckpt = os.path.join(run_dir, "final.ckpt")
+    net, manifest, _ = dn.Network.load(ckpt)
+    assert net.dtype == np.float32 and manifest["arch_params"]["dtype"] == "float32"
+    assert all(arr.dtype == np.float32 for _, arr in net.parameters())
+    assert open(ckpt, "rb").read().count(b"DTRN0001") == len(manifest["entries"])
+    loaded, _, _ = dn.load_checkpoint(ckpt)
+    assert loaded.dtype == np.float32
+    fresh = dn.build_architecture("mnist_small", input_shape=(8, 8, 1), num_classes=3)
+    assert fresh.dtype == np.float64  # loading changed no process-wide default
+    assert all(arr.dtype == np.float64 for _, arr in fresh.parameters())
 
 
 def test_evaluation_never_augments(tmp_path):
@@ -347,7 +371,7 @@ def test_minibatch_center_trainer_path(tmp_path):
     assert first[header.index("L_C")] != ""      # center component logged
     assert first[header.index("L_AC")] == ""     # adaptive column empty
     _, cfg_loaded, aux = dn.load_checkpoint(os.path.join(run_dir, "final.ckpt"))
-    assert aux.center_bank.mode == "minibatch"
+    assert aux.center_bank.steps == 2 * (144 // 24)  # the batch rule ran once per step
     assert np.any(aux.center_bank.centers != 0)  # delta rule moved the centers
 
 
@@ -364,3 +388,4 @@ def test_sum_reduction_switch(tmp_path):
     mean_first = float(open(os.path.join(mean_dir, "steps.csv")).read().splitlines()[1].split(",")[2])
     sum_first = float(open(os.path.join(sum_dir, "steps.csv")).read().splitlines()[1].split(",")[2])
     assert sum_first == pytest.approx(mean_first * 24, rel=1e-12)  # batch size 24
+

@@ -222,34 +222,11 @@ def test_adaptive_discriminant_concentrated_stream_drives_loss_down():
     assert losses[-1] < 0.5 * noise_loss
 
 
-def test_adaptive_discriminant_permutation_with_matching_order():
-    rng = dn.Rng(9)
-    z, t = random_instance(rng, 10, 3)
-    perm = rng.permutation(10)
-    inverse = np.argsort(perm)
-
-    s1 = dn.NeuronClassStats(3, 0.9)
-    loss1, dz1 = dn.adaptive_discriminant(z, t, s1)
-    s2 = dn.NeuronClassStats(3, 0.9)
-    loss2, dz2 = dn.adaptive_discriminant(z[perm], t[perm], s2, order=inverse)
-
-    assert loss2 == pytest.approx(loss1, rel=1e-14)
-    assert_allclose(dz2, dz1[perm], rtol=1e-14)
-    assert_array_equal(s1.var_within, s2.var_within)
-
-
-def test_adaptive_discriminant_rejects_bad_order():
-    z, t = random_instance(dn.Rng(10), 4, 2)
-    with pytest.raises(ValueError):
-        dn.adaptive_discriminant(z, t, dn.NeuronClassStats(2, 0.9), order=[0, 0, 1, 2])
-
-
 # --- center loss ----------------------------------------------------------------
 
-def make_bank(centers, mode="minibatch", **kw):
+def make_bank(centers):
     centers = np.asarray(centers, dtype=np.float64)
-    bank = dn.CenterBank(centers.shape[0], centers.shape[1], mode,
-                         **({"beta": 1.0} if mode == "minibatch" else {"alpha": 0.5}) | kw)
+    bank = dn.CenterBank(centers.shape[0], centers.shape[1])
     bank.centers = centers.copy()
     return bank
 
@@ -305,7 +282,7 @@ def test_center_loss_dimension_mismatch():
 # --- adaptive center loss ---------------------------------------------------------
 
 def test_adaptive_center_fresh_bank_fixture():
-    bank = dn.CenterBank(2, 2, "adaptive", alpha=0.5)
+    bank = dn.CenterBank(2, 2, alpha=0.5)
     x = np.array([[2.0, 2.0]])
     t = np.array([[1.0, 0.0]])
     loss, dx = dn.adaptive_center_loss(x, t, bank)
@@ -319,7 +296,7 @@ def test_adaptive_center_near_one_alpha_approaches_plain_center_loss():
     centers = rng.normal((3, 4))
     x = rng.normal((6, 4))
     t = onehot(rng.integers(0, 3, 6), 3)
-    bank = dn.CenterBank(3, 4, "adaptive", alpha=1 - 1e-9)
+    bank = dn.CenterBank(3, 4, alpha=1 - 1e-9)
     bank.centers = centers.copy()
     loss_a, dx_a = dn.adaptive_center_loss(x, t, bank)
     loss_c, dx_c = dn.center_loss(x, t, make_bank(centers))
@@ -329,7 +306,7 @@ def test_adaptive_center_near_one_alpha_approaches_plain_center_loss():
 
 def test_adaptive_center_gradient_matches_frozen_center_fd():
     rng = dn.Rng(14)
-    bank = dn.CenterBank(3, 5, "adaptive", alpha=0.9)
+    bank = dn.CenterBank(3, 5, alpha=0.9)
     bank.centers = rng.normal((3, 5))
     x = rng.normal((7, 5))
     t = onehot(rng.integers(0, 3, 7), 3)

@@ -6,7 +6,7 @@ import discrimnet as dn
 from conftest import finite_difference, rel_error
 
 
-def small_net(seed=0, hidden=8, classes=3):
+def small_net(seed=0, hidden=8, classes=3, dtype="float64"):
     return dn.build_architecture(
         "mnist_small",
         input_shape=(8, 8, 1),
@@ -15,6 +15,7 @@ def small_net(seed=0, hidden=8, classes=3):
         conv_channels=(2, 2),
         fc1_width=10,
         hidden_width=hidden,
+        dtype=dtype,
     )
 
 
@@ -169,6 +170,17 @@ def test_checkpoint_round_trip(tmp_path):
     assert_array_equal(got, want)
 
 
+def test_predict_concatenates_batches_in_the_network_dtype():
+    net = small_net(seed=3, dtype="float32")
+    x = dn.Rng(47).normal((7, 8, 8, 1))
+    whole = net.forward(x)
+    got = net.predict(x, 3)  # batches of 3, 3 and 1
+    assert set(got) == {"hidden_preact", "logits"}
+    for name, features in got.items():
+        assert features.dtype == np.float32 and features.shape == whole[name].shape
+        assert_allclose(features, whole[name], rtol=1e-5, atol=1e-6)
+
+
 def test_checkpoint_truncation_is_a_clean_error(tmp_path):
     net = small_net()
     path = tmp_path / "net.ckpt"
@@ -198,13 +210,9 @@ def test_comparison_shape_chain_96x96_float32():
     # the larger native input exercises the odd-sized pooling tail:
     # 96 -> 24 after two pools, 22/20/18 through the unpadded convs,
     # 18 -> 9 at the last pool, flat 9*9*128
-    dn.set_default_dtype(np.float32)
-    try:
-        net = dn.build_architecture("comparison", input_shape=(96, 96, 3),
-                                    num_classes=10, rng=dn.Rng(0))
-        shapes = net.trace_shapes(np.zeros((1, 96, 96, 3), dtype=np.float32))
-    finally:
-        dn.set_default_dtype(np.float64)
+    net = dn.build_architecture("comparison", input_shape=(96, 96, 3),
+                                num_classes=10, rng=dn.Rng(0), dtype="float32")
+    shapes = net.trace_shapes(np.zeros((1, 96, 96, 3), dtype=np.float32))
     assert shapes[9] == (1, 48, 48, 128)
     assert shapes[19] == (1, 24, 24, 256)
     assert shapes[20] == (1, 22, 22, 512)

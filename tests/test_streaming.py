@@ -206,21 +206,21 @@ def test_neuron_stats_reset():
 # --- centroid bank ----------------------------------------------------------
 
 def test_adaptive_center_single_step():
-    bank = dn.CenterBank(2, 2, "adaptive", alpha=0.99)
+    bank = dn.CenterBank(2, 2, alpha=0.99)
     bank.update_sample([1.0, 1.0], 0)
     assert_array_equal(bank.centers[0], (1.0 - 0.99) * np.ones(2))
     assert_array_equal(bank.centers[1], np.zeros(2))
 
 
 def test_adaptive_center_fixed_point():
-    bank = dn.CenterBank(1, 2, "adaptive", alpha=0.5)
+    bank = dn.CenterBank(1, 2, alpha=0.5)
     bank.centers = np.array([[0.25, -1.5]])
     bank.update_sample([0.25, -1.5], 0)
     assert_array_equal(bank.centers[0], [0.25, -1.5])
 
 
 def test_adaptive_center_sequence_matches_componentwise_closed_form():
-    bank = dn.CenterBank(1, 2, "adaptive", alpha=0.5)
+    bank = dn.CenterBank(1, 2, alpha=0.5)
     bank.update_sample([2.0, 0.0], 0)
     bank.update_sample([0.0, 2.0], 0)
     # per component: (1-a) * sum(a^(n-i) x_i) = (0.5*(0.5*2), 0.5*(1*2))
@@ -235,14 +235,14 @@ def test_adaptive_center_sequence_matches_componentwise_closed_form():
 
 
 def test_minibatch_center_single_member():
-    bank = dn.CenterBank(2, 2, "minibatch", beta=1.0)
+    bank = dn.CenterBank(2, 2, beta=1.0)
     bank.centers = np.array([[1.0, 1.0], [0.0, 0.0]])
     bank.update_minibatch([[0.0, 0.0]], [[1.0, 0.0]])
     assert_array_equal(bank.centers[0], [0.5, 0.5])
 
 
 def test_minibatch_center_symmetric_pair_is_stationary():
-    bank = dn.CenterBank(1, 2, "minibatch", beta=1.0)
+    bank = dn.CenterBank(1, 2, beta=1.0)
     bank.centers = np.array([[2.0, -1.0]])
     feats = [[3.0, -1.0], [1.0, -1.0]]  # symmetric about the center
     bank.update_minibatch(feats, [[1.0], [1.0]])
@@ -250,25 +250,24 @@ def test_minibatch_center_symmetric_pair_is_stationary():
 
 
 def test_minibatch_center_absent_class_unchanged():
-    bank = dn.CenterBank(2, 2, "minibatch", beta=0.7)
+    bank = dn.CenterBank(2, 2, beta=0.7)
     bank.centers = np.array([[1.0, 2.0], [3.0, 4.0]])
     bank.update_minibatch([[5.0, 5.0]], [[1.0, 0.0]])
     assert_array_equal(bank.centers[1], [3.0, 4.0])
 
 
-def test_bank_mode_exclusivity_and_validation():
-    adaptive = dn.CenterBank(2, 3, "adaptive", alpha=0.9)
-    with pytest.raises(RuntimeError):
-        adaptive.update_minibatch([[1.0, 2.0, 3.0]], [[1.0, 0.0]])
-    minibatch = dn.CenterBank(2, 3, "minibatch", beta=0.5)
-    with pytest.raises(RuntimeError):
-        minibatch.update_sample([1.0, 2.0, 3.0], 0)
+def test_bank_validation():
     with pytest.raises(ValueError):
-        dn.CenterBank(2, 3, "minibatch", beta=1.5)
+        dn.CenterBank(2, 3, beta=1.5)
     with pytest.raises(ValueError):
-        dn.CenterBank(2, 3, "nonsense")
+        dn.CenterBank(2, 3, alpha=1.0)
+    bank = dn.CenterBank(2, 3)
     with pytest.raises(ValueError):
-        adaptive.update_sample([1.0, 2.0], 0)
+        bank.update_sample([1.0, 2.0], 0)
+    with pytest.raises(ValueError):
+        bank.update_sample([1.0, 2.0, 3.0], 2)
+    with pytest.raises(ValueError):
+        bank.update_minibatch([[1.0, 2.0, 3.0]], [[1.0, 0.0, 0.0]])
 
 
 # --- recurrence/closed-form equivalence sweeps ------------------------------
@@ -322,7 +321,7 @@ def test_state_round_trip_through_bundle(tmp_path):
         t = np.zeros(3)
         t[int(rng.integers(0, 3))] = 1.0
         stats.update(rng.normal(3), t)
-    bank = dn.CenterBank(3, 4, "adaptive", alpha=0.9)
+    bank = dn.CenterBank(3, 4, alpha=0.9)
     for _ in range(10):
         bank.update_sample(rng.normal(4), int(rng.integers(0, 3)))
 
@@ -334,7 +333,7 @@ def test_state_round_trip_through_bundle(tmp_path):
 
     stats2 = dn.NeuronClassStats(3, 0.9)
     stats2.load_state_arrays({k[2:]: v for k, v in loaded.items() if k.startswith("s.")})
-    bank2 = dn.CenterBank(3, 4, "adaptive", alpha=0.9)
+    bank2 = dn.CenterBank(3, 4, alpha=0.9)
     bank2.load_state_arrays({k[2:]: v for k, v in loaded.items() if k.startswith("b.")})
 
     assert_array_equal(stats2.var_within, stats.var_within)

@@ -2,161 +2,43 @@ import struct
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 import discrimnet as dn
-from discrimnet.tensor import TENSOR_MAGIC
-
-
-def T(values, shape=None):
-    return dn.Tensor(values, shape)
-
-
-def test_elementwise_add():
-    assert dn.elementwise("add", T([1.0, 2.0]), T([3.0, 4.0])).tolist() == [4.0, 6.0]
-
-
-def test_elementwise_scalar_mul_zero_annihilates():
-    assert dn.elementwise("mul", T([2.0, 2.0]), 0).tolist() == [0.0, 0.0]
-
-
-def test_division_by_zero_is_an_error():
-    with pytest.raises(dn.NonFiniteError):
-        dn.elementwise("div", T([1.0]), T([0.0]))
-
-
-def test_elementwise_shape_mismatch():
-    with pytest.raises(dn.ShapeMismatchError):
-        dn.elementwise("add", T([1.0, 2.0]), T([1.0, 2.0, 3.0]))
-
-
-def test_operator_sugar():
-    a = T([2.0, 4.0])
-    assert (a + a).tolist() == [4.0, 8.0]
-    assert (a - a).tolist() == [0.0, 0.0]
-    assert (a * 0.5).tolist() == [1.0, 2.0]
-    assert (a / 2).tolist() == [1.0, 2.0]
-
-
-def test_matmul_identity_is_bitwise():
-    a = T([[1.0, 2.0], [3.0, 4.0]])
-    eye = T(np.eye(2))
-    out = dn.matmul(eye, a)
-    assert_array_equal(out.array, a.array)
-
-
-def test_matmul_dot_product():
-    out = dn.matmul(T([[1.0, 2.0]]), T([[3.0], [4.0]]))
-    assert out.tolist() == [[11.0]]
-
-
-def test_matmul_against_triple_loop():
-    rng = dn.Rng(3)
-    a = rng.normal((5, 7))
-    b = rng.normal((7, 3))
-    want = np.zeros((5, 3))
-    for i in range(5):
-        for j in range(3):
-            for k in range(7):
-                want[i, j] += a[i, k] * b[k, j]
-    got = dn.matmul(T(a), T(b)).array
-    assert np.abs(got - want).max() < 1e-12
-
-
-def test_matmul_inner_dim_mismatch():
-    with pytest.raises(dn.ShapeMismatchError):
-        dn.matmul(T(np.ones((2, 3))), T(np.ones((2, 3))))
-
-
-def test_reduce_sum_and_argmax():
-    assert dn.reduce("sum", T([1.0, 2.0, 3.0])).item() == 6.0
-    assert dn.reduce("argmax", T([0.1, 0.9, 0.3])).item() == 1.0
-
-
-def test_reduce_mean_matches_flat_loop_exactly():
-    samples = dn.Rng(7).normal(100)
-    acc = 0.0
-    for v in samples:
-        acc += float(v)
-    want = acc / 100
-    got = dn.reduce("mean", T(samples)).item()
-    assert got == want
-
-
-def test_reduce_axis_drops_dimension():
-    a = T(np.arange(6.0).reshape(2, 3))
-    assert dn.reduce("sum", a, axis=1).shape == (2,)
-    assert dn.reduce("max", a, axis=0).shape == (3,)
-
-
-def test_reduce_empty_axis_errors_for_max():
-    empty = T(np.zeros((0, 3)))
-    with pytest.raises(ValueError):
-        dn.reduce("max", empty, axis=0)
-    with pytest.raises(ValueError):
-        dn.reduce("argmax", empty, axis=0)
-
-
-def test_row_major_indexing_is_bijective():
-    shape = (2, 3, 4)
-    t = T(np.arange(24.0).reshape(shape))
-    strides = [12, 4, 1]
-    seen = set()
-    for i in range(2):
-        for j in range(3):
-            for k in range(4):
-                flat = i * strides[0] + j * strides[1] + k * strides[2]
-                assert t.data[flat] == t.array[i, j, k]
-                seen.add(flat)
-    assert seen == set(range(24))
-
-
-def test_reduction_is_layout_independent():
-    a = dn.Rng(11).normal((6, 5))
-    by_rows = dn.reduce("sum", T(a), axis=0).array
-    by_cols_of_transpose = dn.reduce("sum", T(a.T.copy()), axis=1).array
-    assert_array_equal(by_rows, by_cols_of_transpose)
-
-
-def test_constructor_validates_shape_and_finiteness():
-    with pytest.raises(dn.ShapeMismatchError):
-        T([1.0, 2.0, 3.0], shape=(2, 2))
-    with pytest.raises(dn.NonFiniteError):
-        T([1.0, np.nan])
-    with pytest.raises(dn.NonFiniteError):
-        T([np.inf])
-
-
-def test_tensors_are_immutable():
-    t = T([1.0, 2.0])
-    with pytest.raises(ValueError):
-        t.array[0] = 5.0
 
 
 def test_serialization_golden_bytes(tmp_path):
-    path = tmp_path / "t.bin"
-    dn.save_tensor(path, T([[1.0, 2.0], [3.0, 4.0]]))
-    blob = path.read_bytes()
-    want = TENSOR_MAGIC + struct.pack("<I", 2) + struct.pack("<II", 2, 2)
+    path = tmp_path / "b.bin"
+    dn.save_bundle(path, {"kind": "k"}, {"w": np.array([[1.0, 2.0], [3.0, 4.0]])})
+    manifest = b'{"entries": ["w"], "kind": "k"}'
+    want = b"DTRB0001" + struct.pack("<I", len(manifest)) + manifest
+    want += b"DTRN0001" + struct.pack("<I", 2) + struct.pack("<II", 2, 2)
     want += np.array([1.0, 2.0, 3.0, 4.0]).astype("<f8").tobytes()
-    assert blob == want
+    assert path.read_bytes() == want
 
 
 def test_serialization_round_trip(tmp_path):
-    path = tmp_path / "t.bin"
+    path = tmp_path / "b.bin"
     values = dn.Rng(5).normal((3, 4, 2))
-    dn.save_tensor(path, T(values))
-    back = dn.load_tensor(path)
-    assert back.shape == (3, 4, 2)
-    assert_array_equal(back.array, values)
+    values[0, 0, 0] = -0.0
+    dn.save_bundle(path, {}, {"v": values, "f32": values.astype(np.float32)})
+    _, back = dn.load_bundle(path)
+    assert back["v"].shape == (3, 4, 2) and back["v"].dtype == np.float64
+    assert_array_equal(back["v"].view(np.uint64), values.view(np.uint64))  # bit for bit
+    assert_array_equal(back["f32"], values.astype(np.float32).astype(np.float64))
 
 
 def test_truncated_tensor_file_errors(tmp_path):
-    path = tmp_path / "t.bin"
-    dn.save_tensor(path, T(np.ones((4, 4))))
-    path.write_bytes(path.read_bytes()[:-5])
-    with pytest.raises(dn.CheckpointError):
-        dn.load_tensor(path)
+    path = tmp_path / "b.bin"
+    dn.save_bundle(path, {}, {"a": np.ones((4, 4))})
+    blob = path.read_bytes()
+    for cut in range(len(blob)):  # inside the magic, length, manifest, record header, payload
+        path.write_bytes(blob[:cut])
+        with pytest.raises(dn.CheckpointError):
+            dn.load_bundle(path)
+    path.write_bytes(blob.replace(b"DTRN0001", b"DTRN0002"))
+    with pytest.raises(dn.CheckpointError, match="bad tensor magic"):
+        dn.load_bundle(path)
 
 
 def test_bundle_round_trip_and_truncation(tmp_path):
@@ -188,18 +70,3 @@ def test_rng_child_streams_are_stable_and_distinct():
     c = dn.Rng(9).child(1).normal(8)
     assert_array_equal(a, b)
     assert np.any(a != c)
-
-
-def test_float32_switch():
-    dn.set_default_dtype(np.float32)
-    t = T([1.0, 2.0])
-    assert t.array.dtype == np.float32
-    dn.set_default_dtype(np.float64)
-    assert T([1.0]).array.dtype == np.float64
-    with pytest.raises(ValueError):
-        dn.set_default_dtype(np.int32)
-
-
-def test_softmax_like_large_values_survive_elementwise():
-    big = T([1000.0, 0.0])
-    assert_allclose((big * 1.0).array, [1000.0, 0.0])
