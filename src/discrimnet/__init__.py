@@ -2,12 +2,11 @@
 auxiliary losses driven by exponential-forgetting online statistics."""
 
 from .config import PRESETS, ConfigError, RunConfig, apply_preset
-from .data import AffineConfig, Dataset, affine_augment, load_idx, synth_blobs
+from .data import Dataset, affine_augment, load_idx, synth_blobs
 from .layers import BatchNorm, Conv2d, Dense, Dropout, Flatten, MaxPool2x2, ReLU
 from .losses import (
     AuxState,
     LossReport,
-    ObjectiveConfig,
     adaptive_center_loss,
     adaptive_discriminant,
     center_loss,

@@ -1,7 +1,8 @@
 """Command-line interface: train, eval, export-histogram, export-scatter.
 
-Exit codes: 0 success, 2 configuration problems, 3 a non-finite loss
-during training (the offending component is named in the diagnostic).
+Exit codes: 0 success, 1 an unreadable checkpoint or data file,
+2 configuration problems, 3 a non-finite loss during training (the
+offending component is named in the diagnostic).
 """
 
 import argparse
@@ -87,7 +88,7 @@ def cmd_export_scatter(args):
     means_path = args.means_out or (args.out.rsplit(".", 1)[0] + "_means.csv")
     with open(means_path, "w", encoding="utf-8") as f:
         f.write("class,x1,x2\n")
-        for k in range(dataset.num_classes):
+        for k in np.unique(dataset.labels):  # classes absent from the split have no mean
             mean = hidden[dataset.labels == k].mean(axis=0)
             f.write(f"{k},{float(mean[0])!r},{float(mean[1])!r}\n")
     print(f"wrote {len(dataset)} rows to {args.out} and means to {means_path}")

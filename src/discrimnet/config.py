@@ -8,9 +8,8 @@ counts to laptop scale while keeping the loss configuration.
 """
 
 import dataclasses
+import math
 from dataclasses import dataclass
-
-from .losses import ObjectiveConfig
 
 
 class ConfigError(ValueError):
@@ -60,19 +59,12 @@ class RunConfig:
     augment_scale_low: float = 0.9
     augment_scale_high: float = 1.1
 
-    def objective(self):
-        return ObjectiveConfig(
-            lambda_discriminant=self.lambda_discriminant,
-            lambda_adaptive_discriminant=self.lambda_adaptive_discriminant,
-            lambda_center=self.lambda_center,
-            lambda_adaptive_center=self.lambda_adaptive_center,
-            alpha=self.alpha,
-            beta=self.beta,
-            epsilon=self.epsilon,
-            ce_reduction=self.ce_reduction,
-        ).validate()
-
     def validate(self):
+        for name in _FLOAT_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError("seed must lie in [0, 2**64)")
         if self.dataset not in ("mnist", "fashion_mnist", "synth"):
             raise ConfigError(f"unknown dataset {self.dataset!r}")
         if self.arch not in ("mnist_small", "comparison"):
@@ -95,14 +87,29 @@ class RunConfig:
             raise ConfigError("subset sizes must be non-negative")
         if not self.augment_scale_low <= self.augment_scale_high:
             raise ConfigError("augment scale bounds are inverted")
-        try:
-            self.objective()
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        for name in (
+            "lambda_discriminant",
+            "lambda_adaptive_discriminant",
+            "lambda_center",
+            "lambda_adaptive_center",
+        ):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError("alpha must lie strictly in (0, 1)")
+        if not 0.0 <= self.beta <= 1.0:
+            raise ConfigError("beta must lie in [0, 1]")
+        if self.epsilon <= 0:
+            raise ConfigError("epsilon must be positive")
+        if self.ce_reduction not in ("mean", "sum"):
+            raise ConfigError(f"unknown ce_reduction {self.ce_reduction!r}")
+        if self.lambda_center > 0 and self.lambda_adaptive_center > 0:
+            raise ConfigError("enable only one of lambda_center / lambda_adaptive_center")
         return self
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_FLOAT_FIELDS = tuple(name for name, f in _FIELDS.items() if isinstance(f.default, float))
 
 
 def _parse_value(field, text):

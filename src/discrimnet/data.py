@@ -138,16 +138,6 @@ def synth_blobs(num_classes, image_size, n_per_class, separation, seed):
     )
 
 
-@dataclass
-class AffineConfig:
-    """Bounds for the random affine augmentation."""
-
-    rotation_deg: float = 10.0
-    translate_frac: float = 0.1
-    scale_low: float = 0.9
-    scale_high: float = 1.1
-
-
 def _resample(images, rotation_deg, scale, translate_y, translate_x):
     """Affine-resample a batch of (h, w, c) images, one transform each.
 
@@ -199,28 +189,29 @@ def affine_transform(image, rotation_deg=0.0, scale=1.0, translate=(0.0, 0.0)):
     return _resample(image.reshape(1, h, w, -1), *params.T).reshape(image.shape)
 
 
-def _draw_affine(rng, config, h, w):
-    """One (rotation, scale, rows shift, cols shift) draw within the bounds."""
-    theta = rng.uniform(-config.rotation_deg, config.rotation_deg)
-    scale = rng.uniform(config.scale_low, config.scale_high)
-    ty = rng.uniform(-config.translate_frac * h, config.translate_frac * h)
-    tx = rng.uniform(-config.translate_frac * w, config.translate_frac * w)
+def _draw_affine(rng, cfg, h, w):
+    """One (rotation, scale, rows shift, cols shift) draw within cfg's bounds."""
+    theta = rng.uniform(-cfg.augment_rotation_deg, cfg.augment_rotation_deg)
+    scale = rng.uniform(cfg.augment_scale_low, cfg.augment_scale_high)
+    ty = rng.uniform(-cfg.augment_translate_frac * h, cfg.augment_translate_frac * h)
+    tx = rng.uniform(-cfg.augment_translate_frac * w, cfg.augment_translate_frac * w)
     return theta, scale, ty, tx
 
 
-def affine_augment(image, rng, config):
-    """Apply one random affine perturbation within the config bounds."""
-    theta, scale, ty, tx = _draw_affine(rng, config, *image.shape[:2])
+def affine_augment(image, rng, cfg):
+    """Apply one random affine perturbation within RunConfig cfg's ``augment_*`` bounds."""
+    theta, scale, ty, tx = _draw_affine(rng, cfg, *image.shape[:2])
     return affine_transform(image, rotation_deg=theta, scale=scale, translate=(ty, tx))
 
 
-def augment_batch(images, rng, config):
+def augment_batch(images, rng, cfg):
     """affine_augment applied to each image in turn, resampled in one pass.
 
+    cfg is the run's RunConfig; its ``augment_*`` fields bound the draws.
     The draws are made image by image in the same order, so the result
     equals stacking per-image affine_augment calls bit for bit.
     """
     images = np.asarray(images)
     n, h, w = images.shape[:3]
-    params = np.array([_draw_affine(rng, config, h, w) for _ in range(n)], dtype=np.float64)
+    params = np.array([_draw_affine(rng, cfg, h, w) for _ in range(n)], dtype=np.float64)
     return _resample(images.reshape(n, h, w, -1), *params.T).reshape(images.shape)

@@ -226,57 +226,13 @@ class LossReport:
         return ",".join(cells)
 
 
-@dataclass
-class ObjectiveConfig:
-    """Which auxiliary losses are attached, where, and with what weights.
-
-    A weight of zero disables its loss entirely: it contributes nothing
-    to the total and its accumulators are not advanced.
-    """
-
-    lambda_discriminant: float = 0.0
-    lambda_adaptive_discriminant: float = 0.0
-    lambda_center: float = 0.0
-    lambda_adaptive_center: float = 0.0
-    alpha: float = 0.99
-    beta: float = 1.0
-    epsilon: float = 1e-8
-    logits_tap: str = "logits"
-    center_tap: str = "hidden_preact"
-    ce_reduction: str = "mean"
-
-    def validate(self):
-        for name in (
-            "lambda_discriminant",
-            "lambda_adaptive_discriminant",
-            "lambda_center",
-            "lambda_adaptive_center",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly in (0, 1)")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.ce_reduction not in ("mean", "sum"):
-            raise ValueError(f"unknown ce_reduction {self.ce_reduction!r}")
-        if self.lambda_center > 0 and self.lambda_adaptive_center > 0:
-            raise ValueError("enable only one of lambda_center / lambda_adaptive_center")
-        return self
-
-    @property
-    def uses_center_tap(self):
-        return self.lambda_center > 0 or self.lambda_adaptive_center > 0
-
-
 class AuxState:
     """Mutable accumulators owned by one training run.
 
-    Holds the per-neuron forgetting statistics (when the adaptive
-    discriminant loss is on) and the centroid bank (when either center
-    loss is on). ``combined_objective`` is their only writer.
+    Built from the run's validated RunConfig: the per-neuron forgetting
+    statistics when ``lambda_adaptive_discriminant`` is on, the centroid
+    bank (``alpha``, ``beta``) when either center weight is on.
+    ``combined_objective`` is their only writer.
     """
 
     def __init__(self, cfg, num_classes, feature_dim):
@@ -285,7 +241,7 @@ class AuxState:
         self.center_bank = None
         if cfg.lambda_adaptive_discriminant > 0:
             self.neuron_stats = NeuronClassStats(num_classes, cfg.alpha)
-        if cfg.uses_center_tap:
+        if cfg.lambda_center > 0 or cfg.lambda_adaptive_center > 0:
             self.center_bank = CenterBank(num_classes, feature_dim, cfg.alpha, cfg.beta)
 
     def state_arrays(self):
@@ -310,9 +266,11 @@ class AuxState:
 
 
 def combined_objective(cfg, taps, labels_onehot, state=None):
-    """Evaluate the full training objective at the given tap features.
+    """Evaluate the full training objective at the network's tap points.
 
-    taps maps tap-point names to feature batches; labels_onehot is the
+    cfg is the run's RunConfig; a ``lambda_*`` weight of zero disables its
+    loss. Cross-entropy and the discriminant losses read the ``logits``
+    tap, the center losses read ``hidden_preact``. labels_onehot is the
     batch's one-hot label matrix. Every enabled loss with state advances
     it in ``state``: the adaptive losses fold each sample in before they
     are evaluated, and the minibatch center rule moves the centroids
@@ -321,9 +279,7 @@ def combined_objective(cfg, taps, labels_onehot, state=None):
     component gradients (in the tap's own dtype).
     """
     cfg.validate()
-    if cfg.logits_tap not in taps:
-        raise KeyError(f"tap point {cfg.logits_tap!r} not provided")
-    z_raw = taps[cfg.logits_tap]
+    z_raw = taps["logits"]
     z = np.asarray(z_raw, dtype=np.float64)
     t = _as2d(np.asarray(labels_onehot), "labels")
 
@@ -353,10 +309,9 @@ def combined_objective(cfg, taps, labels_onehot, state=None):
         total += cfg.lambda_adaptive_discriminant * lad
 
     dx_total = None
-    if cfg.uses_center_tap:
-        if cfg.center_tap not in taps:
-            raise KeyError(f"tap point {cfg.center_tap!r} not provided")
-        x = np.asarray(taps[cfg.center_tap], dtype=np.float64)
+    if cfg.lambda_center > 0 or cfg.lambda_adaptive_center > 0:
+        x_raw = taps["hidden_preact"]
+        x = np.asarray(x_raw, dtype=np.float64)
         if state is None or state.center_bank is None:
             raise ValueError("center losses need AuxState.center_bank")
         if cfg.lambda_center > 0:
@@ -376,13 +331,8 @@ def combined_objective(cfg, taps, labels_onehot, state=None):
     if cfg.lambda_center > 0:
         state.center_bank.update_minibatch(x, t)
 
-    if dx_total is not None and cfg.center_tap == cfg.logits_tap:
-        dz_total = dz_total + dx_total  # both losses read the same features
-        dx_total = None
-    gradients = {cfg.logits_tap: dz_total.astype(np.asarray(z_raw).dtype, copy=False)}
+    gradients = {"logits": dz_total.astype(np.asarray(z_raw).dtype, copy=False)}
     if dx_total is not None:
-        gradients[cfg.center_tap] = dx_total.astype(
-            np.asarray(taps[cfg.center_tap]).dtype, copy=False
-        )
+        gradients["hidden_preact"] = dx_total.astype(np.asarray(x_raw).dtype, copy=False)
     return LossReport(total=float(total), components=components,
                       gradients=gradients, notes=notes)

@@ -134,12 +134,15 @@ class Network:
         arch = manifest.get("arch")
         if arch not in ARCHITECTURES:
             raise CheckpointError(f"checkpoint names unknown architecture {arch!r}")
-        params = {k: v for k, v in manifest.get("arch_params", {}).items()}
-        if "input_shape" in params:
-            params["input_shape"] = tuple(params["input_shape"])
-        if "conv_channels" in params and params["conv_channels"] is not None:
-            params["conv_channels"] = tuple(params["conv_channels"])
-        net = build_architecture(arch, rng=Rng(manifest.get("seed") or 0), **params)
+        try:
+            params = dict(manifest.get("arch_params", {}))
+            if "input_shape" in params:
+                params["input_shape"] = tuple(params["input_shape"])
+            if "conv_channels" in params and params["conv_channels"] is not None:
+                params["conv_channels"] = tuple(params["conv_channels"])
+            net = build_architecture(arch, rng=Rng(manifest.get("seed") or 0), **params)
+        except (TypeError, ValueError) as e:  # an unknown or invalid arch_params entry
+            raise CheckpointError(f"checkpoint carries invalid arch_params: {e}") from e
         net.seed = manifest.get("seed")
         net.set_parameters(arrays)
         leftovers = {}

@@ -9,6 +9,8 @@ def lr_at_epoch(epoch, base_lr, drop_factor, drop_period):
     """Step schedule: base_lr divided by drop_factor every drop_period epochs."""
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
+    if base_lr <= 0 or drop_factor <= 0 or drop_period < 1:
+        raise ValueError("base_lr, drop_factor and drop_period must be positive")
     return base_lr / drop_factor ** (int(epoch) // int(drop_period))
 
 
@@ -17,22 +19,14 @@ class SGD:
 
     Per parameter: g' = g + weight_decay * w; v <- momentum * v + g';
     w <- w - lr * v. Decay applies to weights and biases alike. The step
-    aborts, touching nothing, if any gradient is non-finite.
+    aborts, touching nothing, if any gradient is non-finite. The caller
+    passes each step's lr, for example from ``lr_at_epoch``.
     """
 
-    def __init__(self, momentum=0.9, weight_decay=0.01, base_lr=0.01,
-                 drop_factor=10.0, drop_period=50):
-        if base_lr <= 0:
-            raise ValueError("base_lr must be positive")
+    def __init__(self, momentum=0.9, weight_decay=0.01):
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.base_lr = float(base_lr)
-        self.drop_factor = float(drop_factor)
-        self.drop_period = int(drop_period)
         self.velocity = {}
-
-    def lr_at_epoch(self, epoch):
-        return lr_at_epoch(epoch, self.base_lr, self.drop_factor, self.drop_period)
 
     def step(self, params, grads, lr):
         """Apply one update to every (name, array) pair in params.

@@ -68,12 +68,12 @@ class Rng:
 
 
 def _write_tensor_record(f, arr):
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    arr = np.asarray(arr, dtype="<f8")
     f.write(TENSOR_MAGIC)
     f.write(struct.pack("<I", arr.ndim))
     for d in arr.shape:
         f.write(struct.pack("<I", d))
-    f.write(arr.astype("<f8").tobytes())
+    f.write(arr.tobytes())  # row-major, whatever the array's own layout
 
 
 def _read_exact(f, n, what):

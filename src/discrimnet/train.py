@@ -8,7 +8,7 @@ import time
 import numpy as np
 
 from .config import ConfigError, RunConfig, save_config_file
-from .data import AffineConfig, augment_batch, load_idx_dir, synth_blobs
+from .data import augment_batch, load_idx_dir, synth_blobs
 from .losses import (
     _CSV_KEYS,
     CSV_COLUMNS,
@@ -17,8 +17,8 @@ from .losses import (
     softmax_cross_entropy,
 )
 from .network import Network, build_architecture
-from .optim import SGD
-from .tensor import Rng
+from .optim import SGD, lr_at_epoch
+from .tensor import CheckpointError, Rng
 
 EPOCH_COLUMNS = (
     "epoch", "lr", "train_loss", "train_acc", "test_loss", "test_acc",
@@ -100,18 +100,8 @@ def run_training(cfg: RunConfig, progress=False):
         )
     except ValueError as e:  # the input size does not fit the architecture
         raise ConfigError(str(e)) from e
-    obj = cfg.objective()
-    aux = AuxState(obj, num_classes, cfg.hidden_width)
-    opt = SGD(
-        momentum=cfg.momentum, weight_decay=cfg.weight_decay, base_lr=cfg.lr,
-        drop_factor=cfg.lr_drop_factor, drop_period=cfg.lr_drop_period,
-    )
-    affine = AffineConfig(
-        rotation_deg=cfg.augment_rotation_deg,
-        translate_frac=cfg.augment_translate_frac,
-        scale_low=cfg.augment_scale_low,
-        scale_high=cfg.augment_scale_high,
-    )
+    aux = AuxState(cfg, num_classes, cfg.hidden_width)
+    opt = SGD(momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
     run_dir = cfg.out_dir
     os.makedirs(run_dir, exist_ok=True)
@@ -127,17 +117,17 @@ def run_training(cfg: RunConfig, progress=False):
         steps_f.write(",".join(CSV_COLUMNS) + "\n")
         epochs_f.write(",".join(EPOCH_COLUMNS) + "\n")
         for epoch in range(cfg.epochs):
-            lr = opt.lr_at_epoch(epoch)
+            lr = lr_at_epoch(epoch, cfg.lr, cfg.lr_drop_factor, cfg.lr_drop_period)
             order = model_rng.permutation(len(train))
             sums, counts = {}, {}
             for rows in _batch_ranges(len(train), cfg.batch_size):
                 batch = order[rows]
                 x = train_x[batch]
                 if cfg.augment:
-                    x = augment_batch(x, model_rng, affine).astype(net.dtype)
+                    x = augment_batch(x, model_rng, cfg).astype(net.dtype)
                 t = train_t[batch]
                 taps = net.forward(x, train=True)
-                report = combined_objective(obj, taps, t, state=aux)
+                report = combined_objective(cfg, taps, t, state=aux)
                 steps_f.write(report.csv_row(step) + "\n")
                 net.backward(report.gradients)
                 opt.step(net.parameters(), net.gradients(), lr)
@@ -181,12 +171,11 @@ def load_checkpoint(path):
     The network comes back in the dtype it was trained in.
     """
     net, manifest, leftovers = Network.load(path)
-    cfg_dict = manifest.get("config")
-    if cfg_dict is None:
-        raise ConfigError("checkpoint carries no run config")
-    cfg = RunConfig(**cfg_dict)
-    obj = cfg.objective()
-    aux = AuxState(obj, net.arch_params["num_classes"], cfg.hidden_width)
+    try:
+        cfg = RunConfig(**manifest.get("config")).validate()
+    except (TypeError, ValueError) as e:  # no config, an unknown key or an invalid value
+        raise CheckpointError(f"checkpoint carries an invalid run config: {e}") from e
+    aux = AuxState(cfg, net.arch_params["num_classes"], cfg.hidden_width)
     aux.load_state_arrays(
         {k.split(".", 1)[1]: v for k, v in leftovers.items() if k.startswith("aux.")}
     )

@@ -180,7 +180,7 @@ def test_2_gradient_verification():
 def test_3_full_network_gradient_check():
     start = time.time()
     lam_ad, lam_ac = 0.001, 0.01
-    cfg = dn.ObjectiveConfig(
+    cfg = dn.RunConfig(
         lambda_adaptive_discriminant=lam_ad,
         lambda_adaptive_center=lam_ac,
         alpha=0.9,

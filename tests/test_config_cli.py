@@ -43,6 +43,16 @@ def write_config(cfg, path):
     return str(path)
 
 
+def run_cli(*args):
+    """Run the CLI in a fresh interpreter, so a traceback would reach stderr."""
+    src = os.path.dirname(os.path.dirname(dn.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "discrimnet.cli", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 # --- config files ------------------------------------------------------------
 
 def test_config_round_trip(tmp_path):
@@ -232,6 +242,22 @@ def test_cli_train_eval_and_exports(tmp_path):
         assert abs(float(x2) - want[1]) < 1e-9
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_scatter_means_skip_classes_absent_from_the_split(tmp_path):
+    # 4 classes x 2 samples leave a held-out split of 2 rows, so 2+ classes miss it.
+    cfg = synth_config(tmp_path, name="few", synth_classes=4, synth_per_class=2,
+                       epochs=1, hidden_width=2)
+    cfg_path = write_config(cfg, tmp_path / "cfg.txt")
+    assert main(["train", "--config", cfg_path, "--quiet"]) == 0
+    ckpt = str(tmp_path / "few" / "final.ckpt")
+    scatter = str(tmp_path / "s.csv")
+    assert main(["export-scatter", "--ckpt", ckpt, "--out", scatter, "--split", "test"]) == 0
+    _, test = load_run_datasets(cfg)
+    means = open(tmp_path / "s_means.csv").read().splitlines()
+    assert [int(row.split(",")[0]) for row in means[1:]] == sorted(set(test.labels.tolist()))
+    assert len(means) - 1 < cfg.synth_classes and "nan" not in "".join(means)
+
+
 def test_cli_scatter_requires_width_two(tmp_path):
     cfg = synth_config(tmp_path, name="w100", epochs=1)  # hidden width 100
     cfg_path = write_config(cfg, tmp_path / "cfg.txt")
@@ -259,6 +285,27 @@ def test_cli_truncated_checkpoint(tmp_path):
     assert main(["eval", "--ckpt", str(ckpt)]) == 1
 
 
+@pytest.mark.parametrize("edit, named", [
+    (lambda m: m["config"].update(not_a_field=1), "not_a_field"),
+    (lambda m: m["config"].update(alpha=1.5), "alpha"),
+    (lambda m: m["arch_params"].update(not_a_param=3), "not_a_param"),
+    (lambda m: m.pop("config"), "run config"),
+    (lambda m: m.update(arch_params=5), "arch_params"),
+    (lambda m: m["arch_params"].update(input_shape=7), "arch_params"),
+], ids=["unknown-config-key", "invalid-config-value", "unknown-arch-param", "no-config",
+        "arch-params-not-a-mapping", "input-shape-not-a-sequence"])
+def test_cli_rejects_malformed_checkpoint_manifest(synth_run, tmp_path, edit, named):
+    _, run_dir = synth_run
+    manifest, arrays = dn.load_bundle(os.path.join(run_dir, "final.ckpt"))
+    edit(manifest)
+    ckpt = str(tmp_path / "bad.ckpt")
+    dn.save_bundle(ckpt, manifest, arrays)
+    proc = run_cli("eval", "--ckpt", ckpt)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error:") and named in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_cli_bad_config_file(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("dataset = synth\nwat = 9\n")
@@ -275,16 +322,17 @@ def test_cli_bad_config_file(tmp_path):
     {"lambda_center": 0.01},  # together with synth_config's adaptive center
     {"synth_size": 6},  # mnist_small halves the input twice
     {"synth_size": 8, "arch": "comparison"},  # its unpadded convolutions need 32
+    {"seed": -1},
+    {"seed": 2**64},
+    {"lambda_adaptive_discriminant": float("nan")},
+    {"lr": float("nan")},
+    {"lr": float("inf")},
+    {"momentum": float("nan")},
 ])
 def test_cli_rejects_invalid_values_with_exit_2(tmp_path, override):
     cfg = synth_config(tmp_path, name="bad", **{"synth_size": 4, "epochs": 1, **override})
     cfg_path = write_config(cfg, tmp_path / "cfg.txt")
-    src = os.path.dirname(os.path.dirname(dn.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "discrimnet.cli", "train", "--config", cfg_path, "--quiet"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = run_cli("train", "--config", cfg_path, "--quiet")
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr

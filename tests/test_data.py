@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import discrimnet as dn
 from discrimnet.data import (
-    AffineConfig,
     IdxFormatError,
     affine_transform,
     augment_batch,
@@ -153,7 +152,7 @@ def test_affine_rotation_round_trip():
 
 
 def test_affine_augment_respects_shape_and_determinism():
-    cfg = AffineConfig()
+    cfg = dn.RunConfig()
     img = dn.Rng(62).normal((10, 10, 3))
     a = dn.affine_augment(img, dn.Rng(7), cfg)
     b = dn.affine_augment(img, dn.Rng(7), cfg)
@@ -163,7 +162,8 @@ def test_affine_augment_respects_shape_and_determinism():
 
 @pytest.mark.parametrize("shape", [(5, 9, 13, 3), (4, 28, 28, 1), (3, 6, 6)])
 def test_augment_batch_equals_per_image_augment(shape):
-    cfg = AffineConfig(rotation_deg=15.0, translate_frac=0.2, scale_low=0.8, scale_high=1.2)
+    cfg = dn.RunConfig(augment_rotation_deg=15.0, augment_translate_frac=0.2,
+                       augment_scale_low=0.8, augment_scale_high=1.2)
     images = dn.Rng(63).uniform(0.0, 1.0, shape)
     images[images < 0.2] = 0.0
     got = augment_batch(images, dn.Rng(8), cfg)
@@ -175,7 +175,8 @@ def test_augment_batch_equals_per_image_augment(shape):
 
 def test_affine_augment_draw_order():
     # One image consumes four draws: rotation, scale, rows shift, cols shift.
-    cfg = AffineConfig(rotation_deg=12.0, translate_frac=0.25, scale_low=0.85, scale_high=1.15)
+    cfg = dn.RunConfig(augment_rotation_deg=12.0, augment_translate_frac=0.25,
+                       augment_scale_low=0.85, augment_scale_high=1.15)
     img = dn.Rng(64).uniform(0.0, 1.0, (8, 12, 2))
     twin = dn.Rng(9)
     theta = twin.uniform(-12.0, 12.0)

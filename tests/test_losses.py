@@ -343,7 +343,7 @@ def test_batch_loss_permutation_equivariance():
 def test_combined_all_weights_zero_is_pure_cross_entropy():
     rng = dn.Rng(16)
     z, t = random_instance(rng, 5, 3)
-    cfg = dn.ObjectiveConfig()
+    cfg = dn.RunConfig()
     report = dn.combined_objective(cfg, {"logits": z}, t, state=None)
     ls, dz = dn.softmax_cross_entropy(z, t)
     assert report.total == ls
@@ -356,7 +356,7 @@ def test_combined_published_mnist_setting_and_component_sum():
     n, k, d = 6, 4, 5
     z, t = random_instance(rng, n, k)
     x = rng.normal((n, d))
-    cfg = dn.ObjectiveConfig(
+    cfg = dn.RunConfig(
         lambda_adaptive_discriminant=0.001,
         lambda_adaptive_center=1.0,
         alpha=0.99,
@@ -377,7 +377,7 @@ def test_combined_gradients_are_weighted_sums():
     n, k = 7, 3
     z, t = random_instance(rng, n, k)
     lam = 0.25
-    cfg = dn.ObjectiveConfig(lambda_discriminant=lam)
+    cfg = dn.RunConfig(lambda_discriminant=lam)
     report = dn.combined_objective(cfg, {"logits": z}, t, state=None)
     _, dz_ce = dn.softmax_cross_entropy(z, t)
     _, dz_d = dn.discriminant_criterion(z, t)
@@ -385,7 +385,7 @@ def test_combined_gradients_are_weighted_sums():
 
 
 def test_combined_unresolved_tap_point():
-    cfg = dn.ObjectiveConfig(lambda_center=1.0)
+    cfg = dn.RunConfig(lambda_center=1.0)
     state = dn.AuxState(cfg, num_classes=2, feature_dim=3)
     z = np.zeros((2, 2))
     t = onehot([0, 1], 2)
@@ -395,8 +395,8 @@ def test_combined_unresolved_tap_point():
 
 def test_combined_detects_non_finite_components():
     # cooked state: negative epsilon is rejected before anything runs
-    with pytest.raises(ValueError):
-        dn.ObjectiveConfig(epsilon=0.0).validate()
+    with pytest.raises(dn.ConfigError):
+        dn.RunConfig(epsilon=0.0).validate()
 
 
 def test_loss_report_csv_row():
@@ -418,37 +418,30 @@ def test_loss_report_csv_row():
 
 
 def test_objective_config_validation():
-    with pytest.raises(ValueError):
-        dn.ObjectiveConfig(lambda_center=-1.0).validate()
-    with pytest.raises(ValueError):
-        dn.ObjectiveConfig(alpha=1.0).validate()
-    with pytest.raises(ValueError):
-        dn.ObjectiveConfig(beta=2.0).validate()
-    with pytest.raises(ValueError):
-        dn.AuxState(
-            dn.ObjectiveConfig(lambda_center=1.0, lambda_adaptive_center=1.0), 2, 3
-        )
-
-
-def test_center_loss_can_tap_the_output_layer():
-    # centroid compaction applied to the logits themselves: feature
-    # dimension equals the class count, and the shared tap's gradient is
-    # the sum of the cross-entropy and weighted center contributions
-    rng = dn.Rng(19)
-    z, t = random_instance(rng, 6, 3)
-    cfg = dn.ObjectiveConfig(lambda_adaptive_center=0.5, center_tap="logits")
-    state = dn.AuxState(cfg, num_classes=3, feature_dim=3)
-    report = dn.combined_objective(cfg, {"logits": z}, t, state=state)
-    assert "adaptive_center" in report.components
-    _, dz_ce = dn.softmax_cross_entropy(z, t)
-    _, dx = dn.center_loss(z, t, state.center_bank)  # bank already advanced
-    assert_allclose(report.gradients["logits"], dz_ce + 0.5 * dx, rtol=1e-13)
+    for bad in (
+        {"lambda_center": -1.0},
+        {"lambda_adaptive_discriminant": -0.5},
+        {"alpha": 0.0},
+        {"alpha": 1.0},
+        {"beta": -0.1},
+        {"beta": 2.0},
+        {"epsilon": -1e-8},
+        {"ce_reduction": "median"},
+        {"lambda_center": 1.0, "lambda_adaptive_center": 1.0},
+    ):
+        with pytest.raises(dn.ConfigError):
+            dn.RunConfig(**bad).validate()
+    with pytest.raises(dn.ConfigError):
+        dn.AuxState(dn.RunConfig(lambda_center=1.0, lambda_adaptive_center=1.0), 2, 3)
+    with pytest.raises(dn.ConfigError):
+        dn.combined_objective(dn.RunConfig(alpha=1.5), {"logits": np.zeros((2, 2))},
+                              onehot([0, 1], 2))
 
 
 def test_combined_report_flags_absent_classes():
     z = np.array([[1.0, 0.0, 2.0], [0.5, 1.0, -1.0], [2.0, 0.3, 0.1]])
     t = onehot([0, 0, 1], 3)  # class 2 absent
-    cfg = dn.ObjectiveConfig(lambda_discriminant=0.1)
+    cfg = dn.RunConfig(lambda_discriminant=0.1)
     report = dn.combined_objective(cfg, {"logits": z}, t, state=None)
     assert any("class 2" in note for note in report.notes)
 
@@ -456,7 +449,7 @@ def test_combined_report_flags_absent_classes():
 def test_combined_skips_batch_discriminant_for_one_sample():
     z = np.array([[1.0, 0.0, 2.0]])
     t = onehot([1], 3)
-    cfg = dn.ObjectiveConfig(lambda_discriminant=0.1)
+    cfg = dn.RunConfig(lambda_discriminant=0.1)
     report = dn.combined_objective(cfg, {"logits": z}, t, state=None)
     assert "discriminant" not in report.components
     assert any("batch of 1" in note for note in report.notes)

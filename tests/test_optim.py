@@ -8,7 +8,7 @@ import discrimnet as dn
 def test_sgd_hand_fixture():
     # w=1, g=0, wd=0.01, lr=0.01 -> g'=0.01, v=0.01, w=0.9999
     w = np.array([1.0])
-    opt = dn.SGD(momentum=0.9, weight_decay=0.01, base_lr=0.01)
+    opt = dn.SGD(momentum=0.9, weight_decay=0.01)
     opt.step([("w", w)], {"w": np.array([0.0])}, lr=0.01)
     assert_allclose(opt.velocity["w"], [0.01], rtol=1e-15)
     assert_allclose(w, [0.9999], rtol=1e-15)
@@ -75,8 +75,9 @@ def test_lr_schedule_published_values():
 def test_lr_schedule_is_non_increasing():
     values = [dn.lr_at_epoch(e, 0.01, 10.0, 50) for e in range(400)]
     assert all(b <= a for a, b in zip(values, values[1:]))
-    with pytest.raises(ValueError):
-        dn.lr_at_epoch(-1, 0.01, 10.0, 50)
+    for bad in ((-1, 0.01, 10.0, 50), (0, 0.0, 10.0, 50), (0, 0.01, 0.0, 50), (0, 0.01, 10.0, 0)):
+        with pytest.raises(ValueError):
+            dn.lr_at_epoch(*bad)
 
 
 def test_optimizer_state_round_trip(tmp_path):

@@ -21,8 +21,10 @@ def test_serialization_round_trip(tmp_path):
     path = tmp_path / "b.bin"
     values = dn.Rng(5).normal((3, 4, 2))
     values[0, 0, 0] = -0.0
-    dn.save_bundle(path, {}, {"v": values, "f32": values.astype(np.float32)})
+    dn.save_bundle(path, {}, {"v": values, "f32": values.astype(np.float32),
+                              "scalar": np.float64(2.5)})
     _, back = dn.load_bundle(path)
+    assert back["scalar"].shape == () and back["scalar"] == 2.5
     assert back["v"].shape == (3, 4, 2) and back["v"].dtype == np.float64
     assert_array_equal(back["v"].view(np.uint64), values.view(np.uint64))  # bit for bit
     assert_array_equal(back["f32"], values.astype(np.float32).astype(np.float64))
