@@ -4,7 +4,9 @@ Activations flow as numpy arrays in NHWC layout (batch, height, width,
 channels) for image tensors and (batch, features) after flattening.
 Each layer caches what its backward pass needs during forward; backward
 consumes the cache, stores parameter gradients on the layer, and returns
-the gradient with respect to its input.
+the gradient with respect to its input, or None when called with
+``input_grad=False`` (the first layer of a network, whose input gradient
+nothing reads).
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ class Layer:
     def forward(self, x, train=False):
         raise NotImplementedError
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         raise NotImplementedError
 
     def parameters(self):
@@ -68,10 +70,10 @@ class Dense(Layer):
         out += self.b
         return out
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         self.dw = self._x.T @ grad
         self.db = grad.sum(axis=0)
-        return grad @ self.w.T
+        return grad @ self.w.T if input_grad else None
 
     def parameters(self):
         return [("w", self.w), ("b", self.b)]
@@ -91,6 +93,13 @@ class Conv2d(Layer):
     product per kernel offset, ``grad @ w[offset].T``, and adds each
     (N, oh, ow, in_channels) result into its shifted window of the
     padded input gradient.
+
+    The layer owns one workspace: a zero-bordered padded-input buffer
+    (padding 1 only) and the column matrix. Forward writes into them in
+    place and allocates new ones only when the input shape or dtype
+    changes, so the columns of the previous call are overwritten rather
+    than kept alive beside new ones. The output and the input gradient
+    are fresh arrays on every call, since callers keep them.
     """
 
     KSIZE = 3
@@ -106,38 +115,41 @@ class Conv2d(Layer):
         self.b = np.zeros(self.out_channels, dtype=dtype)
         self.dw = None
         self.db = None
+        self._padded = None
         self._cols = None
         self._in_shape = None
-
-    def _pad(self, x):
-        p = self.padding
-        if p == 0:
-            return x
-        return np.pad(x, ((0, 0), (p, p), (p, p), (0, 0)))
 
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ValueError(f"expected NHWC input with {self.in_channels} channels, got {x.shape}")
-        n, h, w, _ = x.shape
-        oh = h + 2 * self.padding - self.KSIZE + 1
-        ow = w + 2 * self.padding - self.KSIZE + 1
+        n, h, w, c = x.shape
+        p, k = self.padding, self.KSIZE
+        oh = h + 2 * p - k + 1
+        ow = w + 2 * p - k + 1
         if oh < 1 or ow < 1:
-            raise ValueError(f"input {h}x{w} too small for a 3x3 kernel with padding {self.padding}")
-        k = self.KSIZE
-        # (n, oh, ow, c, k, k) window view -> (n, oh, ow, k, k, c): the
-        # reshape copies it into (row offset, col offset, channel) columns.
-        windows = sliding_window_view(self._pad(x), (k, k), axis=(1, 2))
-        self._cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, -1)
-        self._in_shape = x.shape
+            raise ValueError(f"input {h}x{w} too small for a 3x3 kernel with padding {p}")
+        if x.shape != self._in_shape or x.dtype != self._cols.dtype:
+            self._cols = np.empty((n * oh * ow, k * k * c), dtype=x.dtype)
+            if p:
+                self._padded = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+            self._in_shape = x.shape
+        if p:
+            self._padded[:, p : p + h, p : p + w, :] = x
+        windows = sliding_window_view(self._padded if p else x, (k, k), axis=(1, 2))
+        # (n, oh, ow, c, k, k) window view -> (n, oh, ow, k, k, c): one copy
+        # into (row offset, col offset, channel) columns.
+        self._cols.reshape(n, oh, ow, k, k, c)[...] = windows.transpose(0, 1, 2, 4, 5, 3)
         out = self._cols @ self.w
         out += self.b
         return out.reshape(n, oh, ow, self.out_channels)
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         n, oh, ow, _ = grad.shape
         g2 = grad.reshape(n * oh * ow, self.out_channels)
         self.dw = self._cols.T @ g2
         self.db = g2.sum(axis=0)
+        if not input_grad:
+            return None
         _, h, w, c = self._in_shape
         p = self.padding
         dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=grad.dtype)
@@ -163,8 +175,8 @@ class ReLU(Layer):
         self._mask = x > 0
         return np.maximum(x, 0)
 
-    def backward(self, grad):
-        return _select(self._mask, grad)
+    def backward(self, grad, input_grad=True):
+        return _select(self._mask, grad) if input_grad else None
 
 
 class MaxPool2x2(Layer):
@@ -194,7 +206,9 @@ class MaxPool2x2(Layer):
         self._out = out
         return out
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
+        if not input_grad:
+            return None
         n, h, w, c = self._in_shape
         h2, w2 = h // 2, w // 2
         windows = (n, h2, 2, w2, 2, c)
@@ -217,8 +231,8 @@ class Flatten(Layer):
         self._in_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad):
-        return grad.reshape(self._in_shape)
+    def backward(self, grad, input_grad=True):
+        return grad.reshape(self._in_shape) if input_grad else None
 
 
 class BatchNorm(Layer):
@@ -262,11 +276,13 @@ class BatchNorm(Layer):
         self._train = train
         return self.gamma * xhat + self.beta
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         xhat = self._xhat
         axes = self._axes
         self.dgamma = (grad * xhat).sum(axis=axes)
         self.dbeta = grad.sum(axis=axes)
+        if not input_grad:
+            return None
         dxhat = grad * self.gamma
         if not self._train:
             return dxhat * self._inv_std
@@ -314,7 +330,9 @@ class Dropout(Layer):
         self._mask = keep.astype(x.dtype) / self.keep_prob
         return x * self._mask
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
+        if not input_grad:
+            return None
         if self._mask is None:
             return grad
         return grad * self._mask

@@ -30,38 +30,45 @@ class Network:
         self.arch_params = dict(arch_params or {})
         self.seed = seed
         self.dtype = np.dtype(dtype)
-        self._outputs = None
+        self._last_out = None  # (shape, dtype) of the last forward's final output
 
     def forward(self, x, train=False):
         """Run the chain in the network's dtype; returns a dict of tap
-        name -> feature batch."""
+        name -> feature batch.
+
+        Only the tap outputs are kept past their consumer, together with
+        the final output's shape and dtype for ``backward``; every other
+        layer output is freed as soon as the next layer has read it.
+        """
         x = np.asarray(x, dtype=self.dtype)
-        outputs = []
-        for layer in self.layers:
+        tapped = set(self.taps.values())
+        kept = {}
+        for i, layer in enumerate(self.layers):
             x = layer.forward(x, train=train)
-            outputs.append(x)
-        self._outputs = outputs
-        return {name: outputs[idx] for name, idx in self.taps.items()}
+            if i in tapped:
+                kept[i] = x
+        self._last_out = (x.shape, x.dtype)
+        return {name: kept[idx] for name, idx in self.taps.items()}
 
     def backward(self, tap_grads):
         """Backpropagate gradients injected at tap points.
 
         tap_grads maps tap names to gradients of the objective with
         respect to that tap's output. Parameter gradients end up on the
-        layers; the input gradient is returned.
+        layers. The first layer is asked for no input gradient, since
+        nothing reads it, so nothing is returned.
         """
-        if self._outputs is None:
+        if self._last_out is None:
             raise RuntimeError("backward called before forward")
         unknown = set(tap_grads) - set(self.taps)
         if unknown:
             raise KeyError(f"gradients for unknown tap points {sorted(unknown)}")
         by_index = {self.taps[name]: g for name, g in tap_grads.items()}
-        grad = np.zeros_like(self._outputs[-1])
+        grad = np.zeros(*self._last_out)
         for i in range(len(self.layers) - 1, -1, -1):
             if i in by_index:
                 grad = grad + by_index[i]
-            grad = self.layers[i].backward(grad)
-        return grad
+            grad = self.layers[i].backward(grad, input_grad=i > 0)
 
     def predict(self, images, batch_size):
         """Evaluation-mode forward over ``images`` in batches of
@@ -74,8 +81,12 @@ class Network:
 
     def trace_shapes(self, x):
         """Per-layer output shapes for a given input batch (audit helper)."""
-        self.forward(np.asarray(x), train=True)
-        return [out.shape for out in self._outputs]
+        x = np.asarray(x, dtype=self.dtype)
+        shapes = []
+        for layer in self.layers:
+            x = layer.forward(x, train=True)
+            shapes.append(x.shape)
+        return shapes
 
     def parameters(self):
         items = []

@@ -175,7 +175,13 @@ def load_checkpoint(path):
         cfg = RunConfig(**manifest.get("config")).validate()
     except (TypeError, ValueError) as e:  # no config, an unknown key or an invalid value
         raise CheckpointError(f"checkpoint carries an invalid run config: {e}") from e
-    aux = AuxState(cfg, net.arch_params["num_classes"], cfg.hidden_width)
+    width = net.arch_params["hidden_width"]
+    if cfg.hidden_width != width:
+        raise CheckpointError(
+            f"checkpoint config has hidden_width {cfg.hidden_width}, "
+            f"but its network was built with {width}"
+        )
+    aux = AuxState(cfg, net.arch_params["num_classes"], width)
     aux.load_state_arrays(
         {k.split(".", 1)[1]: v for k, v in leftovers.items() if k.startswith("aux.")}
     )

@@ -292,8 +292,11 @@ def test_cli_truncated_checkpoint(tmp_path):
     (lambda m: m.pop("config"), "run config"),
     (lambda m: m.update(arch_params=5), "arch_params"),
     (lambda m: m["arch_params"].update(input_shape=7), "arch_params"),
+    (lambda m: m["config"].update(hidden_width=7), "hidden_width"),
+    (lambda m: m["config"].update(hidden_width=7, lambda_adaptive_center=0.0), "hidden_width"),
 ], ids=["unknown-config-key", "invalid-config-value", "unknown-arch-param", "no-config",
-        "arch-params-not-a-mapping", "input-shape-not-a-sequence"])
+        "arch-params-not-a-mapping", "input-shape-not-a-sequence",
+        "hidden-width-mismatch-with-center-loss", "hidden-width-mismatch-without-center-loss"])
 def test_cli_rejects_malformed_checkpoint_manifest(synth_run, tmp_path, edit, named):
     _, run_dir = synth_run
     manifest, arrays = dn.load_bundle(os.path.join(run_dir, "final.ckpt"))

@@ -277,6 +277,67 @@ def test_conv_matches_im2col_reference(dtype, padding, cin):
         assert rel_error(dx, want_dx) < {np.float32: 1e-5, np.float64: 1e-12}[dtype]
 
 
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv_reuses_its_workspace_and_returns_fresh_outputs(padding):
+    rng = dn.Rng(43)
+    conv = dn.Conv2d(2, 3, padding=padding, rng=rng)
+    first = conv.forward(rng.normal((2, 6, 5, 2)))
+    kept = first.copy()
+    cols = conv._cols
+    second = conv.forward(rng.normal((2, 6, 5, 2)))
+    assert conv._cols is cols
+    assert second is not first and not np.shares_memory(first, second)
+    assert_bitwise_equal(first, kept)
+
+
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv_workspace_follows_batch_size_and_dtype(padding):
+    # The same layer sees batch 3, then batch 2, then float32: each call
+    # must match the reference as if the layer were new.
+    rng = dn.Rng(44)
+    conv = dn.Conv2d(3, 4, padding=padding, rng=rng)
+    conv.b = rng.uniform(-0.5, 0.5, 4)
+    for n, dtype in ((3, np.float64), (2, np.float64), (2, np.float32)):
+        conv.w, conv.b = conv.w.astype(dtype), conv.b.astype(dtype)
+        x = post_relu_input(rng, (n, 7, 6, 3), dtype)
+        out = conv.forward(x)
+        grad = signed_gradient(rng, out.shape, dtype)
+        dx = conv.backward(grad)
+        want_out, want_dw, want_db, want_dx = reference_conv(x, conv.w, conv.b, padding, grad)
+        assert_bitwise_equal(out, want_out)
+        assert_bitwise_equal(conv.dw, want_dw)
+        assert_bitwise_equal(conv.db, want_db)
+        assert_bitwise_equal(dx, want_dx)
+
+
+@pytest.mark.parametrize("make, shape, train", [
+    (lambda rng: dn.Conv2d(3, 4, padding=1, rng=rng), (2, 5, 5, 3), True),
+    (lambda rng: dn.Conv2d(3, 4, padding=0, rng=rng), (2, 5, 5, 3), True),
+    (lambda rng: dn.Dense(6, 4, rng), (5, 6), True),
+    (lambda rng: dn.BatchNorm(3), (4, 3), True),
+    (lambda rng: dn.BatchNorm(3), (4, 3), False),
+    (lambda rng: dn.ReLU(), (2, 4, 4, 3), True),
+    (lambda rng: dn.MaxPool2x2(), (2, 4, 4, 3), True),
+    (lambda rng: dn.Flatten(), (2, 4, 4, 3), True),
+    (lambda rng: dn.Dropout(0.5, rng), (4, 6), True),
+], ids=["conv-pad1", "conv-pad0", "dense", "batchnorm-train", "batchnorm-eval", "relu",
+        "maxpool", "flatten", "dropout"])
+def test_backward_without_input_grad_keeps_parameter_grads(make, shape, train):
+    rng = dn.Rng(45)
+    layer = make(rng)
+    if not train:
+        layer.forward(rng.normal(shape), train=True)  # running statistics for eval mode
+    out = layer.forward(rng.normal(shape), train=train)
+    grad = rng.normal(out.shape)
+    assert layer.backward(grad).shape == shape
+    want = [(name, g.copy()) for name, g in layer.parameter_grads()]
+    assert layer.backward(grad, input_grad=False) is None
+    got = layer.parameter_grads()
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (_, g), (_, w) in zip(got, want):
+        assert_bitwise_equal(g, w)
+
+
 # --- flatten ---------------------------------------------------------------------
 
 def test_flatten_round_trip():
