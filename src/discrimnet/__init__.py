@@ -2,7 +2,7 @@
 auxiliary losses driven by exponential-forgetting online statistics."""
 
 from .config import PRESETS, ConfigError, RunConfig, apply_preset
-from .data import Dataset, affine_augment, load_idx, synth_blobs
+from .data import Dataset, load_idx, synth_blobs
 from .layers import BatchNorm, Conv2d, Dense, Dropout, Flatten, MaxPool2x2, ReLU
 from .losses import (
     AuxState,
@@ -19,8 +19,6 @@ from .network import Network, build_architecture
 from .optim import SGD, lr_at_epoch
 from .streaming import (
     CenterBank,
-    ForgettingMean,
-    ForgettingMeanVar,
     NeuronClassStats,
     masked_weighted_mean_direct,
     weighted_moments_direct,

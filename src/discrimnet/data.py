@@ -2,7 +2,7 @@
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class Dataset:
     labels: np.ndarray
     split: str = "train"
     num_classes: int = 0
-    norm: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.images.shape[0] != self.labels.shape[0]:
@@ -58,7 +57,6 @@ class Dataset:
             labels=self.labels[indices],
             split=self.split,
             num_classes=self.num_classes,
-            norm=dict(self.norm),
         )
 
 
@@ -94,8 +92,7 @@ def load_idx(images_path, labels_path, split="train"):
         )
     images = raw_images.astype(np.float64)[..., None] / 255.0
     labels = raw_labels.astype(np.int64)
-    return Dataset(images=images, labels=labels, split=split, num_classes=10,
-                   norm={"scale": 255.0})
+    return Dataset(images=images, labels=labels, split=split, num_classes=10)
 
 
 def load_idx_dir(root, split):
@@ -111,10 +108,10 @@ def synth_blobs(num_classes, image_size, n_per_class, separation, seed):
 
     Each class has a mean image lighting up one distinct pixel; class
     means are exactly `separation` apart in Euclidean distance before
-    the final rescale to [0, 1] (the rescale is recorded in norm and
-    preserves separability). Unit-variance noise is added per pixel, so
-    large separations give linearly separable data and separation 0
-    makes every class distribution identical.
+    the final rescale to [0, 1] (the rescale preserves separability).
+    Unit-variance noise is added per pixel, so large separations give
+    linearly separable data and separation 0 makes every class
+    distribution identical.
     """
     if num_classes < 2:
         raise ValueError("need at least 2 classes")
@@ -134,7 +131,6 @@ def synth_blobs(num_classes, image_size, n_per_class, separation, seed):
         labels=labels.astype(np.int64),
         split="train",
         num_classes=int(num_classes),
-        norm={"lo": lo, "hi": hi, "separation": float(separation)},
     )
 
 
@@ -177,18 +173,6 @@ def _resample(images, rotation_deg, scale, translate_y, translate_x):
     return out
 
 
-def affine_transform(image, rotation_deg=0.0, scale=1.0, translate=(0.0, 0.0)):
-    """Rotate/scale about the image center, then translate by pixels.
-
-    translate is (rows down, cols right). Bilinear resampling with zero
-    padding; the output shape equals the input shape.
-    """
-    image = np.asarray(image)
-    h, w = image.shape[:2]
-    params = np.array([[rotation_deg, scale, translate[0], translate[1]]], dtype=np.float64)
-    return _resample(image.reshape(1, h, w, -1), *params.T).reshape(image.shape)
-
-
 def _draw_affine(rng, cfg, h, w):
     """One (rotation, scale, rows shift, cols shift) draw within cfg's bounds."""
     theta = rng.uniform(-cfg.augment_rotation_deg, cfg.augment_rotation_deg)
@@ -198,18 +182,13 @@ def _draw_affine(rng, cfg, h, w):
     return theta, scale, ty, tx
 
 
-def affine_augment(image, rng, cfg):
-    """Apply one random affine perturbation within RunConfig cfg's ``augment_*`` bounds."""
-    theta, scale, ty, tx = _draw_affine(rng, cfg, *image.shape[:2])
-    return affine_transform(image, rotation_deg=theta, scale=scale, translate=(ty, tx))
-
-
 def augment_batch(images, rng, cfg):
-    """affine_augment applied to each image in turn, resampled in one pass.
+    """One random affine perturbation per image, resampled in one pass.
 
     cfg is the run's RunConfig; its ``augment_*`` fields bound the draws.
-    The draws are made image by image in the same order, so the result
-    equals stacking per-image affine_augment calls bit for bit.
+    Each image takes four draws, image by image: rotation, scale, rows
+    shift, cols shift. So the result equals augmenting the images one at
+    a time, as batches of one from the same rng, bit for bit.
     """
     images = np.asarray(images)
     n, h, w = images.shape[:3]

@@ -166,7 +166,7 @@ def center_loss(x, t, bank):
     t = _as2d(t, "labels")
     n = x.shape[0]
     _check_onehot(t, n)
-    centers = bank.centers if isinstance(bank, CenterBank) else np.asarray(bank, dtype=np.float64)
+    centers = bank.centers
     if centers.shape != (t.shape[1], x.shape[1]):
         raise ValueError(
             f"centers shape {centers.shape} does not match "

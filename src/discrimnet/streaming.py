@@ -1,12 +1,16 @@
 """Exponential-forgetting online statistics.
 
-All estimators share the same recurrence family with forgetting factor
-``a`` in (0, 1): a fresh state is zero (equivalent to an infinite stream
-of zeros preceding the first sample, which makes the recurrences exact
-rather than approximate), and one update folds in one sample:
+``NeuronClassStats`` and ``CenterBank.update_sample`` share one
+recurrence family with forgetting factor ``a`` in (0, 1): a fresh state
+is zero (equivalent to an infinite stream of zeros preceding the first
+sample, which makes the recurrences exact rather than approximate), and
+one update folds in one sample:
 
     mean:      v <- a*v + (1-a)*z
     variance:  s <- a*s + a*(1-a)*(z - v_pre)**2    (v_pre: mean before update)
+
+Taking the deviation from the pre-update mean is what makes the variance
+equal the moment form E[z^2] - E[z]^2 of the same weighted stream.
 
 Direct-summation closed forms of the same quantities live at the bottom
 of the module; they exist for tests and are never used in training.
@@ -27,57 +31,6 @@ def _check_alpha(alpha):
 def _check_finite(z, what="input"):
     if not np.all(np.isfinite(z)):
         raise NonFiniteError(f"non-finite {what} fed to a forgetting accumulator")
-
-
-class ForgettingMean:
-    """Running mean under geometric forgetting; starts at zero."""
-
-    def __init__(self, alpha, shape=()):
-        self.alpha = _check_alpha(alpha)
-        self.value = np.zeros(shape, dtype=np.float64) if shape else 0.0
-        self.steps = 0
-
-    def update(self, z):
-        _check_finite(z)
-        a = self.alpha
-        self.value = a * self.value + (1.0 - a) * z
-        self.steps += 1
-        return self.value
-
-    def masked_update(self, z, t):
-        """Fold in a sample gated by t in {0, 1}: v <- a*v + (1-a)*t*z.
-
-        A gated-out sample (t == 0) still decays the state.
-        """
-        _check_finite(z)
-        a = self.alpha
-        self.value = a * self.value + (1.0 - a) * (t * z)
-        self.steps += 1
-        return self.value
-
-
-class ForgettingMeanVar:
-    """Paired running mean and variance under geometric forgetting.
-
-    The variance term is computed from the pre-update mean, then the
-    mean advances; this ordering is what makes the recurrence agree
-    with the moment form E[r^2] - E[r]^2 of the same weighted stream.
-    """
-
-    def __init__(self, alpha, shape=()):
-        self.alpha = _check_alpha(alpha)
-        zero = np.zeros(shape, dtype=np.float64) if shape else 0.0
-        self.mean = zero
-        self.var = zero if shape else 0.0
-        self.steps = 0
-
-    def update(self, z):
-        _check_finite(z)
-        a = self.alpha
-        self.var = a * self.var + a * (1.0 - a) * (z - self.mean) ** 2
-        self.mean = a * self.mean + (1.0 - a) * z
-        self.steps += 1
-        return self.mean, self.var
 
 
 class NeuronClassStats:
@@ -124,11 +77,6 @@ class NeuronClassStats:
         self.mu_hat = a * self.mu_hat + (1.0 - a) * (1.0 - t) * z
         self.mu_total = a * self.mu_total + (1.0 - a) * z
         self.steps += 1
-
-    def reset(self):
-        for name in ("mu", "mu_hat", "mu_total", "var_within", "var_total"):
-            getattr(self, name).fill(0.0)
-        self.steps = 0
 
     def state_arrays(self):
         return {

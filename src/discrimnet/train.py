@@ -79,7 +79,7 @@ def evaluate(net, dataset, batch_size=100):
 
 
 def _fmt(values):
-    return ",".join("" if v is None else (v if isinstance(v, str) else repr(v)) for v in values)
+    return ",".join("" if v is None else repr(v) for v in values)
 
 
 def run_training(cfg: RunConfig, progress=False):

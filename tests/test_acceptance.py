@@ -48,6 +48,7 @@ def onehot(labels, k):
 @criterion(1, "streaming oracle equivalence")
 def test_1_streaming_oracle_equivalence():
     rng = dn.Rng(1000)
+    center_rng = dn.Rng(1001)  # its own stream, so the 1000 sequences stay fixed
     alphas = (0.5, 0.9, 0.99)
     start = time.time()
     for trial in range(1000):
@@ -56,18 +57,14 @@ def test_1_streaming_oracle_equivalence():
         z = rng.uniform(-10, 10, n)
         t = (rng.uniform(0, 1, n) < 0.5).astype(float)
 
-        mean_acc = dn.ForgettingMean(alpha)
-        masked_acc = dn.ForgettingMean(alpha)
-        mv = dn.ForgettingMeanVar(alpha)
+        # One neuron of the engine's accumulator, gated by t.
         stats = dn.NeuronClassStats(1, alpha)
         for value, gate in zip(z, t):
-            mean_acc.update(value)
-            masked_acc.masked_update(value, gate)
-            mv.update(value)
             stats.update([value], [gate])
 
         e_direct, v_direct = dn.weighted_moments_direct(z, alpha)
         m_direct = dn.masked_weighted_mean_direct(zip(z, t), alpha)
+        m_hat_direct = dn.masked_weighted_mean_direct(zip(z, 1 - t), alpha)
 
         mu = mu_hat = 0.0
         devs = []
@@ -82,10 +79,25 @@ def test_1_streaming_oracle_equivalence():
         def close(a, b):
             return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
-        assert close(mean_acc.value, e_direct), "total mean"
-        assert close(masked_acc.value, m_direct), "masked mean"
-        assert close(mv.var, v_direct), "total variance (moment form)"
+        assert close(stats.mu_total[0], e_direct), "total mean"
+        assert close(stats.mu[0], m_direct), "target-class mean"
+        assert close(stats.mu_hat[0], m_hat_direct), "non-target mean"
+        assert close(stats.var_total[0], v_direct), "total variance (moment form)"
         assert close(stats.var_within[0], w_unrolled), "within variance (unrolled)"
+
+        # Adaptive centers: each class centroid is the forgetting mean of
+        # that class's own samples, component by component.
+        x = center_rng.uniform(-10, 10, (n, 2))
+        labels = center_rng.integers(0, 3, n)
+        bank = dn.CenterBank(3, 2, alpha=alpha)
+        for row, k in zip(x, labels):
+            bank.update_sample(row, k)
+        for k in range(3):
+            for d in range(2):
+                c_direct = dn.masked_weighted_mean_direct(
+                    ((value, 1.0) for value in x[labels == k, d]), alpha
+                )
+                assert close(bank.centers[k, d], c_direct), "adaptive center"
     assert time.time() - start < 5.0, "criterion 1 runtime budget"
 
 

@@ -1,0 +1,51 @@
+"""The package exports only what the engine itself uses.
+
+Every name that ``discrimnet/__init__.py`` imports must be loaded, as a
+bare name or as an attribute, by some other module of the package. A
+public name that only the tests call is code the engine never runs.
+"""
+
+import ast
+import os
+
+import discrimnet
+
+PACKAGE_DIR = os.path.dirname(os.path.abspath(discrimnet.__file__))
+
+# The closed-form oracles of streaming.py exist for the tests.
+TEST_ONLY = {"weighted_moments_direct", "masked_weighted_mean_direct"}
+
+
+def parse(filename):
+    with open(os.path.join(PACKAGE_DIR, filename), encoding="utf-8") as f:
+        return ast.parse(f.read(), filename=filename)
+
+
+def exported_names():
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(parse("__init__.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def loaded_names(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+    return names
+
+
+def test_every_export_is_used_inside_the_package():
+    exported = exported_names()
+    assert TEST_ONLY <= exported, f"exempt but not exported: {sorted(TEST_ONLY - exported)}"
+    used = set()
+    for filename in sorted(os.listdir(PACKAGE_DIR)):
+        if filename.endswith(".py") and filename != "__init__.py":
+            used |= loaded_names(parse(filename))
+    unused = sorted(exported - used - TEST_ONLY)
+    assert not unused, f"exported but never used inside the package: {unused}"

@@ -2,15 +2,10 @@ import struct
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 import discrimnet as dn
-from discrimnet.data import (
-    IdxFormatError,
-    affine_transform,
-    augment_batch,
-    load_idx_dir,
-)
+from discrimnet.data import IdxFormatError, _resample, augment_batch, load_idx_dir
 
 
 def idx_image_bytes(images):
@@ -126,6 +121,12 @@ def test_synth_blobs_zero_separation_is_chance():
 
 # --- affine augmentation --------------------------------------------------------
 
+def affine_transform(image, rotation_deg=0.0, scale=1.0, translate=(0.0, 0.0)):
+    """One fixed transform of one (h, w, c) image, through the batch resampler."""
+    params = np.array([[rotation_deg, scale, translate[0], translate[1]]])
+    return _resample(image[None], *params.T)[0]
+
+
 def test_affine_identity_is_exact():
     img = dn.Rng(60).normal((12, 12, 1))
     out = affine_transform(img)
@@ -154,8 +155,8 @@ def test_affine_rotation_round_trip():
 def test_affine_augment_respects_shape_and_determinism():
     cfg = dn.RunConfig()
     img = dn.Rng(62).normal((10, 10, 3))
-    a = dn.affine_augment(img, dn.Rng(7), cfg)
-    b = dn.affine_augment(img, dn.Rng(7), cfg)
+    a = augment_batch(img[None], dn.Rng(7), cfg)[0]
+    b = augment_batch(img[None], dn.Rng(7), cfg)[0]
     assert a.shape == img.shape
     assert_array_equal(a, b)
 
@@ -168,7 +169,7 @@ def test_augment_batch_equals_per_image_augment(shape):
     images[images < 0.2] = 0.0
     got = augment_batch(images, dn.Rng(8), cfg)
     rng = dn.Rng(8)
-    want = np.stack([dn.affine_augment(im, rng, cfg) for im in images])
+    want = np.stack([augment_batch(im[None], rng, cfg)[0] for im in images])
     assert got.dtype == want.dtype and got.shape == want.shape == images.shape
     assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -184,4 +185,4 @@ def test_affine_augment_draw_order():
     ty = twin.uniform(-0.25 * 8, 0.25 * 8)
     tx = twin.uniform(-0.25 * 12, 0.25 * 12)
     want = affine_transform(img, rotation_deg=theta, scale=scale, translate=(ty, tx))
-    assert_array_equal(dn.affine_augment(img, dn.Rng(9), cfg), want)
+    assert_array_equal(augment_batch(img[None], dn.Rng(9), cfg)[0], want)

@@ -8,18 +8,13 @@ from discrimnet.streaming import masked_weighted_mean_direct, weighted_moments_d
 ALPHAS = (0.5, 0.9, 0.99)
 
 
-def iterate_mean(values, alpha):
-    m = dn.ForgettingMean(alpha)
-    for z in values:
-        m.update(z)
-    return m.value
-
-
-def iterate_masked(pairs, alpha):
-    m = dn.ForgettingMean(alpha)
+def feed(pairs, alpha):
+    # One neuron: mu_total is the plain mean, mu the mean gated by t, mu_hat
+    # the mean gated by 1 - t, and var_total the moment-form variance.
+    stats = dn.NeuronClassStats(1, alpha)
     for z, t in pairs:
-        m.masked_update(z, t)
-    return m.value
+        stats.update([z], [t])
+    return stats
 
 
 def within_variance_unrolled(pairs, alpha):
@@ -67,65 +62,68 @@ def test_geometric_sum_identity():
 # --- running mean -----------------------------------------------------------
 
 def test_mean_update_from_zero_prior():
-    m = dn.ForgettingMean(0.99)
-    assert m.value == 0.0
-    assert m.update(1.0) == (1.0 - 0.99) * 1.0
+    stats = dn.NeuronClassStats(1, 0.99)
+    assert stats.mu_total[0] == 0.0
+    stats.update([1.0], [1.0])
+    assert stats.mu_total[0] == (1.0 - 0.99) * 1.0
 
 
 def test_mean_update_sequence_closed_form():
-    assert iterate_mean([1.0, 2.0, 3.0], 0.5) == 2.125
+    assert feed([(1.0, 1), (2.0, 0), (3.0, 1)], 0.5).mu_total[0] == 2.125
 
 
 def test_mean_update_converges_to_constant():
-    m = dn.ForgettingMean(0.9)
-    for _ in range(200):
-        m.update(4.25)
-    assert abs(m.value - 4.25) < 1e-8
+    stats = feed([(4.25, 1)] * 200, 0.9)
+    assert abs(stats.mu_total[0] - 4.25) < 1e-8
 
 
 def test_mean_update_rejects_non_finite():
     with pytest.raises(dn.NonFiniteError):
-        dn.ForgettingMean(0.5).update(np.nan)
+        dn.NeuronClassStats(1, 0.5).update([np.nan], [1.0])
 
 
 def test_alpha_bounds_enforced():
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
-            dn.ForgettingMean(bad)
+            dn.NeuronClassStats(1, bad)
 
 
-# --- gated (masked) mean ----------------------------------------------------
+# --- gated (masked) means ---------------------------------------------------
 
 def test_masked_update_active_sample():
-    m = dn.ForgettingMean(0.5)
-    assert m.masked_update(4.0, 1) == 2.0
+    stats = feed([(4.0, 1)], 0.5)
+    assert stats.mu[0] == 2.0
+    assert stats.mu_hat[0] == 0.0
 
 
 def test_masked_update_gated_out_sample_decays_state():
-    m = dn.ForgettingMean(0.5)
-    m.value = 2.0
-    assert m.masked_update(99.0, 0) == 1.0
+    stats = dn.NeuronClassStats(1, 0.5)
+    stats.mu[0] = 2.0
+    stats.update([99.0], [0.0])
+    assert stats.mu[0] == 1.0
+    assert stats.mu_hat[0] == 49.5
 
 
 def test_masked_update_sequence_closed_form():
-    # 0.5 * (0.25*1 + 0 + 1*3) = 1.625
-    assert iterate_masked([(1, 1), (5, 0), (3, 1)], 0.5) == 1.625
-    assert masked_weighted_mean_direct([(1, 1), (5, 0), (3, 1)], 0.5) == 1.625
+    # 0.5 * (0.25*1 + 0 + 1*3) = 1.625; the complement gate gives 0.5 * (0.5*5) = 1.25
+    pairs = [(1, 1), (5, 0), (3, 1)]
+    stats = feed(pairs, 0.5)
+    assert stats.mu[0] == 1.625
+    assert masked_weighted_mean_direct(pairs, 0.5) == 1.625
+    assert stats.mu_hat[0] == 1.25
+    assert masked_weighted_mean_direct([(z, 1 - t) for z, t in pairs], 0.5) == 1.25
 
 
-# --- paired mean/variance ---------------------------------------------------
+# --- total variance ---------------------------------------------------------
 
 def test_total_variance_first_step():
-    mv = dn.ForgettingMeanVar(0.5)
-    mv.update(1.0)
-    assert mv.var == 0.25  # a*(1-a)*(1-0)^2
+    stats = feed([(1.0, 1)], 0.5)
+    assert stats.var_total[0] == 0.25  # a*(1-a)*(1-0)^2
 
 
 def test_total_variance_two_equal_samples():
-    mv = dn.ForgettingMeanVar(0.5)
-    mv.update(1.0)
-    mv.update(1.0)
-    assert mv.var == 0.1875
+    stats = feed([(1.0, 1), (1.0, 0)], 0.5)
+    assert stats.var_total[0] == 0.1875
     e, v = weighted_moments_direct([1.0, 1.0], 0.5)
     assert_allclose(v, 0.1875, rtol=1e-15)
 
@@ -133,21 +131,20 @@ def test_total_variance_two_equal_samples():
 def test_constant_stream_variance_decays_to_zero():
     # Closed form for a constant c from the zero prior: var_n = c^2 * a^n (1 - a^n),
     # monotone decreasing once a^n <= 1/2 (from step 1 when a = 0.5).
-    mv = dn.ForgettingMeanVar(0.5)
-    mv.update(3.0)
-    prev = mv.var
+    stats = feed([(3.0, 1)], 0.5)
+    prev = stats.var_total[0]
     for n in range(2, 40):
-        mv.update(3.0)
-        assert mv.var == pytest.approx(9.0 * 0.5**n * (1 - 0.5**n), rel=1e-12)
-        assert mv.var < prev
-        prev = mv.var
+        stats.update([3.0], [1.0])
+        assert stats.var_total[0] == pytest.approx(9.0 * 0.5**n * (1 - 0.5**n), rel=1e-12)
+        assert stats.var_total[0] < prev
+        prev = stats.var_total[0]
     assert prev < 1e-8
 
-    slow = dn.ForgettingMeanVar(0.9)
+    slow = dn.NeuronClassStats(1, 0.9)
     values = []
     for _ in range(300):
-        slow.update(3.0)
-        values.append(slow.var)
+        slow.update([3.0], [1.0])
+        values.append(slow.var_total[0])
     peak = int(np.argmax(values))
     assert all(b < a for a, b in zip(values[peak:], values[peak + 1 :]))
     assert values[-1] < 1e-8
@@ -192,15 +189,6 @@ def test_neuron_stats_all_share_one_alpha_and_validate_rows():
         stats.update([1.0, 2.0], [1.0, 0.0])
     with pytest.raises(dn.NonFiniteError):
         stats.update([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0])
-
-
-def test_neuron_stats_reset():
-    stats = dn.NeuronClassStats(2, 0.9)
-    stats.update([1.0, -1.0], [1.0, 0.0])
-    stats.reset()
-    assert stats.steps == 0
-    assert_array_equal(stats.var_within, np.zeros(2))
-    assert_array_equal(stats.mu_total, np.zeros(2))
 
 
 # --- centroid bank ----------------------------------------------------------
@@ -280,23 +268,21 @@ def test_recurrence_matches_closed_forms_over_random_sequences():
         z = rng.uniform(-10, 10, n)
         t = (rng.uniform(0, 1, n) < 0.5).astype(float)
 
-        e_direct, v_direct = weighted_moments_direct(z, alpha)
-        assert abs(iterate_mean(z, alpha) - e_direct) <= 1e-9 * max(1.0, abs(e_direct))
-
-        mv = dn.ForgettingMeanVar(alpha)
-        for value in z:
-            mv.update(value)
-        assert abs(mv.var - v_direct) <= 1e-9 * max(1.0, abs(v_direct))
-
         pairs = list(zip(z, t))
-        m_direct = masked_weighted_mean_direct(pairs, alpha)
-        assert abs(iterate_masked(pairs, alpha) - m_direct) <= 1e-9 * max(1.0, abs(m_direct))
+        stats = feed(pairs, alpha)
 
-        stats = dn.NeuronClassStats(1, alpha)
-        for value, gate in pairs:
-            stats.update([value], [gate])
+        e_direct, v_direct = weighted_moments_direct(z, alpha)
+        m_direct = masked_weighted_mean_direct(pairs, alpha)
+        m_hat_direct = masked_weighted_mean_direct(zip(z, 1 - t), alpha)
         w_unrolled = within_variance_unrolled(pairs, alpha)
-        assert abs(stats.var_within[0] - w_unrolled) <= 1e-9 * max(1.0, abs(w_unrolled))
+        for got, want in (
+            (stats.mu_total[0], e_direct),
+            (stats.var_total[0], v_direct),
+            (stats.mu[0], m_direct),
+            (stats.mu_hat[0], m_hat_direct),
+            (stats.var_within[0], w_unrolled),
+        ):
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 def test_variances_never_go_negative():
