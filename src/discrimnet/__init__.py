@@ -23,7 +23,7 @@ from .streaming import (
     masked_weighted_mean_direct,
     weighted_moments_direct,
 )
-from .tensor import CheckpointError, NonFiniteError, Rng, load_bundle, save_bundle
+from .tensor import CheckpointError, NonFiniteError, Rng, load_bundle, restore_arrays, save_bundle
 from .train import evaluate, load_checkpoint, load_run_datasets, run_training
 
 __version__ = "0.1.0"

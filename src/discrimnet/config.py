@@ -217,27 +217,28 @@ PRESETS = {
         "lambda_adaptive_center": 1.0 / _CENTER_DIM, "alpha": 0.99,
     },
     # Comparison datasets: loaders for these are not built in; the
-    # presets record the published settings for anyone wiring data up.
+    # presets record the published settings for anyone wiring data up,
+    # and train on synth data at the dataset's own image side.
     "cifar10-discriminant": {
-        **_COMPARISON_BASE, "dataset": "synth", "weight_decay": 0.01,
+        **_COMPARISON_BASE, "dataset": "synth", "synth_size": 32, "weight_decay": 0.01,
         "lambda_discriminant": 0.001,
     },
     "cifar10-center": {
-        **_COMPARISON_BASE, "dataset": "synth", "weight_decay": 0.01,
+        **_COMPARISON_BASE, "dataset": "synth", "synth_size": 32, "weight_decay": 0.01,
         "lambda_center": 0.08 / _CENTER_DIM, "beta": 1.0,
     },
     "cifar10-combined": {
-        **_COMPARISON_BASE, "dataset": "synth", "weight_decay": 0.01,
+        **_COMPARISON_BASE, "dataset": "synth", "synth_size": 32, "weight_decay": 0.01,
         "lambda_adaptive_discriminant": 0.0001,
         "lambda_adaptive_center": 0.08 / _CENTER_DIM, "alpha": 0.99,
     },
     "cifar100-combined": {
-        **_COMPARISON_BASE, "dataset": "synth", "weight_decay": 0.001,
+        **_COMPARISON_BASE, "dataset": "synth", "synth_size": 32, "weight_decay": 0.001,
         "lambda_adaptive_discriminant": 0.01,
         "lambda_adaptive_center": 0.001 / _CENTER_DIM, "alpha": 0.99,
     },
     "stl10-combined": {
-        **_COMPARISON_BASE, "dataset": "synth", "weight_decay": 0.01,
+        **_COMPARISON_BASE, "dataset": "synth", "synth_size": 96, "weight_decay": 0.01,
         "lambda_adaptive_discriminant": 0.01,
         "lambda_adaptive_center": 0.001 / _CENTER_DIM, "alpha": 0.99,
     },

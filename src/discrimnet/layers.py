@@ -27,11 +27,8 @@ class Layer:
         return []
 
     def state(self):
-        """Non-trainable arrays that must persist in checkpoints."""
+        """Live (name, array) pairs of non-trainable state that checkpoints keep."""
         return []
-
-    def load_state(self, arrays):
-        pass
 
 
 def _select(mask, values):
@@ -248,7 +245,7 @@ class BatchNorm(Layer):
         self.beta = np.zeros(self.channels, dtype=dtype)
         self.running_mean = np.zeros(self.channels, dtype=np.float64)
         self.running_var = np.ones(self.channels, dtype=np.float64)
-        self.batches_seen = 0
+        self.batches_seen = np.zeros(1)  # training batches, as checkpoints store it
         self.dgamma = None
         self.dbeta = None
 
@@ -264,7 +261,7 @@ class BatchNorm(Layer):
             self.running_var = (1.0 - m) * self.running_var + m * var.astype(np.float64)
             self.batches_seen += 1
         else:
-            if self.batches_seen == 0:
+            if self.batches_seen[0] == 0:
                 raise RuntimeError("batchnorm evaluated before any training batch")
             mean = self.running_mean.astype(x.dtype)
             var = self.running_var.astype(x.dtype)
@@ -303,13 +300,8 @@ class BatchNorm(Layer):
         return [
             ("running_mean", self.running_mean),
             ("running_var", self.running_var),
-            ("batches_seen", np.array([float(self.batches_seen)])),
+            ("batches_seen", self.batches_seen),
         ]
-
-    def load_state(self, arrays):
-        self.running_mean = np.asarray(arrays["running_mean"], dtype=np.float64).copy()
-        self.running_var = np.asarray(arrays["running_var"], dtype=np.float64).copy()
-        self.batches_seen = int(arrays["batches_seen"][0])
 
 
 class Dropout(Layer):

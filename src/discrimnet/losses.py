@@ -245,24 +245,12 @@ class AuxState:
             self.center_bank = CenterBank(num_classes, feature_dim, cfg.alpha, cfg.beta)
 
     def state_arrays(self):
+        """Live arrays of the enabled accumulators, by checkpoint name."""
         arrays = {}
-        if self.neuron_stats is not None:
-            for name, arr in self.neuron_stats.state_arrays().items():
-                arrays[f"neuron_stats.{name}"] = arr
-        if self.center_bank is not None:
-            for name, arr in self.center_bank.state_arrays().items():
-                arrays[f"center_bank.{name}"] = arr
+        for owner, stats in (("neuron_stats", self.neuron_stats), ("center_bank", self.center_bank)):
+            if stats is not None:
+                arrays.update({f"{owner}.{k}": v for k, v in stats.state_arrays().items()})
         return arrays
-
-    def load_state_arrays(self, arrays):
-        if self.neuron_stats is not None:
-            self.neuron_stats.load_state_arrays(
-                {n.split(".", 1)[1]: a for n, a in arrays.items() if n.startswith("neuron_stats.")}
-            )
-        if self.center_bank is not None:
-            self.center_bank.load_state_arrays(
-                {n.split(".", 1)[1]: a for n, a in arrays.items() if n.startswith("center_bank.")}
-            )
 
 
 def combined_objective(cfg, taps, labels_onehot, state=None):

@@ -11,7 +11,7 @@ second-to-last fully connected layer.
 import numpy as np
 
 from .layers import BatchNorm, Conv2d, Dense, Dropout, Flatten, MaxPool2x2, ReLU
-from .tensor import CheckpointError, Rng, load_bundle, save_bundle
+from .tensor import CheckpointError, Rng, load_bundle, restore_arrays, save_bundle
 
 ARCHITECTURES = ("mnist_small", "comparison")
 
@@ -102,24 +102,19 @@ class Network:
                 grads[f"layers.{i}.{name}"] = arr
         return grads
 
-    def set_parameters(self, arrays):
-        for name, arr in self.parameters():
-            if name not in arrays:
-                raise CheckpointError(f"checkpoint is missing parameter {name}")
-            src = np.asarray(arrays[name])
-            if src.shape != arr.shape:
-                raise CheckpointError(
-                    f"parameter {name} has shape {src.shape}, expected {arr.shape}"
-                )
-            arr[...] = src.astype(arr.dtype)
+    def state_arrays(self):
+        """Live checkpointed arrays by name: the parameters, then each
+        layer's persistent state as ``layers.{i}.state.{name}``."""
+        arrays = dict(self.parameters())
+        for i, layer in enumerate(self.layers):
+            for name, arr in layer.state():
+                arrays[f"layers.{i}.state.{name}"] = arr
+        return arrays
 
     def save(self, path, extra_manifest=None, extra_arrays=None):
         """Write a checkpoint bundle: parameters, persistent layer state,
         architecture identity, and any caller-supplied extras."""
-        arrays = {name: arr for name, arr in self.parameters()}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.state():
-                arrays[f"layers.{i}.state.{name}"] = arr
+        arrays = self.state_arrays()
         if extra_arrays:
             arrays.update(extra_arrays)
         manifest = {
@@ -136,8 +131,8 @@ class Network:
     def load(cls, path):
         """Rebuild a network from a checkpoint, in the dtype it was saved in.
 
-        Returns (network, manifest, extra arrays not consumed by the
-        network itself).
+        Returns (network, manifest, every stored array by name), so a
+        caller can restore its own entries from the same bundle.
         """
         manifest, arrays = load_bundle(path)
         if manifest.get("kind") != "discrimnet-checkpoint":
@@ -151,18 +146,8 @@ class Network:
         except (TypeError, ValueError) as e:  # an unknown or invalid arch_params entry
             raise CheckpointError(f"checkpoint carries invalid arch_params: {e}") from e
         net.seed = manifest.get("seed")
-        net.set_parameters(arrays)
-        leftovers = {}
-        state_by_layer = {}
-        for name, arr in arrays.items():
-            if name.startswith("layers.") and ".state." in name:
-                idx, sname = name.split(".", 3)[1], name.split(".state.", 1)[1]
-                state_by_layer.setdefault(int(idx), {})[sname] = arr
-            elif not name.startswith("layers."):
-                leftovers[name] = arr
-        for idx, state in state_by_layer.items():
-            net.layers[idx].load_state(state)
-        return net, manifest, leftovers
+        restore_arrays(net.state_arrays(), arrays)
+        return net, manifest, arrays
 
 
 def _check_pool_chain(h, w, pools):

@@ -18,45 +18,38 @@ class SGD:
     """Momentum SGD with L2 weight decay folded into the gradient.
 
     Per parameter: g' = g + weight_decay * w; v <- momentum * v + g';
-    w <- w - lr * v. Decay applies to weights and biases alike. The step
-    aborts, touching nothing, if any gradient is non-finite. The caller
-    passes each step's lr, for example from ``lr_at_epoch``.
+    w <- w - lr * v. Decay applies to weights and biases alike. Each
+    (name, array) pair given gets a zeroed velocity in its own dtype. The
+    step aborts, touching nothing, if any gradient is non-finite. The
+    caller passes each step's lr, for example from ``lr_at_epoch``.
     """
 
-    def __init__(self, momentum=0.9, weight_decay=0.01):
+    def __init__(self, params, momentum=0.9, weight_decay=0.01):
+        self.params = list(params)
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
-        self.velocity = {}
+        self.velocity = {name: np.zeros_like(w) for name, w in self.params}
 
-    def step(self, params, grads, lr):
-        """Apply one update to every (name, array) pair in params.
+    def step(self, grads, lr):
+        """Apply one update to every parameter.
 
         grads maps parameter names to gradient arrays of matching shape.
         """
-        for name, w in params:
+        for name, w in self.params:
             g = grads[name]
             if g.shape != w.shape:
                 raise ValueError(f"gradient for {name} has shape {g.shape}, "
                                  f"parameter has {w.shape}")
             if not np.all(np.isfinite(g)):
                 raise NonFiniteError(f"non-finite gradient for parameter {name}; step aborted")
-        for name, w in params:
+        for name, w in self.params:
             g = grads[name]
             if self.weight_decay:
                 g = g + self.weight_decay * w
-            v = self.velocity.get(name)
-            if v is None:
-                v = np.zeros_like(w)
-                self.velocity[name] = v
+            v = self.velocity[name]
             v *= self.momentum
             v += g
             w -= lr * v
 
     def state_arrays(self):
         return {f"velocity.{name}": v for name, v in self.velocity.items()}
-
-    def load_state_arrays(self, arrays):
-        for key, arr in arrays.items():
-            if key.startswith("velocity."):
-                name = key.split(".", 1)[1]
-                self.velocity[name] = np.asarray(arr, dtype=np.float64).copy()

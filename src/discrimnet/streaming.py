@@ -53,7 +53,7 @@ class NeuronClassStats:
         self.mu_total = np.zeros(k)    # total mean per neuron
         self.var_within = np.zeros(k)
         self.var_total = np.zeros(k)
-        self.steps = 0
+        self.steps = np.zeros(1)       # samples folded in, as checkpoints store it
 
     def update(self, z_row, t_row):
         """Advance all accumulators by one labeled sample.
@@ -85,16 +85,8 @@ class NeuronClassStats:
             "mu_total": self.mu_total,
             "var_within": self.var_within,
             "var_total": self.var_total,
-            "steps": np.array([float(self.steps)]),
+            "steps": self.steps,
         }
-
-    def load_state_arrays(self, arrays):
-        for name in ("mu", "mu_hat", "mu_total", "var_within", "var_total"):
-            arr = np.asarray(arrays[name], dtype=np.float64)
-            if arr.shape != (self.num_classes,):
-                raise ValueError(f"state entry {name} has shape {arr.shape}")
-            setattr(self, name, arr.copy())
-        self.steps = int(arrays["steps"][0])
 
 
 class CenterBank:
@@ -116,7 +108,7 @@ class CenterBank:
             raise ValueError(f"beta must lie in [0, 1], got {beta}")
         self.beta = beta
         self.centers = np.zeros((self.num_classes, self.dim))
-        self.steps = 0
+        self.steps = np.zeros(1)       # updates applied, as checkpoints store it
 
     def _check_vec(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -154,14 +146,7 @@ class CenterBank:
         self.steps += 1
 
     def state_arrays(self):
-        return {"centers": self.centers, "steps": np.array([float(self.steps)])}
-
-    def load_state_arrays(self, arrays):
-        arr = np.asarray(arrays["centers"], dtype=np.float64)
-        if arr.shape != (self.num_classes, self.dim):
-            raise ValueError(f"centers state has shape {arr.shape}")
-        self.centers = arr.copy()
-        self.steps = int(arrays["steps"][0])
+        return {"centers": self.centers, "steps": self.steps}
 
 
 # ---------------------------------------------------------------------------

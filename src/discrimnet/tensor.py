@@ -2,6 +2,7 @@
 
 A bundle is a JSON manifest followed by one DTRN0001 tensor record per
 named array; records always store little-endian float64.
+``restore_arrays`` is the one way they are read back into live arrays.
 """
 
 import json
@@ -130,3 +131,22 @@ def load_bundle(path):
         for name in manifest.get("entries", []):
             arrays[name] = _read_tensor_record(f)
     return manifest, arrays
+
+
+def restore_arrays(live, stored, prefix=""):
+    """Copy stored checkpoint arrays into an owner's live arrays, in place.
+
+    Each live entry ``name`` is read from ``stored[prefix + name]``, which
+    must exist, have the live shape and be finite; the copy takes the
+    live dtype. Stored entries that no live entry names are ignored.
+    """
+    for name, arr in live.items():
+        key = prefix + name
+        if key not in stored:
+            raise CheckpointError(f"checkpoint is missing entry {key}")
+        src = stored[key]
+        if src.shape != arr.shape:
+            raise CheckpointError(f"entry {key} has shape {src.shape}, expected {arr.shape}")
+        if not np.all(np.isfinite(src)):
+            raise CheckpointError(f"entry {key} holds non-finite values")
+        arr[...] = src

@@ -18,7 +18,7 @@ from .losses import (
 )
 from .network import Network, build_architecture
 from .optim import SGD, lr_at_epoch
-from .tensor import CheckpointError, Rng
+from .tensor import CheckpointError, Rng, restore_arrays
 
 EPOCH_COLUMNS = (
     "epoch", "lr", "train_loss", "train_acc", "test_loss", "test_acc",
@@ -101,13 +101,13 @@ def run_training(cfg: RunConfig, progress=False):
     except ValueError as e:  # the input size does not fit the architecture
         raise ConfigError(str(e)) from e
     aux = AuxState(cfg, num_classes, cfg.hidden_width)
-    opt = SGD(momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    opt = SGD(net.parameters(), momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
     run_dir = cfg.out_dir
     os.makedirs(run_dir, exist_ok=True)
     save_config_file(cfg, os.path.join(run_dir, "config.txt"))
 
-    train_x = train.images.astype(net.dtype)
+    train_x = train.images.astype(net.dtype, copy=False)
     train_t = train.one_hot()
     step = 0
     best = None
@@ -130,7 +130,7 @@ def run_training(cfg: RunConfig, progress=False):
                 report = combined_objective(cfg, taps, t, state=aux)
                 steps_f.write(report.csv_row(step) + "\n")
                 net.backward(report.gradients)
-                opt.step(net.parameters(), net.gradients(), lr)
+                opt.step(net.gradients(), lr)
                 for name, value in report.components.items():
                     sums[name] = sums.get(name, 0.0) + value
                     counts[name] = counts.get(name, 0) + 1
@@ -170,7 +170,7 @@ def load_checkpoint(path):
 
     The network comes back in the dtype it was trained in.
     """
-    net, manifest, leftovers = Network.load(path)
+    net, manifest, arrays = Network.load(path)
     try:
         cfg = RunConfig(**manifest.get("config")).validate()
     except (TypeError, ValueError) as e:  # no config, an unknown key or an invalid value
@@ -182,7 +182,5 @@ def load_checkpoint(path):
             f"but its network was built with {width}"
         )
     aux = AuxState(cfg, net.arch_params["num_classes"], width)
-    aux.load_state_arrays(
-        {k.split(".", 1)[1]: v for k, v in leftovers.items() if k.startswith("aux.")}
-    )
+    restore_arrays(aux.state_arrays(), arrays, prefix="aux.")
     return net, cfg, aux

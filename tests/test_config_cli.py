@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -135,6 +136,19 @@ def test_unknown_preset():
 def test_every_preset_validates():
     for name in PRESETS:
         apply_preset(name).validate()
+
+
+def test_every_preset_builds_its_network():
+    # MNIST and Fashion-MNIST images are 28x28; synth presets stand in
+    # for a dataset at its own image side. float32 keeps the 96x96
+    # comparison network cheap to build.
+    for name in PRESETS:
+        cfg = apply_preset(name)
+        size, classes = (cfg.synth_size, cfg.synth_classes) if cfg.dataset == "synth" else (28, 10)
+        dn.build_architecture(
+            cfg.arch, input_shape=(size, size, 1), num_classes=classes,
+            hidden_width=cfg.hidden_width, fc_width=cfg.fc_width, dtype="float32",
+        )
 
 
 # --- training runs on synthetic data ---------------------------------------------
@@ -307,6 +321,43 @@ def test_cli_rejects_malformed_checkpoint_manifest(synth_run, tmp_path, edit, na
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error:") and named in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _assert_eval_rejects(ckpt_path, name, capsys, tmp_path):
+    """Eval exits 1, naming the entry, when it is deleted, reshaped or NaN."""
+    manifest, arrays = dn.load_bundle(ckpt_path)
+    missing = {k: v for k, v in arrays.items() if k != name}
+    nan = arrays[name].copy()
+    nan.flat[0] = np.nan
+    reshaped = arrays[name].reshape(1, -1)
+    for how, damaged in (("missing", missing), ("misshapen", {**arrays, name: reshaped}),
+                         ("non-finite", {**arrays, name: nan})):
+        ckpt = str(tmp_path / "bad.ckpt")
+        dn.save_bundle(ckpt, manifest, damaged)
+        # In process, an exception escaping main (a traceback) fails the test.
+        assert main(["eval", "--ckpt", ckpt]) == 1, (name, how)
+        err = capsys.readouterr().err
+        assert err.startswith("error:"), (name, how, err)
+        assert re.search(rf"\bentry {re.escape(name)}(\s|$)", err), (name, how, err)
+
+
+def test_cli_rejects_malformed_checkpoint_state(synth_run, tmp_path, capsys):
+    # Every entry eval reads back: the parameters and the adaptive-loss state.
+    _, run_dir = synth_run
+    ckpt = os.path.join(run_dir, "final.ckpt")
+    names = [n for n in dn.load_bundle(ckpt)[1] if not n.startswith("optim.")]
+    assert "aux.neuron_stats.steps" in names and "aux.center_bank.centers" in names
+    for name in names:
+        _assert_eval_rejects(ckpt, name, capsys, tmp_path)
+
+
+def test_cli_rejects_malformed_batchnorm_state(tmp_path, capsys):
+    cfg = synth_config(tmp_path, name="cmp", arch="comparison", synth_size=32, synth_classes=2,
+                       synth_per_class=4, epochs=1, fc_width=8, hidden_width=8, dtype="float32")
+    run_dir = dn.run_training(cfg)
+    ckpt = os.path.join(run_dir, "final.ckpt")
+    for name in ("layers.1.state.running_mean", "layers.1.state.batches_seen"):
+        _assert_eval_rejects(ckpt, name, capsys, tmp_path)
 
 
 def test_cli_bad_config_file(tmp_path):

@@ -166,9 +166,9 @@ def test_checkpoint_round_trip(tmp_path):
     want = net.forward(x)["logits"]
     path = tmp_path / "net.ckpt"
     net.save(path, extra_manifest={"config": {"note": 1}}, extra_arrays={"extra.v": np.ones(3)})
-    loaded, manifest, leftovers = dn.Network.load(path)
+    loaded, manifest, arrays = dn.Network.load(path)
     assert manifest["config"] == {"note": 1}
-    assert_array_equal(leftovers["extra.v"], np.ones(3))
+    assert_array_equal(arrays["extra.v"], np.ones(3))
     got = loaded.forward(x)["logits"]
     assert_array_equal(got, want)
 

@@ -318,9 +318,9 @@ def test_state_round_trip_through_bundle(tmp_path):
     _, loaded = dn.load_bundle(path)
 
     stats2 = dn.NeuronClassStats(3, 0.9)
-    stats2.load_state_arrays({k[2:]: v for k, v in loaded.items() if k.startswith("s.")})
+    dn.restore_arrays(stats2.state_arrays(), loaded, prefix="s.")
     bank2 = dn.CenterBank(3, 4, alpha=0.9)
-    bank2.load_state_arrays({k[2:]: v for k, v in loaded.items() if k.startswith("b.")})
+    dn.restore_arrays(bank2.state_arrays(), loaded, prefix="b.")
 
     assert_array_equal(stats2.var_within, stats.var_within)
     assert_array_equal(stats2.mu_hat, stats.mu_hat)
