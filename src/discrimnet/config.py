@@ -1,15 +1,18 @@
 """Run configuration: flat key-value config files and named presets.
 
 A config file is plain text, one ``key = value`` per line, ``#`` for
-comments. The key set is exactly the fields of RunConfig; unknown keys
-are errors so typos fail loudly. Presets bundle the published
-hyperparameter tuples; ``*-desk`` variants shrink the data and epoch
-counts to laptop scale while keeping the loss configuration.
+comments. The keys are the fields of RunConfig, plus retired keys that
+load only at their fixed values; unknown keys are errors so typos fail
+loudly. Presets bundle the published hyperparameter tuples; ``*-desk``
+variants shrink the data and epoch counts to laptop scale while keeping
+the loss configuration.
 """
 
 import dataclasses
 import math
 from dataclasses import dataclass
+
+from .data import MAX_ROTATION_DEG, MAX_SHIFT_FRAC, SCALE_RANGE
 
 
 class ConfigError(ValueError):
@@ -38,8 +41,6 @@ class RunConfig:
     lambda_adaptive_center: float = 0.0
     alpha: float = 0.99
     beta: float = 1.0
-    epsilon: float = 1e-8
-    ce_reduction: str = "mean"
     # optimizer
     lr: float = 0.01
     momentum: float = 0.9
@@ -54,10 +55,6 @@ class RunConfig:
     out_dir: str = "runs/run"
     # augmentation (training split only)
     augment: bool = False
-    augment_rotation_deg: float = 10.0
-    augment_translate_frac: float = 0.1
-    augment_scale_low: float = 0.9
-    augment_scale_high: float = 1.1
 
     def validate(self):
         for name in _FLOAT_FIELDS:
@@ -75,6 +72,8 @@ class RunConfig:
             raise ConfigError("epochs and batch_size must be positive")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigError("momentum must lie in [0, 1)")
         if self.lr_drop_factor <= 0 or self.lr_drop_period < 1:
             raise ConfigError("lr_drop_factor and lr_drop_period must be positive")
         if self.hidden_width < 1 or self.fc_width < 1:
@@ -85,46 +84,65 @@ class RunConfig:
             raise ConfigError("synth_per_class must be positive")
         if self.train_subset < 0 or self.test_subset < 0:
             raise ConfigError("subset sizes must be non-negative")
-        if not self.augment_scale_low <= self.augment_scale_high:
-            raise ConfigError("augment scale bounds are inverted")
-        for name in (
-            "lambda_discriminant",
-            "lambda_adaptive_discriminant",
-            "lambda_center",
-            "lambda_adaptive_center",
-        ):
+        for name in ("weight_decay", "lambda_discriminant", "lambda_adaptive_discriminant",
+                     "lambda_center", "lambda_adaptive_center"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie strictly in (0, 1)")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError("beta must lie in [0, 1]")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-        if self.ce_reduction not in ("mean", "sum"):
-            raise ConfigError(f"unknown ce_reduction {self.ce_reduction!r}")
         if self.lambda_center > 0 and self.lambda_adaptive_center > 0:
             raise ConfigError("enable only one of lambda_center / lambda_adaptive_center")
         return self
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-_FLOAT_FIELDS = tuple(name for name, f in _FIELDS.items() if isinstance(f.default, float))
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+_FLOAT_FIELDS = tuple(name for name, value in _DEFAULTS.items() if isinstance(value, float))
+
+# Former RunConfig fields, now fixed: the losses' variance floor (their
+# eps default), the cross-entropy reduction, and the augmentation bounds
+# in data.py. Config files and checkpoints written while they were
+# fields list them, so each still loads, but only at its fixed value.
+_RETIRED = {
+    "epsilon": 1e-8,
+    "ce_reduction": "mean",
+    "augment_rotation_deg": MAX_ROTATION_DEG,
+    "augment_translate_frac": MAX_SHIFT_FRAC,
+    "augment_scale_low": SCALE_RANGE[0],
+    "augment_scale_high": SCALE_RANGE[1],
+}
 
 
-def _parse_value(field, text):
-    if field.type is bool or isinstance(field.default, bool):
+def _set(cfg, key, value):
+    if key in _RETIRED:
+        if value != _RETIRED[key]:
+            raise ConfigError(f"{key} is retired; it must be {_RETIRED[key]!r}, got {value!r}")
+    elif key in _DEFAULTS:
+        setattr(cfg, key, value)
+    else:
+        raise ConfigError(f"unknown key {key!r}")
+
+
+def _parse_value(key, text):
+    """Parse text as the type of the key's default (or fixed) value."""
+    default = _RETIRED.get(key, _DEFAULTS.get(key, ""))
+    if isinstance(default, bool):
         lowered = text.lower()
         if lowered in ("true", "1", "yes"):
             return True
         if lowered in ("false", "0", "no"):
             return False
-        raise ConfigError(f"{field.name}: expected a boolean, got {text!r}")
-    if isinstance(field.default, int) and not isinstance(field.default, bool):
-        return int(text)
-    if isinstance(field.default, float):
-        return float(text)
-    return text
+        raise ConfigError(f"{key}: expected a boolean, got {text!r}")
+    return type(default)(text)
+
+
+def config_from_stored(values):
+    """Validated RunConfig from a checkpoint's stored key -> value settings."""
+    cfg = RunConfig()
+    for key, value in dict(values).items():
+        _set(cfg, key, value)
+    return cfg.validate()
 
 
 def parse_config_text(text, base=None):
@@ -136,10 +154,8 @@ def parse_config_text(text, base=None):
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _FIELDS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            setattr(cfg, key, _parse_value(_FIELDS[key], value))
+            _set(cfg, key, _parse_value(key, value))
         except ValueError as e:
             raise ConfigError(f"line {lineno}: {e}") from e
     return cfg
@@ -184,6 +200,13 @@ _COMPARISON_BASE = {
     "augment": True,
 }
 
+
+def _synth(size, classes):
+    """800 synth images standing in for a dataset of this image side and class count."""
+    return {"dataset": "synth", "synth_size": size, "synth_classes": classes,
+            "synth_per_class": 800 // classes}
+
+
 PRESETS = {
     "mnist-baseline": {**_MNIST_BASE},
     "mnist-discriminant": {**_MNIST_BASE, "lambda_discriminant": 0.01},
@@ -218,27 +241,27 @@ PRESETS = {
     },
     # Comparison datasets: loaders for these are not built in; the
     # presets record the published settings for anyone wiring data up,
-    # and train on synth data at the dataset's own image side.
+    # and train on synth data shaped like the dataset.
     "cifar10-discriminant": {
-        **_COMPARISON_BASE, "dataset": "synth", "synth_size": 32, "weight_decay": 0.01,
+        **_COMPARISON_BASE, **_synth(32, 10), "weight_decay": 0.01,
         "lambda_discriminant": 0.001,
     },
     "cifar10-center": {
-        **_COMPARISON_BASE, "dataset": "synth", "synth_size": 32, "weight_decay": 0.01,
+        **_COMPARISON_BASE, **_synth(32, 10), "weight_decay": 0.01,
         "lambda_center": 0.08 / _CENTER_DIM, "beta": 1.0,
     },
     "cifar10-combined": {
-        **_COMPARISON_BASE, "dataset": "synth", "synth_size": 32, "weight_decay": 0.01,
+        **_COMPARISON_BASE, **_synth(32, 10), "weight_decay": 0.01,
         "lambda_adaptive_discriminant": 0.0001,
         "lambda_adaptive_center": 0.08 / _CENTER_DIM, "alpha": 0.99,
     },
     "cifar100-combined": {
-        **_COMPARISON_BASE, "dataset": "synth", "synth_size": 32, "weight_decay": 0.001,
+        **_COMPARISON_BASE, **_synth(32, 100), "weight_decay": 0.001,
         "lambda_adaptive_discriminant": 0.01,
         "lambda_adaptive_center": 0.001 / _CENTER_DIM, "alpha": 0.99,
     },
     "stl10-combined": {
-        **_COMPARISON_BASE, "dataset": "synth", "synth_size": 96, "weight_decay": 0.01,
+        **_COMPARISON_BASE, **_synth(96, 10), "weight_decay": 0.01,
         "lambda_adaptive_discriminant": 0.01,
         "lambda_adaptive_center": 0.001 / _CENTER_DIM, "alpha": 0.99,
     },

@@ -17,6 +17,13 @@ _IDX_FILES = {
     "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"),
 }
 
+# Bounds of the training-split augmentation: per image, a rotation of up
+# to MAX_ROTATION_DEG either way, a scale in SCALE_RANGE, and a shift of
+# up to MAX_SHIFT_FRAC of the image side along each axis.
+MAX_ROTATION_DEG = 10.0
+SCALE_RANGE = (0.9, 1.1)
+MAX_SHIFT_FRAC = 0.1
+
 
 class IdxFormatError(ValueError):
     """An IDX file has a bad magic number or a truncated payload."""
@@ -173,24 +180,23 @@ def _resample(images, rotation_deg, scale, translate_y, translate_x):
     return out
 
 
-def _draw_affine(rng, cfg, h, w):
-    """One (rotation, scale, rows shift, cols shift) draw within cfg's bounds."""
-    theta = rng.uniform(-cfg.augment_rotation_deg, cfg.augment_rotation_deg)
-    scale = rng.uniform(cfg.augment_scale_low, cfg.augment_scale_high)
-    ty = rng.uniform(-cfg.augment_translate_frac * h, cfg.augment_translate_frac * h)
-    tx = rng.uniform(-cfg.augment_translate_frac * w, cfg.augment_translate_frac * w)
+def _draw_affine(rng, h, w):
+    """One (rotation, scale, rows shift, cols shift) draw within the bounds above."""
+    theta = rng.uniform(-MAX_ROTATION_DEG, MAX_ROTATION_DEG)
+    scale = rng.uniform(*SCALE_RANGE)
+    ty = rng.uniform(-MAX_SHIFT_FRAC * h, MAX_SHIFT_FRAC * h)
+    tx = rng.uniform(-MAX_SHIFT_FRAC * w, MAX_SHIFT_FRAC * w)
     return theta, scale, ty, tx
 
 
-def augment_batch(images, rng, cfg):
+def augment_batch(images, rng):
     """One random affine perturbation per image, resampled in one pass.
 
-    cfg is the run's RunConfig; its ``augment_*`` fields bound the draws.
     Each image takes four draws, image by image: rotation, scale, rows
     shift, cols shift. So the result equals augmenting the images one at
     a time, as batches of one from the same rng, bit for bit.
     """
     images = np.asarray(images)
     n, h, w = images.shape[:3]
-    params = np.array([_draw_affine(rng, cfg, h, w) for _ in range(n)], dtype=np.float64)
+    params = np.array([_draw_affine(rng, h, w) for _ in range(n)], dtype=np.float64)
     return _resample(images.reshape(n, h, w, -1), *params.T).reshape(images.shape)

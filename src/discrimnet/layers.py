@@ -6,7 +6,8 @@ Each layer caches what its backward pass needs during forward; backward
 consumes the cache, stores parameter gradients on the layer, and returns
 the gradient with respect to its input, or None when called with
 ``input_grad=False`` (the first layer of a network, whose input gradient
-nothing reads).
+nothing reads). Dense and Conv2d write their weight gradient ``dw`` into
+a buffer they own, reallocated only when its shape or dtype changes.
 """
 
 import numpy as np
@@ -47,7 +48,26 @@ def _he_uniform(rng, fan_in, shape, dtype):
     return rng.uniform(-limit, limit, shape).astype(dtype)
 
 
-class Dense(Layer):
+class _Affine(Layer):
+    """A layer with weight ``w``, bias ``b`` and their gradients ``dw``, ``db``."""
+
+    dw = db = None
+
+    def _weight_grad(self, a, b):
+        """Write the weight gradient ``a @ b`` into the owned ``dw`` buffer."""
+        dtype = np.result_type(a, b)
+        if self.dw is None or self.dw.shape != self.w.shape or self.dw.dtype != dtype:
+            self.dw = np.empty(self.w.shape, dtype=dtype)
+        np.matmul(a, b, out=self.dw)
+
+    def parameters(self):
+        return [("w", self.w), ("b", self.b)]
+
+    def parameter_grads(self):
+        return [("w", self.dw), ("b", self.db)]
+
+
+class Dense(_Affine):
     """Fully connected layer: y = x @ w + b."""
 
     def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
@@ -55,8 +75,6 @@ class Dense(Layer):
         self.out_dim = int(out_dim)
         self.w = _he_uniform(rng, self.in_dim, (self.in_dim, self.out_dim), dtype)
         self.b = np.zeros(self.out_dim, dtype=dtype)
-        self.dw = None
-        self.db = None
         self._x = None
 
     def forward(self, x, train=False):
@@ -68,18 +86,12 @@ class Dense(Layer):
         return out
 
     def backward(self, grad, input_grad=True):
-        self.dw = self._x.T @ grad
+        self._weight_grad(self._x.T, grad)
         self.db = grad.sum(axis=0)
         return grad @ self.w.T if input_grad else None
 
-    def parameters(self):
-        return [("w", self.w), ("b", self.b)]
 
-    def parameter_grads(self):
-        return [("w", self.dw), ("b", self.db)]
-
-
-class Conv2d(Layer):
+class Conv2d(_Affine):
     """3x3 convolution, stride 1, padding 0 or 1, NHWC layout.
 
     The kernel is stored as (3*3*in_channels, out_channels) with patch
@@ -110,8 +122,6 @@ class Conv2d(Layer):
         fan_in = self.KSIZE * self.KSIZE * self.in_channels
         self.w = _he_uniform(rng, fan_in, (fan_in, self.out_channels), dtype)
         self.b = np.zeros(self.out_channels, dtype=dtype)
-        self.dw = None
-        self.db = None
         self._padded = None
         self._cols = None
         self._in_shape = None
@@ -143,7 +153,7 @@ class Conv2d(Layer):
     def backward(self, grad, input_grad=True):
         n, oh, ow, _ = grad.shape
         g2 = grad.reshape(n * oh * ow, self.out_channels)
-        self.dw = self._cols.T @ g2
+        self._weight_grad(self._cols.T, g2)
         self.db = g2.sum(axis=0)
         if not input_grad:
             return None
@@ -155,12 +165,6 @@ class Conv2d(Layer):
             for j in range(self.KSIZE):
                 dxp[:, i : i + oh, j : j + ow, :] += (g2 @ w_blocks[i, j].T).reshape(n, oh, ow, c)
         return dxp[:, p : p + h, p : p + w, :] if p else dxp
-
-    def parameters(self):
-        return [("w", self.w), ("b", self.b)]
-
-    def parameter_grads(self):
-        return [("w", self.dw), ("b", self.db)]
 
 
 class ReLU(Layer):

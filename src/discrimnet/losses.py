@@ -273,7 +273,7 @@ def combined_objective(cfg, taps, labels_onehot, state=None):
 
     components = {}
     notes = []
-    ls, dz_ce = softmax_cross_entropy(z, t, reduction=cfg.ce_reduction)
+    ls, dz_ce = softmax_cross_entropy(z, t)
     components["cross_entropy"] = ls
     dz_total = dz_ce
     total = ls
@@ -282,7 +282,7 @@ def combined_objective(cfg, taps, labels_onehot, state=None):
         # Batch statistics need two samples; a trailing batch of one skips them.
         notes.append("discriminant criterion skipped: batch of 1")
     elif cfg.lambda_discriminant > 0:
-        ld, dz = discriminant_criterion(z, t, eps=cfg.epsilon)
+        ld, dz = discriminant_criterion(z, t)
         components["discriminant"] = ld
         notes.extend(absent_class_sides(t))
         dz_total = dz_total + cfg.lambda_discriminant * dz
@@ -291,7 +291,7 @@ def combined_objective(cfg, taps, labels_onehot, state=None):
     if cfg.lambda_adaptive_discriminant > 0:
         if state is None or state.neuron_stats is None:
             raise ValueError("adaptive discriminant loss needs AuxState.neuron_stats")
-        lad, dz = adaptive_discriminant(z, t, state.neuron_stats, eps=cfg.epsilon)
+        lad, dz = adaptive_discriminant(z, t, state.neuron_stats)
         components["adaptive_discriminant"] = lad
         dz_total = dz_total + cfg.lambda_adaptive_discriminant * dz
         total += cfg.lambda_adaptive_discriminant * lad

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, save_config_file
+from .config import ConfigError, RunConfig, config_from_stored, save_config_file
 from .data import augment_batch, load_idx_dir, synth_blobs
 from .losses import (
     _CSV_KEYS,
@@ -124,7 +124,7 @@ def run_training(cfg: RunConfig, progress=False):
                 batch = order[rows]
                 x = train_x[batch]
                 if cfg.augment:
-                    x = augment_batch(x, model_rng, cfg).astype(net.dtype)
+                    x = augment_batch(x, model_rng).astype(net.dtype, copy=False)
                 t = train_t[batch]
                 taps = net.forward(x, train=True)
                 report = combined_objective(cfg, taps, t, state=aux)
@@ -172,7 +172,7 @@ def load_checkpoint(path):
     """
     net, manifest, arrays = Network.load(path)
     try:
-        cfg = RunConfig(**manifest.get("config")).validate()
+        cfg = config_from_stored(manifest.get("config"))
     except (TypeError, ValueError) as e:  # no config, an unknown key or an invalid value
         raise CheckpointError(f"checkpoint carries an invalid run config: {e}") from e
     width = net.arch_params["hidden_width"]

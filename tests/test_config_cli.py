@@ -138,17 +138,23 @@ def test_every_preset_validates():
         apply_preset(name).validate()
 
 
+# Classes of the dataset each preset family is named after.
+DATASET_CLASSES = {"mnist": 10, "fashionmnist": 10, "cifar10": 10, "cifar100": 100, "stl10": 10}
+
+
 def test_every_preset_builds_its_network():
     # MNIST and Fashion-MNIST images are 28x28; synth presets stand in
-    # for a dataset at its own image side. float32 keeps the 96x96
-    # comparison network cheap to build.
+    # for a dataset at its own image side and class count. float32 keeps
+    # the 96x96 comparison network cheap to build and run.
     for name in PRESETS:
         cfg = apply_preset(name)
         size, classes = (cfg.synth_size, cfg.synth_classes) if cfg.dataset == "synth" else (28, 10)
-        dn.build_architecture(
+        net = dn.build_architecture(
             cfg.arch, input_shape=(size, size, 1), num_classes=classes,
             hidden_width=cfg.hidden_width, fc_width=cfg.fc_width, dtype="float32",
         )
+        logits = net.forward(np.zeros((2, size, size, 1), np.float32), train=True)["logits"]
+        assert logits.shape == (2, DATASET_CLASSES[name.split("-")[0]]), name
 
 
 # --- training runs on synthetic data ---------------------------------------------
@@ -308,9 +314,12 @@ def test_cli_truncated_checkpoint(tmp_path):
     (lambda m: m["arch_params"].update(input_shape=7), "arch_params"),
     (lambda m: m["config"].update(hidden_width=7), "hidden_width"),
     (lambda m: m["config"].update(hidden_width=7, lambda_adaptive_center=0.0), "hidden_width"),
+    (lambda m: m["config"].update(epsilon=0.5), "epsilon"),
+    (lambda m: m["config"].update(augment_rotation_deg=-10.0), "augment_rotation_deg"),
 ], ids=["unknown-config-key", "invalid-config-value", "unknown-arch-param", "no-config",
         "arch-params-not-a-mapping", "input-shape-not-a-sequence",
-        "hidden-width-mismatch-with-center-loss", "hidden-width-mismatch-without-center-loss"])
+        "hidden-width-mismatch-with-center-loss", "hidden-width-mismatch-without-center-loss",
+        "retired-key-off-its-value", "retired-augment-bound-off-its-value"])
 def test_cli_rejects_malformed_checkpoint_manifest(synth_run, tmp_path, edit, named):
     _, run_dir = synth_run
     manifest, arrays = dn.load_bundle(os.path.join(run_dir, "final.ckpt"))
@@ -366,6 +375,48 @@ def test_cli_bad_config_file(tmp_path):
     assert main(["train", "--config", str(bad), "--quiet"]) == 2
 
 
+# What config files and checkpoints written before these keys were retired
+# list for them: each key at the value the engine now fixes.
+RETIRED_LINES = """\
+epsilon = 1e-08
+ce_reduction = mean
+augment_rotation_deg = 10.0
+augment_translate_frac = 0.1
+augment_scale_low = 0.9
+augment_scale_high = 1.1
+"""
+
+
+def test_retired_keys_load_at_their_fixed_values(synth_run, tmp_path, capsys):
+    cfg, run_dir = synth_run
+    assert parse_config_text(config_to_text(cfg) + RETIRED_LINES) == cfg
+    ckpt = os.path.join(run_dir, "final.ckpt")
+    assert main(["eval", "--ckpt", ckpt]) == 0
+    want = capsys.readouterr().out
+    manifest, arrays = dn.load_bundle(ckpt)
+    manifest["config"].update(
+        epsilon=1e-8, ce_reduction="mean", augment_rotation_deg=10.0,
+        augment_translate_frac=0.1, augment_scale_low=0.9, augment_scale_high=1.1,
+    )
+    old = str(tmp_path / "old.ckpt")
+    dn.save_bundle(old, manifest, arrays)
+    assert main(["eval", "--ckpt", old]) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("line", [
+    "epsilon = 0.5", "ce_reduction = sum", "augment_rotation_deg = -10",
+    "augment_translate_frac = -0.1", "augment_scale_low = 0", "augment_scale_high = nan",
+])
+def test_cli_rejects_retired_keys_off_their_fixed_values(tmp_path, capsys, line):
+    path = tmp_path / "cfg.txt"
+    path.write_text(config_to_text(synth_config(tmp_path)) + line + "\n")
+    # In process, an exception escaping main (a traceback) fails the test.
+    assert main(["train", "--config", str(path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and line.split()[0] in err, err
+
+
 @pytest.mark.parametrize("override", [
     {"lr": 0.0},
     {"synth_classes": 1},
@@ -382,6 +433,9 @@ def test_cli_bad_config_file(tmp_path):
     {"lr": float("nan")},
     {"lr": float("inf")},
     {"momentum": float("nan")},
+    {"momentum": -0.5},
+    {"momentum": 1.0},
+    {"weight_decay": -0.01},
 ])
 def test_cli_rejects_invalid_values_with_exit_2(tmp_path, override):
     cfg = synth_config(tmp_path, name="bad", **{"synth_size": 4, "epochs": 1, **override})
@@ -475,19 +529,4 @@ def test_minibatch_center_trainer_path(tmp_path):
     _, cfg_loaded, aux = dn.load_checkpoint(os.path.join(run_dir, "final.ckpt"))
     assert aux.center_bank.steps == 2 * (144 // 24)  # the batch rule ran once per step
     assert np.any(aux.center_bank.centers != 0)  # delta rule moved the centers
-
-
-def test_sum_reduction_switch(tmp_path):
-    mean_cfg = synth_config(tmp_path, name="mean1", epochs=1,
-                            lambda_adaptive_discriminant=0.0,
-                            lambda_adaptive_center=0.0, lr=1e-4)
-    sum_cfg = synth_config(tmp_path, name="sum1", epochs=1,
-                           lambda_adaptive_discriminant=0.0,
-                           lambda_adaptive_center=0.0, lr=1e-4,
-                           ce_reduction="sum")
-    mean_dir = dn.run_training(mean_cfg)
-    sum_dir = dn.run_training(sum_cfg)
-    mean_first = float(open(os.path.join(mean_dir, "steps.csv")).read().splitlines()[1].split(",")[2])
-    sum_first = float(open(os.path.join(sum_dir, "steps.csv")).read().splitlines()[1].split(",")[2])
-    assert sum_first == pytest.approx(mean_first * 24, rel=1e-12)  # batch size 24
 

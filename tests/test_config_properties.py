@@ -14,6 +14,7 @@ BAD_OVERRIDES = [
     {"lr_drop_factor": -1.0}, {"synth_per_class": 0}, {"synth_classes": 1}, {"batch_size": 0},
     {"lambda_discriminant": -0.01}, {"lambda_center": 0.01, "lambda_adaptive_center": 0.01},
     {"synth_size": 6}, {"synth_size": 0}, {"synth_size": 8, "arch": "comparison"},
+    {"momentum": -0.5}, {"momentum": 1.0}, {"weight_decay": -0.01},
 ]
 
 
@@ -40,6 +41,7 @@ def synth_overrides(draw):
         "lambda_adaptive_discriminant": draw(WEIGHTS),
         "lambda_center": 0.0,
         "lambda_adaptive_center": 0.0,
+        "augment": draw(st.booleans()),
     }
     if center:
         overrides[center] = draw(WEIGHTS)

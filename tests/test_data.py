@@ -153,36 +153,33 @@ def test_affine_rotation_round_trip():
 
 
 def test_affine_augment_respects_shape_and_determinism():
-    cfg = dn.RunConfig()
     img = dn.Rng(62).normal((10, 10, 3))
-    a = augment_batch(img[None], dn.Rng(7), cfg)[0]
-    b = augment_batch(img[None], dn.Rng(7), cfg)[0]
+    a = augment_batch(img[None], dn.Rng(7))[0]
+    b = augment_batch(img[None], dn.Rng(7))[0]
     assert a.shape == img.shape
     assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("shape", [(5, 9, 13, 3), (4, 28, 28, 1), (3, 6, 6)])
 def test_augment_batch_equals_per_image_augment(shape):
-    cfg = dn.RunConfig(augment_rotation_deg=15.0, augment_translate_frac=0.2,
-                       augment_scale_low=0.8, augment_scale_high=1.2)
     images = dn.Rng(63).uniform(0.0, 1.0, shape)
     images[images < 0.2] = 0.0
-    got = augment_batch(images, dn.Rng(8), cfg)
+    got = augment_batch(images, dn.Rng(8))
     rng = dn.Rng(8)
-    want = np.stack([augment_batch(im[None], rng, cfg)[0] for im in images])
+    want = np.stack([augment_batch(im[None], rng)[0] for im in images])
     assert got.dtype == want.dtype and got.shape == want.shape == images.shape
     assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_affine_augment_draw_order():
-    # One image consumes four draws: rotation, scale, rows shift, cols shift.
-    cfg = dn.RunConfig(augment_rotation_deg=12.0, augment_translate_frac=0.25,
-                       augment_scale_low=0.85, augment_scale_high=1.15)
+    # One image consumes four draws: rotation of up to 10 degrees either
+    # way, scale in [0.9, 1.1], rows shift, cols shift of up to 0.1 of
+    # the image side.
     img = dn.Rng(64).uniform(0.0, 1.0, (8, 12, 2))
     twin = dn.Rng(9)
-    theta = twin.uniform(-12.0, 12.0)
-    scale = twin.uniform(0.85, 1.15)
-    ty = twin.uniform(-0.25 * 8, 0.25 * 8)
-    tx = twin.uniform(-0.25 * 12, 0.25 * 12)
+    theta = twin.uniform(-10.0, 10.0)
+    scale = twin.uniform(0.9, 1.1)
+    ty = twin.uniform(-0.1 * 8, 0.1 * 8)
+    tx = twin.uniform(-0.1 * 12, 0.1 * 12)
     want = affine_transform(img, rotation_deg=theta, scale=scale, translate=(ty, tx))
-    assert_array_equal(augment_batch(img[None], dn.Rng(9), cfg)[0], want)
+    assert_array_equal(augment_batch(img[None], dn.Rng(9))[0], want)

@@ -207,10 +207,10 @@ def test_second_step_allocates_no_second_workspace():
     # tracemalloc counts numpy's array buffers, so the figure is a byte
     # count, not a timing. A second same-shape step reuses each conv
     # layer's column workspace and keeps no untapped layer output; the
-    # peak above entry (3.26 MB at numpy 2.4) is then the dense0 weight
-    # gradient plus a few activations. Allocating fresh columns while
-    # the old ones are held, and keeping every layer output, raises it
-    # to 7.75 MB. The bound sits between the two.
+    # peak above entry (3.25 MB at numpy 2.4) is then a few activations
+    # and their gradients. Allocating fresh columns while the old ones
+    # are held, and keeping every layer output, raises it to 7.75 MB.
+    # The bound sits between the two.
     net = dn.build_architecture("mnist_small", input_shape=(28, 28, 1), num_classes=10,
                                 rng=dn.Rng(0), dtype="float32")
     x = dn.Rng(49).normal((16, 28, 28, 1)).astype(np.float32)
@@ -229,6 +229,32 @@ def test_second_step_allocates_no_second_workspace():
     finally:
         tracemalloc.stop()
     assert peak - entry < 5.0e6
+
+
+def test_second_backward_allocates_no_second_weight_gradient():
+    # Tracing starts after the first step, so the peak counts what the
+    # second backward allocates. Each weight gradient goes into the buffer
+    # the first backward allocated; the peak (3.25 MB at numpy 2.4, float32,
+    # batch 16) is then the activation gradients. A fresh dw per step adds
+    # dense0's 3.2 MB weight gradient, which coexists with the previous
+    # one until it replaces it (6.64 MB). The bound sits between the two.
+    net = dn.build_architecture("mnist_small", input_shape=(28, 28, 1), num_classes=10,
+                                rng=dn.Rng(0), dtype="float32")
+    x = dn.Rng(50).normal((16, 28, 28, 1)).astype(np.float32)
+    taps = net.forward(x, train=True)
+    net.backward({"logits": np.ones_like(taps["logits"])})
+    first = net.gradients()
+    taps = net.forward(x, train=True)
+    grad = {"logits": np.ones_like(taps["logits"])}
+    tracemalloc.start()
+    try:
+        net.backward(grad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.0e6
+    second = net.gradients()
+    assert all(second[name] is first[name] for name in first if name.endswith(".w"))
 
 
 def test_checkpoint_truncation_is_a_clean_error(tmp_path):
