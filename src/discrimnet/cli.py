@@ -95,29 +95,17 @@ def cmd_export_scatter(args):
     return 0
 
 
-def separation_ratio_from_histogram(path):
-    """Two-class variance ratio (within / total) of an exported neuron CSV."""
-    values, targets = [], []
-    with open(path, "r", encoding="utf-8") as f:
-        next(f)
-        for line in f:
-            v, t = line.strip().split(",")
-            values.append(float(v))
-            targets.append(int(t))
-    z = np.array(values)
-    t = np.array(targets, dtype=bool)
-    mu, mu_hat = z[t].mean(), z[~t].mean()
-    var_within = np.where(t, (z - mu) ** 2, (z - mu_hat) ** 2).mean()
-    var_total = ((z - z.mean()) ** 2).mean()
-    return float(var_within / var_total)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="discrimnet",
         description="Train small CNNs with discriminant and center auxiliary losses.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # The checkpoint readers' shared flags; each reader sets its own --split default.
+    ckpt = argparse.ArgumentParser(add_help=False)
+    ckpt.add_argument("--ckpt", required=True)
+    ckpt.add_argument("--data", help="override the checkpoint's dataset")
+    ckpt.add_argument("--data-dir")
 
     p = sub.add_parser("train", help="train a model from a config and/or preset")
     p.add_argument("--config", help="flat key=value config file")
@@ -128,35 +116,26 @@ def build_parser():
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--ckpt", required=True)
-    p.add_argument("--data", help="override the checkpoint's dataset")
+    p = sub.add_parser("eval", parents=[ckpt], help="evaluate a checkpoint")
     p.add_argument("--split", choices=("train", "test"), default="test")
-    p.add_argument("--data-dir")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser(
-        "export-histogram",
+        "export-histogram", parents=[ckpt],
         help="per-sample logit of one output neuron with target membership",
     )
-    p.add_argument("--ckpt", required=True)
     p.add_argument("--neuron", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--data")
     p.add_argument("--split", choices=("train", "test"), default="train")
-    p.add_argument("--data-dir")
     p.set_defaults(func=cmd_export_histogram)
 
     p = sub.add_parser(
-        "export-scatter",
+        "export-scatter", parents=[ckpt],
         help="2-D hidden features per sample plus per-class mean points",
     )
-    p.add_argument("--ckpt", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--means-out")
-    p.add_argument("--data")
     p.add_argument("--split", choices=("train", "test"), default="train")
-    p.add_argument("--data-dir")
     p.set_defaults(func=cmd_export_scatter)
 
     return parser

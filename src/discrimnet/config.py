@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .data import MAX_ROTATION_DEG, MAX_SHIFT_FRAC, SCALE_RANGE
+from .losses import VAR_FLOOR
+from .network import ARCHITECTURES, DTYPES
 
 
 class ConfigError(ValueError):
@@ -64,9 +66,9 @@ class RunConfig:
             raise ConfigError("seed must lie in [0, 2**64)")
         if self.dataset not in ("mnist", "fashion_mnist", "synth"):
             raise ConfigError(f"unknown dataset {self.dataset!r}")
-        if self.arch not in ("mnist_small", "comparison"):
+        if self.arch not in ARCHITECTURES:
             raise ConfigError(f"unknown architecture {self.arch!r}")
-        if self.dtype not in ("float32", "float64"):
+        if self.dtype not in DTYPES:
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be positive")
@@ -100,12 +102,12 @@ class RunConfig:
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 _FLOAT_FIELDS = tuple(name for name, value in _DEFAULTS.items() if isinstance(value, float))
 
-# Former RunConfig fields, now fixed: the losses' variance floor (their
-# eps default), the cross-entropy reduction, and the augmentation bounds
-# in data.py. Config files and checkpoints written while they were
+# Former RunConfig fields, now fixed: the losses' variance floor, the
+# cross-entropy reduction (always the batch mean), and the augmentation
+# bounds in data.py. Config files and checkpoints written while they were
 # fields list them, so each still loads, but only at its fixed value.
 _RETIRED = {
-    "epsilon": 1e-8,
+    "epsilon": VAR_FLOOR,
     "ce_reduction": "mean",
     "augment_rotation_deg": MAX_ROTATION_DEG,
     "augment_translate_frac": MAX_SHIFT_FRAC,

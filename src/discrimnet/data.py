@@ -180,23 +180,17 @@ def _resample(images, rotation_deg, scale, translate_y, translate_x):
     return out
 
 
-def _draw_affine(rng, h, w):
-    """One (rotation, scale, rows shift, cols shift) draw within the bounds above."""
-    theta = rng.uniform(-MAX_ROTATION_DEG, MAX_ROTATION_DEG)
-    scale = rng.uniform(*SCALE_RANGE)
-    ty = rng.uniform(-MAX_SHIFT_FRAC * h, MAX_SHIFT_FRAC * h)
-    tx = rng.uniform(-MAX_SHIFT_FRAC * w, MAX_SHIFT_FRAC * w)
-    return theta, scale, ty, tx
-
-
 def augment_batch(images, rng):
     """One random affine perturbation per image, resampled in one pass.
 
-    Each image takes four draws, image by image: rotation, scale, rows
-    shift, cols shift. So the result equals augmenting the images one at
-    a time, as batches of one from the same rng, bit for bit.
+    Each image takes four draws within the bounds above, image by image:
+    rotation, scale, rows shift, cols shift. So the result equals
+    augmenting the images one at a time, as batches of one from the same
+    rng, bit for bit.
     """
     images = np.asarray(images)
     n, h, w = images.shape[:3]
-    params = np.array([_draw_affine(rng, h, w) for _ in range(n)], dtype=np.float64)
+    low = (-MAX_ROTATION_DEG, SCALE_RANGE[0], -MAX_SHIFT_FRAC * h, -MAX_SHIFT_FRAC * w)
+    high = (MAX_ROTATION_DEG, SCALE_RANGE[1], MAX_SHIFT_FRAC * h, MAX_SHIFT_FRAC * w)
+    params = rng.uniform(low, high, (n, 4))
     return _resample(images.reshape(n, h, w, -1), *params.T).reshape(images.shape)

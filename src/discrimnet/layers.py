@@ -239,12 +239,14 @@ class Flatten(Layer):
 class BatchNorm(Layer):
     """Per-channel normalization over the trailing axis, with running
     statistics for evaluation mode. Evaluating before any training batch
-    is an error because the running statistics are undefined."""
+    is an error because the running statistics are undefined. Training
+    batches move the running statistics in place, by MOMENTUM."""
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=np.float64):
+    MOMENTUM = 0.1
+    EPS = 1e-5
+
+    def __init__(self, channels, dtype=np.float64):
         self.channels = int(channels)
-        self.momentum = float(momentum)
-        self.eps = float(eps)
         self.gamma = np.ones(self.channels, dtype=dtype)
         self.beta = np.zeros(self.channels, dtype=dtype)
         self.running_mean = np.zeros(self.channels, dtype=np.float64)
@@ -260,16 +262,18 @@ class BatchNorm(Layer):
         if train:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
-            m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mean.astype(np.float64)
-            self.running_var = (1.0 - m) * self.running_var + m * var.astype(np.float64)
+            m = self.MOMENTUM
+            self.running_mean *= 1.0 - m
+            self.running_mean += m * mean.astype(np.float64)
+            self.running_var *= 1.0 - m
+            self.running_var += m * var.astype(np.float64)
             self.batches_seen += 1
         else:
             if self.batches_seen[0] == 0:
                 raise RuntimeError("batchnorm evaluated before any training batch")
             mean = self.running_mean.astype(x.dtype)
             var = self.running_var.astype(x.dtype)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
+        inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat = (x - mean) * inv_std
         self._xhat = xhat
         self._inv_std = inv_std

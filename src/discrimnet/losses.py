@@ -21,6 +21,9 @@ import numpy as np
 from .streaming import CenterBank, NeuronClassStats
 from .tensor import NonFiniteError
 
+# Floor of the discriminant losses' total-variance denominators.
+VAR_FLOOR = 1e-8
+
 
 def _as2d(x, name):
     x = np.asarray(x, dtype=np.float64)
@@ -45,36 +48,34 @@ def softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_cross_entropy(z, t, reduction="mean"):
-    """Cross-entropy of softmax(z) against one-hot targets.
+def softmax_cross_entropy(z, t):
+    """Mean cross-entropy of softmax(z) against one-hot targets.
 
-    Returns (loss, dz). Reduction "mean" divides by the batch size so
-    auxiliary-loss weights stay batch-size independent; "sum" gives the
-    plain summed form.
+    Returns (loss, dz). Both are divided by the batch size so
+    auxiliary-loss weights stay batch-size independent.
     """
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"unknown reduction {reduction!r}")
     z = _as2d(z, "logits")
     t = _as2d(t, "labels")
     n = z.shape[0]
     _check_onehot(t, n)
     shifted = z - z.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    loss = -float((t * log_probs).sum())
-    dz = softmax(z) - t
-    if reduction == "mean":
-        loss /= n
-        dz = dz / n
+    loss = -float((t * log_probs).sum()) / n
+    dz = (softmax(z) - t) / n
     return loss, dz
 
 
-def _guard(var, eps):
-    # Degenerate (zero-variance) denominators fall back to eps; healthy
-    # ones stay exact so hand-computed fixtures hold to 1e-12.
-    return np.maximum(var, eps)
+def _ratio_loss(var_within, var_total, dev, centered, coef):
+    """Summed per-neuron var_within / var_total and its gradient, given each
+    sample's deviations ``dev`` from its side's mean and ``centered`` from
+    the total mean. Zero-variance denominators fall back to VAR_FLOOR;
+    healthy ones stay exact, so hand-computed fixtures hold to 1e-12."""
+    denom = np.maximum(var_total, VAR_FLOOR)
+    loss = float(np.sum(var_within / denom))
+    return loss, coef * (dev / denom - (var_within / denom**2) * centered)
 
 
-def discriminant_criterion(z, t, eps=1e-8):
+def discriminant_criterion(z, t):
     """Per-neuron within/total variance ratio over one batch, summed.
 
     For each output neuron the batch is split into target and non-target
@@ -102,12 +103,9 @@ def discriminant_criterion(z, t, eps=1e-8):
     dev = t * (z - mu) + (1.0 - t) * (z - mu_hat)           # N x K
     var_within = (t * (z - mu) ** 2 + (1.0 - t) * (z - mu_hat) ** 2).mean(axis=0)
     var_total = ((z - mu_total) ** 2).mean(axis=0)
-    denom = _guard(var_total, eps)
-    loss = float(np.sum(var_within / denom))
     # The mean terms drop out of the derivative: sum(t*(z - mu)) == 0 by
     # construction, so only the explicit deviations remain.
-    dz = (2.0 / n) * (dev / denom - (var_within / denom**2) * (z - mu_total))
-    return loss, dz
+    return _ratio_loss(var_within, var_total, dev, z - mu_total, 2.0 / n)
 
 
 def absent_class_sides(t):
@@ -124,7 +122,7 @@ def absent_class_sides(t):
     return flags
 
 
-def adaptive_discriminant(z, t, stats, eps=1e-8):
+def adaptive_discriminant(z, t, stats):
     """Forgetting-statistics version of the discriminant criterion.
 
     Every sample in the batch advances the accumulators once, in row
@@ -147,14 +145,10 @@ def adaptive_discriminant(z, t, stats, eps=1e-8):
         mu_hat_pre[i] = stats.mu_hat
         mu_total_pre[i] = stats.mu_total
         stats.update(z[i], t[i])
-    var_w = stats.var_within
-    denom = _guard(stats.var_total, eps)
-    loss = float(np.sum(var_w / denom))
     a = stats.alpha
-    coef = 2.0 * a * (1.0 - a)
     dev = t * (z - mu_pre) + (1.0 - t) * (z - mu_hat_pre)
-    dz = coef * (dev / denom - (var_w / denom**2) * (z - mu_total_pre))
-    return loss, dz
+    return _ratio_loss(stats.var_within, stats.var_total, dev, z - mu_total_pre,
+                       2.0 * a * (1.0 - a))
 
 
 def center_loss(x, t, bank):
@@ -208,6 +202,11 @@ _CSV_KEYS = {
 }
 
 
+def csv_line(cells):
+    """One CSV line of ``repr`` cells; a None cell stays empty."""
+    return ",".join("" if v is None else repr(v) for v in cells)
+
+
 @dataclass
 class LossReport:
     """One training step's objective breakdown and tap-point gradients."""
@@ -219,11 +218,8 @@ class LossReport:
 
     def csv_row(self, step):
         """Render the step as a CSV row; absent components stay empty."""
-        cells = [str(step), repr(self.total)]
-        for col in CSV_COLUMNS[2:]:
-            v = self.components.get(_CSV_KEYS[col])
-            cells.append("" if v is None else repr(v))
-        return ",".join(cells)
+        cells = [self.components.get(_CSV_KEYS[col]) for col in CSV_COLUMNS[2:]]
+        return csv_line([step, self.total] + cells)
 
 
 class AuxState:

@@ -14,11 +14,11 @@ from .layers import BatchNorm, Conv2d, Dense, Dropout, Flatten, MaxPool2x2, ReLU
 from .tensor import CheckpointError, Rng, load_bundle, restore_arrays, save_bundle
 
 ARCHITECTURES = ("mnist_small", "comparison")
+DTYPES = ("float32", "float64")
 
 
 class Network:
-    def __init__(self, layers, taps, arch="custom", arch_params=None, seed=None,
-                 dtype=np.float64):
+    def __init__(self, layers, taps, arch="custom", arch_params=None, dtype=np.float64):
         self.layers = list(layers)
         if "logits" not in taps:
             raise ValueError("a network must declare a 'logits' tap")
@@ -28,7 +28,6 @@ class Network:
         self.taps = dict(taps)
         self.arch = arch
         self.arch_params = dict(arch_params or {})
-        self.seed = seed
         self.dtype = np.dtype(dtype)
         self._last_out = None  # (shape, dtype) of the last forward's final output
 
@@ -79,15 +78,6 @@ class Network:
         ]
         return {name: np.concatenate([taps[name] for taps in batches]) for name in self.taps}
 
-    def trace_shapes(self, x):
-        """Per-layer output shapes for a given input batch (audit helper)."""
-        x = np.asarray(x, dtype=self.dtype)
-        shapes = []
-        for layer in self.layers:
-            x = layer.forward(x, train=True)
-            shapes.append(x.shape)
-        return shapes
-
     def parameters(self):
         items = []
         for i, layer in enumerate(self.layers):
@@ -121,7 +111,6 @@ class Network:
             "kind": "discrimnet-checkpoint",
             "arch": self.arch,
             "arch_params": self.arch_params,
-            "seed": self.seed,
         }
         if extra_manifest:
             manifest.update(extra_manifest)
@@ -132,20 +121,17 @@ class Network:
         """Rebuild a network from a checkpoint, in the dtype it was saved in.
 
         Returns (network, manifest, every stored array by name), so a
-        caller can restore its own entries from the same bundle.
+        caller can restore its own entries from the same bundle. The
+        bundle overwrites every parameter, so the build takes no seed.
         """
         manifest, arrays = load_bundle(path)
         if manifest.get("kind") != "discrimnet-checkpoint":
             raise CheckpointError("not a checkpoint bundle")
-        arch = manifest.get("arch")
-        if arch not in ARCHITECTURES:
-            raise CheckpointError(f"checkpoint names unknown architecture {arch!r}")
         try:
             params = dict(manifest.get("arch_params", {}))
-            net = build_architecture(arch, rng=Rng(manifest.get("seed") or 0), **params)
-        except (TypeError, ValueError) as e:  # an unknown or invalid arch_params entry
-            raise CheckpointError(f"checkpoint carries invalid arch_params: {e}") from e
-        net.seed = manifest.get("seed")
+            net = build_architecture(manifest.get("arch"), **params)
+        except (TypeError, ValueError) as e:  # an unknown arch or arch_params entry
+            raise CheckpointError(f"checkpoint carries an invalid arch or arch_params: {e}") from e
         restore_arrays(net.state_arrays(), arrays)
         return net, manifest, arrays
 
@@ -182,7 +168,7 @@ def build_architecture(
     if rng is None:
         rng = Rng(0)
     dt = np.dtype(dtype)
-    if dt.name not in ("float32", "float64"):
+    if dt.name not in DTYPES:
         raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
     h, w, c = (int(d) for d in input_shape)
     arch_params = {
@@ -255,4 +241,4 @@ def build_architecture(
         taps = {"hidden_preact": hidden_idx, "logits": len(layers) - 1}
     else:
         raise ValueError(f"unknown architecture {arch!r}")
-    return Network(layers, taps, arch=arch, arch_params=arch_params, seed=rng.seed, dtype=dt)
+    return Network(layers, taps, arch=arch, arch_params=arch_params, dtype=dt)

@@ -40,8 +40,8 @@ class NeuronClassStats:
     (logit row, one-hot label row) samples: the target-class mean, the
     non-target mean, the total mean, and the within-class and total
     variances, all under one shared forgetting factor. One ``update``
-    advances every accumulator exactly once, computing variance terms
-    from pre-update means before any mean moves.
+    advances every accumulator exactly once, in place, computing
+    variance terms from pre-update means before any mean moves.
     """
 
     def __init__(self, num_classes, alpha):
@@ -71,11 +71,16 @@ class NeuronClassStats:
         a = self.alpha
         aa = a * (1.0 - a)
         dev_w = t * (z - self.mu) ** 2 + (1.0 - t) * (z - self.mu_hat) ** 2
-        self.var_within = a * self.var_within + aa * dev_w
-        self.var_total = a * self.var_total + aa * (z - self.mu_total) ** 2
-        self.mu = a * self.mu + (1.0 - a) * t * z
-        self.mu_hat = a * self.mu_hat + (1.0 - a) * (1.0 - t) * z
-        self.mu_total = a * self.mu_total + (1.0 - a) * z
+        self.var_within *= a
+        self.var_within += aa * dev_w
+        self.var_total *= a
+        self.var_total += aa * (z - self.mu_total) ** 2
+        self.mu *= a
+        self.mu += (1.0 - a) * t * z
+        self.mu_hat *= a
+        self.mu_hat += (1.0 - a) * (1.0 - t) * z
+        self.mu_total *= a
+        self.mu_total += (1.0 - a) * z
         self.steps += 1
 
     def state_arrays(self):
@@ -97,6 +102,7 @@ class CenterBank:
     ``update_minibatch`` (center loss) moves every centroid once per
     batch by a damped delta rule,
     c <- c - beta * sum(c - x_i over class members) / (1 + count).
+    Both move the centroids in place.
     """
 
     def __init__(self, num_classes, dim, alpha=0.99, beta=1.0):
@@ -142,7 +148,7 @@ class CenterBank:
         counts = t.sum(axis=0)                                   # members per class
         sums = t.T @ x                                           # K x D
         delta = (counts[:, None] * self.centers - sums) / (1.0 + counts)[:, None]
-        self.centers = self.centers - self.beta * delta
+        self.centers -= self.beta * delta
         self.steps += 1
 
     def state_arrays(self):

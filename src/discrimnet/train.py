@@ -14,6 +14,7 @@ from .losses import (
     CSV_COLUMNS,
     AuxState,
     combined_objective,
+    csv_line,
     softmax_cross_entropy,
 )
 from .network import Network, build_architecture
@@ -73,13 +74,8 @@ def _batch_ranges(n, batch_size):
 def evaluate(net, dataset, batch_size=100):
     """Mean cross-entropy and top-1 accuracy of a network on a dataset."""
     z = net.predict(dataset.images, batch_size)["logits"]
-    ce, _ = softmax_cross_entropy(z, dataset.one_hot(), reduction="sum")
-    n = len(dataset)
-    return ce / n, int((z.argmax(axis=1) == dataset.labels).sum()) / n
-
-
-def _fmt(values):
-    return ",".join("" if v is None else repr(v) for v in values)
+    ce, _ = softmax_cross_entropy(z, dataset.one_hot())
+    return ce, int((z.argmax(axis=1) == dataset.labels).sum()) / len(dataset)
 
 
 def run_training(cfg: RunConfig, progress=False):
@@ -141,7 +137,7 @@ def run_training(cfg: RunConfig, progress=False):
             row = [epoch, lr, train_loss, train_acc, test_loss, test_acc] + [
                 means.get(_CSV_KEYS[col]) for col in CSV_COLUMNS[2:]
             ]
-            epochs_f.write(_fmt(row) + "\n")
+            epochs_f.write(csv_line(row) + "\n")
             if best is None or test_acc > best[1]:
                 best = (epoch, test_acc)
             if progress:

@@ -34,6 +34,23 @@ def rel_error(a, b):
     return float(np.abs(a - b).max(initial=0.0) / scale)
 
 
+def separation_ratio_from_histogram(path):
+    """Two-class variance ratio (within / total) of an exported neuron CSV."""
+    values, targets = [], []
+    with open(path, "r", encoding="utf-8") as f:
+        next(f)
+        for line in f:
+            v, t = line.strip().split(",")
+            values.append(float(v))
+            targets.append(int(t))
+    z = np.array(values)
+    t = np.array(targets, dtype=bool)
+    mu, mu_hat = z[t].mean(), z[~t].mean()
+    var_within = np.where(t, (z - mu) ** 2, (z - mu_hat) ** 2).mean()
+    var_total = ((z - z.mean()) ** 2).mean()
+    return float(var_within / var_total)
+
+
 def data_root():
     candidates = [os.environ.get("DISCRIM_DATA_DIR"), "data", "/root/data"]
     for root in candidates:

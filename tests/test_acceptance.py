@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 import discrimnet as dn
-from discrimnet.cli import main as cli_main, separation_ratio_from_histogram
+from discrimnet.cli import main as cli_main
 from discrimnet.config import apply_preset
 from discrimnet.train import load_run_datasets
-from conftest import finite_difference, rel_error
+from conftest import finite_difference, rel_error, separation_ratio_from_histogram
 
 
 def criterion(number, name):

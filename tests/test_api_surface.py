@@ -1,8 +1,10 @@
-"""The package exports only what the engine itself uses.
+"""The package exports and defines only what the engine itself uses.
 
 Every name that ``discrimnet/__init__.py`` imports must be loaded, as a
-bare name or as an attribute, by some other module of the package. A
-public name that only the tests call is code the engine never runs.
+bare name or as an attribute, by some other module of the package, and
+so must every function, class and method the package defines (dunder
+methods aside). A name that only the tests call is code the engine
+never runs; helpers the tests need live in the tests.
 """
 
 import ast
@@ -49,3 +51,23 @@ def test_every_export_is_used_inside_the_package():
             used |= loaded_names(parse(filename))
     unused = sorted(exported - used - TEST_ONLY)
     assert not unused, f"exported but never used inside the package: {unused}"
+
+
+def defined_names(tree):
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+
+
+def test_every_definition_is_used_inside_the_package():
+    defined, used = set(), set()
+    for filename in sorted(os.listdir(PACKAGE_DIR)):
+        if filename.endswith(".py"):
+            tree = parse(filename)
+            defined |= defined_names(tree)
+            used |= loaded_names(tree)
+    unused = sorted(defined - used - TEST_ONLY)
+    assert not unused, f"defined but never used inside the package: {unused}"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import discrimnet as dn
-from discrimnet.cli import main, separation_ratio_from_histogram
+from discrimnet.cli import main
 from discrimnet.config import (
     PRESETS,
     ConfigError,
@@ -18,6 +18,7 @@ from discrimnet.config import (
     parse_config_text,
 )
 from discrimnet.train import load_run_datasets
+from conftest import separation_ratio_from_histogram
 
 
 def synth_config(tmp_path, name="run", **overrides):
@@ -309,6 +310,7 @@ def test_cli_truncated_checkpoint(tmp_path):
     (lambda m: m["config"].update(not_a_field=1), "not_a_field"),
     (lambda m: m["config"].update(alpha=1.5), "alpha"),
     (lambda m: m["arch_params"].update(not_a_param=3), "not_a_param"),
+    (lambda m: m.update(arch="no_such_arch"), "no_such_arch"),
     (lambda m: m.pop("config"), "run config"),
     (lambda m: m.update(arch_params=5), "arch_params"),
     (lambda m: m["arch_params"].update(input_shape=7), "arch_params"),
@@ -316,8 +318,8 @@ def test_cli_truncated_checkpoint(tmp_path):
     (lambda m: m["config"].update(hidden_width=7, lambda_adaptive_center=0.0), "hidden_width"),
     (lambda m: m["config"].update(epsilon=0.5), "epsilon"),
     (lambda m: m["config"].update(augment_rotation_deg=-10.0), "augment_rotation_deg"),
-], ids=["unknown-config-key", "invalid-config-value", "unknown-arch-param", "no-config",
-        "arch-params-not-a-mapping", "input-shape-not-a-sequence",
+], ids=["unknown-config-key", "invalid-config-value", "unknown-arch-param", "unknown-arch",
+        "no-config", "arch-params-not-a-mapping", "input-shape-not-a-sequence",
         "hidden-width-mismatch-with-center-loss", "hidden-width-mismatch-without-center-loss",
         "retired-key-off-its-value", "retired-augment-bound-off-its-value"])
 def test_cli_rejects_malformed_checkpoint_manifest(synth_run, tmp_path, edit, named):

@@ -22,10 +22,20 @@ def small_net(seed=0, hidden=8, classes=3, dtype="float64"):
     )
 
 
+def layer_shapes(net, x):
+    """Each layer's output shape in one training-mode pass over x."""
+    x = np.asarray(x, dtype=net.dtype)
+    shapes = []
+    for layer in net.layers:
+        x = layer.forward(x, train=True)
+        shapes.append(x.shape)
+    return shapes
+
+
 def test_mnist_small_shape_chain():
     net = dn.build_architecture("mnist_small", input_shape=(28, 28, 1), num_classes=10,
                                 rng=dn.Rng(0))
-    shapes = net.trace_shapes(np.zeros((2, 28, 28, 1)))
+    shapes = layer_shapes(net, np.zeros((2, 28, 28, 1)))
     want = [
         (2, 28, 28, 32),  # conv 3x3 pad 1
         (2, 28, 28, 32),  # relu
@@ -46,7 +56,7 @@ def test_mnist_small_shape_chain():
 def test_comparison_shape_chain_32x32():
     net = dn.build_architecture("comparison", input_shape=(32, 32, 3), num_classes=10,
                                 rng=dn.Rng(0))
-    shapes = net.trace_shapes(np.zeros((1, 32, 32, 3)))
+    shapes = layer_shapes(net, np.zeros((1, 32, 32, 3)))
     assert shapes[0] == (1, 32, 32, 128)    # conv 3x3 pad 1
     # after two pools: 8x8; three unpadded convs: 6x6x512, 4x4x256, 2x2x128
     assert shapes[9] == (1, 16, 16, 128)    # first maxpool
@@ -288,7 +298,7 @@ def test_comparison_shape_chain_96x96_float32():
     # 18 -> 9 at the last pool, flat 9*9*128
     net = dn.build_architecture("comparison", input_shape=(96, 96, 3),
                                 num_classes=10, rng=dn.Rng(0), dtype="float32")
-    shapes = net.trace_shapes(np.zeros((1, 96, 96, 3), dtype=np.float32))
+    shapes = layer_shapes(net, np.zeros((1, 96, 96, 3), dtype=np.float32))
     assert shapes[9] == (1, 48, 48, 128)
     assert shapes[19] == (1, 24, 24, 256)
     assert shapes[20] == (1, 22, 22, 512)
@@ -298,3 +308,33 @@ def test_comparison_shape_chain_96x96_float32():
     assert shapes[30] == (1, 9 * 9 * 128)
     assert shapes[34] == (1, 100)
     assert shapes[-1] == (1, 10)
+
+
+def test_state_arrays_stay_live_through_training_steps():
+    # A checkpoint or resume that keeps the state_arrays() dicts must see
+    # the trained values: every owner updates its arrays in place.
+    net = dn.build_architecture("comparison", input_shape=(32, 32, 3), num_classes=4,
+                                rng=dn.Rng(12), fc_width=8, hidden_width=4)
+    combined = dn.apply_preset("mnist-combined")
+    center = dn.apply_preset("mnist-center")
+    auxes = [dn.AuxState(cfg, 4, 4) for cfg in (combined, center)]
+    opt = dn.SGD(net.parameters())
+    owners = {"net": net, "combined": auxes[0], "center": auxes[1], "optim": opt}
+    live = {f"{owner}.{name}": arr for owner, obj in owners.items()
+            for name, arr in obj.state_arrays().items()}
+    before = {name: arr.copy() for name, arr in live.items()}
+    rng = dn.Rng(51)
+    t = np.eye(4)[[0, 1, 2, 3, 0, 1]]
+    for _ in range(2):
+        taps = net.forward(rng.normal((6, 32, 32, 3)), train=True)
+        reports = [dn.combined_objective(cfg, taps, t, state=aux)
+                   for cfg, aux in zip((combined, center), auxes)]
+        net.backward(reports[0].gradients)
+        opt.step(net.gradients(), 0.01)
+    after = {f"{owner}.{name}": arr for owner, obj in owners.items()
+             for name, arr in obj.state_arrays().items()}
+    assert after.keys() == live.keys()
+    stale = sorted(name for name in live if after[name] is not live[name])
+    assert not stale, f"{len(stale)} state arrays were replaced: {stale}"
+    unmoved = sorted(name for name in live if np.array_equal(live[name], before[name]))
+    assert not unmoved, f"state arrays that training left unchanged: {unmoved}"
