@@ -3,11 +3,14 @@
 Activations flow as numpy arrays in NHWC layout (batch, height, width,
 channels) for image tensors and (batch, features) after flattening.
 Each layer caches what its backward pass needs during forward; backward
-consumes the cache, stores parameter gradients on the layer, and returns
-the gradient with respect to its input, or None when called with
-``input_grad=False`` (the first layer of a network, whose input gradient
-nothing reads). Dense and Conv2d write their weight gradient ``dw`` into
-a buffer they own, reallocated only when its shape or dtype changes.
+reads what the last training forward (``train=True``) kept, stores
+parameter gradients on the layer, and returns the gradient with respect
+to its input, or None when called with ``input_grad=False`` (the first
+layer of a network, whose input gradient nothing reads). Eval forwards
+of ReLU and MaxPool2x2 keep no backward state and drop what the last
+training forward kept, so a backward after one raises RuntimeError.
+Dense and Conv2d write their weight gradient ``dw`` into a buffer they
+own, reallocated only when its shape or dtype changes.
 """
 
 import numpy as np
@@ -104,11 +107,13 @@ class Conv2d(_Affine):
     padded input gradient.
 
     The layer owns one workspace: a zero-bordered padded-input buffer
-    (padding 1 only) and the column matrix. Forward writes into them in
-    place and allocates new ones only when the input shape or dtype
-    changes, so the columns of the previous call are overwritten rather
-    than kept alive beside new ones. The output and the input gradient
-    are fresh arrays on every call, since callers keep them.
+    (padding 1 only) and the column matrix, sized for the largest batch
+    seen. Forward writes into their leading rows in place and allocates
+    new ones only on a new per-sample shape, a new dtype or a larger
+    batch, so a trailing partial batch reuses them and the columns of
+    the previous call are overwritten rather than kept alive beside new
+    ones. The output and the input gradient are fresh arrays on every
+    call, since callers keep them.
     """
 
     KSIZE = 3
@@ -135,25 +140,32 @@ class Conv2d(_Affine):
         ow = w + 2 * p - k + 1
         if oh < 1 or ow < 1:
             raise ValueError(f"input {h}x{w} too small for a 3x3 kernel with padding {p}")
-        if x.shape != self._in_shape or x.dtype != self._cols.dtype:
+        if (
+            self._cols is None
+            or x.shape[1:] != self._in_shape[1:]
+            or x.dtype != self._cols.dtype
+            or n * oh * ow > len(self._cols)
+        ):
             self._cols = np.empty((n * oh * ow, k * k * c), dtype=x.dtype)
             if p:
                 self._padded = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
-            self._in_shape = x.shape
+        self._in_shape = x.shape
+        cols = self._cols[: n * oh * ow]
         if p:
-            self._padded[:, p : p + h, p : p + w, :] = x
-        windows = sliding_window_view(self._padded if p else x, (k, k), axis=(1, 2))
+            padded = self._padded[:n]
+            padded[:, p : p + h, p : p + w, :] = x
+        windows = sliding_window_view(padded if p else x, (k, k), axis=(1, 2))
         # (n, oh, ow, c, k, k) window view -> (n, oh, ow, k, k, c): one copy
         # into (row offset, col offset, channel) columns.
-        self._cols.reshape(n, oh, ow, k, k, c)[...] = windows.transpose(0, 1, 2, 4, 5, 3)
-        out = self._cols @ self.w
+        cols.reshape(n, oh, ow, k, k, c)[...] = windows.transpose(0, 1, 2, 4, 5, 3)
+        out = cols @ self.w
         out += self.b
         return out.reshape(n, oh, ow, self.out_channels)
 
     def backward(self, grad, input_grad=True):
         n, oh, ow, _ = grad.shape
         g2 = grad.reshape(n * oh * ow, self.out_channels)
-        self._weight_grad(self._cols.T, g2)
+        self._weight_grad(self._cols[: n * oh * ow].T, g2)
         self.db = g2.sum(axis=0)
         if not input_grad:
             return None
@@ -167,16 +179,26 @@ class Conv2d(_Affine):
         return dxp[:, p : p + h, p : p + w, :] if p else dxp
 
 
+def _no_state(layer):
+    return RuntimeError(
+        f"{type(layer).__name__}.backward needs a training forward (train=True) first"
+    )
+
+
 class ReLU(Layer):
-    """max(x, 0). Forward keeps the boolean mask x > 0; backward keeps
-    the gradient where it is set and zeroes it elsewhere, so the
-    derivative at exactly 0 is 0."""
+    """max(x, 0). A training forward keeps the boolean mask x > 0;
+    backward keeps the gradient where it is set and zeroes it elsewhere,
+    so the derivative at exactly 0 is 0."""
+
+    _mask = None
 
     def forward(self, x, train=False):
-        self._mask = x > 0
+        self._mask = x > 0 if train else None
         return np.maximum(x, 0)
 
     def backward(self, grad, input_grad=True):
+        if self._mask is None:
+            raise _no_state(self)
         return _select(self._mask, grad) if input_grad else None
 
 
@@ -185,13 +207,23 @@ class MaxPool2x2(Layer):
 
     Odd trailing rows/columns are dropped, and receive zero gradient.
     Backward routes each output gradient to the first maximal element of
-    its window in row-major (row offset, col offset) order: it views the
-    input as (n, h/2, 2, w/2, 2, c) windows, compares them once against
-    the pooled output, keeps the first hit per window, and writes the
-    gradient with one select broadcast over the windows.
+    its window in row-major (row offset, col offset) order. A training
+    forward keeps one uint8 per output element, the ``_OFFSETS`` index of
+    that element and nothing else. Offset k moves the index to k where
+    it is strictly greater than the running maximum, so ties and +-0 keep
+    the first. Later offsets have larger indices, so the move is a
+    ``maximum`` with ``k * (view > out)``; masked stores are several
+    times slower. A window whose maximum is NaN gets index 4, which
+    matches no offset, so it routes nothing, as ``x == max`` never holds
+    for NaN. Backward views the input gradient as (n, h/2, 2, w/2, 2, c)
+    windows and writes it with one select on ``first == offset``
+    broadcast over them.
     """
 
     _OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
+    # The index of each window offset, laid out like the 6-D window view.
+    _OFFSET_INDEX = np.arange(4, dtype=np.uint8).reshape(1, 1, 2, 1, 2, 1)
+    _first = None
 
     def forward(self, x, train=False):
         n, h, w, c = x.shape
@@ -199,26 +231,33 @@ class MaxPool2x2(Layer):
         if h2 == 0 or w2 == 0:
             raise ValueError(f"input {h}x{w} too small for 2x2 pooling")
         self._in_shape = x.shape
-        self._x = x
-        out = None
-        for dy, dx in self._OFFSETS:
+        self._first = None  # free the last training forward's index first
+        out = x[:, 0 : 2 * h2 : 2, 0 : 2 * w2 : 2, :].copy()
+        if train:
+            first = np.zeros(out.shape, dtype=np.uint8)
+            moved = np.empty(out.shape, dtype=np.uint8)
+        for k, (dy, dx) in enumerate(self._OFFSETS[1:], start=1):
             view = x[:, dy : 2 * h2 : 2, dx : 2 * w2 : 2, :]
-            out = view.copy() if out is None else np.maximum(out, view, out=out)
-        self._out = out
+            if train:
+                np.greater(view, out, out=moved.view(np.bool_))
+                moved *= k
+                np.maximum(first, moved, out=first)
+            np.maximum(out, view, out=out)
+        if train:
+            np.isnan(out, out=moved.view(np.bool_))
+            moved *= len(self._OFFSETS)
+            np.maximum(first, moved, out=first)
+            self._first = first
         return out
 
     def backward(self, grad, input_grad=True):
+        if self._first is None:
+            raise _no_state(self)
         if not input_grad:
             return None
         n, h, w, c = self._in_shape
         h2, w2 = h // 2, w // 2
-        windows = (n, h2, 2, w2, 2, c)
-        hits = self._x[:, : 2 * h2, : 2 * w2, :].reshape(windows) == self._out[:, :, None, :, None, :]
-        taken = hits[:, :, 0, :, 0, :].copy()
-        for dy, dxo in self._OFFSETS[1:]:
-            hit = hits[:, :, dy, :, dxo, :]  # a view: clearing it edits hits
-            hit &= ~taken
-            taken |= hit
+        hits = self._first[:, :, None, :, None, :] == self._OFFSET_INDEX
         routed = _select(hits, grad[:, :, None, :, None, :]).reshape(n, 2 * h2, 2 * w2, c)
         if (h, w) == (2 * h2, 2 * w2):
             return routed

@@ -29,15 +29,17 @@ class Network:
         self.arch = arch
         self.arch_params = dict(arch_params or {})
         self.dtype = np.dtype(dtype)
-        self._last_out = None  # (shape, dtype) of the last forward's final output
+        self._last_out = None  # (shape, dtype) of the last training forward's final output
 
     def forward(self, x, train=False):
         """Run the chain in the network's dtype; returns a dict of tap
         name -> feature batch.
 
         Only the tap outputs are kept past their consumer, together with
-        the final output's shape and dtype for ``backward``; every other
-        layer output is freed as soon as the next layer has read it.
+        a training forward's final shape and dtype for ``backward``; every
+        other layer output is freed as soon as the next layer has read it.
+        An eval forward keeps no backward state, so ``backward`` after it
+        raises RuntimeError.
         """
         x = np.asarray(x, dtype=self.dtype)
         tapped = set(self.taps.values())
@@ -46,7 +48,7 @@ class Network:
             x = layer.forward(x, train=train)
             if i in tapped:
                 kept[i] = x
-        self._last_out = (x.shape, x.dtype)
+        self._last_out = (x.shape, x.dtype) if train else None
         return {name: kept[idx] for name, idx in self.taps.items()}
 
     def backward(self, tap_grads):
@@ -58,7 +60,7 @@ class Network:
         nothing reads it, so nothing is returned.
         """
         if self._last_out is None:
-            raise RuntimeError("backward called before forward")
+            raise RuntimeError("backward needs a training forward (train=True) first")
         unknown = set(tap_grads) - set(self.taps)
         if unknown:
             raise KeyError(f"gradients for unknown tap points {sorted(unknown)}")
@@ -71,12 +73,22 @@ class Network:
 
     def predict(self, images, batch_size):
         """Evaluation-mode forward over ``images`` in batches of
-        ``batch_size``; returns tap name -> features of every image."""
-        batches = [
-            self.forward(images[start : start + batch_size], train=False)
-            for start in range(0, len(images), batch_size)
-        ]
-        return {name: np.concatenate([taps[name] for taps in batches]) for name in self.taps}
+        ``batch_size``; returns tap name -> features of every image.
+
+        Each tap's output is allocated once, after the first batch, and
+        every batch is copied into its rows.
+        """
+        out = None
+        for start in range(0, len(images), batch_size):
+            taps = self.forward(images[start : start + batch_size], train=False)
+            if out is None:
+                out = {
+                    name: np.empty((len(images),) + f.shape[1:], dtype=f.dtype)
+                    for name, f in taps.items()
+                }
+            for name, f in taps.items():
+                out[name][start : start + len(f)] = f
+        return out
 
     def parameters(self):
         items = []

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,22 @@ def rel_error(a, b):
     b = np.asarray(b, dtype=np.float64)
     scale = max(np.abs(a).max(initial=0.0), np.abs(b).max(initial=0.0), 1e-8)
     return float(np.abs(a - b).max(initial=0.0) / scale)
+
+
+def traced_peak(fn):
+    """Run fn under tracemalloc; return (peak, held) in bytes above entry.
+
+    ``peak`` is the most memory fn's allocations held at once, ``held``
+    what they still hold when fn returns. Tracing starts at entry, so
+    memory allocated earlier, and its release, count for nothing.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, held
 
 
 def separation_ratio_from_histogram(path):

@@ -47,7 +47,7 @@ def test_relu_values():
 
 def test_relu_backward_subgradient():
     relu = dn.ReLU()
-    relu.forward(np.array([-2.0, 3.0, 0.0]))
+    relu.forward(np.array([-2.0, 3.0, 0.0]), train=True)
     grads = relu.backward(np.ones(3))
     assert_array_equal(grads, [0.0, 1.0, 0.0])  # derivative at 0 is 0
 
@@ -57,7 +57,7 @@ def test_relu_finite_difference_away_from_kink():
     x = rng.normal((4, 6))
     x[np.abs(x) < 1e-3] = 0.5  # kink exclusion
     relu = dn.ReLU()
-    layer_input_gradient_check(relu, x, tol=1e-6)
+    layer_input_gradient_check(relu, x, train=True, tol=1e-6)
 
 
 # --- dense ---------------------------------------------------------------------
@@ -130,7 +130,7 @@ def test_maxpool_values_and_routing():
     x = np.array(
         [[1.0, 2.0, 0.0, 0.0], [3.0, 4.0, 0.0, 5.0], [1.0, 1.0, 2.0, 2.0], [1.0, 1.0, 2.0, 2.0]]
     ).reshape(1, 4, 4, 1)
-    out = pool.forward(x)
+    out = pool.forward(x, train=True)
     assert_array_equal(out[0, :, :, 0], [[4.0, 5.0], [1.0, 2.0]])
     dx = pool.backward(np.ones_like(out))
     # ties broken by first row-major position: (0,0) of each tied window
@@ -144,13 +144,13 @@ def test_maxpool_values_and_routing():
 def test_maxpool_gradient_check():
     rng = dn.Rng(25)
     x = rng.normal((2, 6, 6, 3))
-    layer_input_gradient_check(dn.MaxPool2x2(), x, tol=1e-6)
+    layer_input_gradient_check(dn.MaxPool2x2(), x, train=True, tol=1e-6)
 
 
 def test_maxpool_odd_input_drops_tail():
     pool = dn.MaxPool2x2()
     x = dn.Rng(26).normal((1, 7, 7, 2))
-    out = pool.forward(x)
+    out = pool.forward(x, train=True)
     assert out.shape == (1, 3, 3, 2)
     dx = pool.backward(np.ones_like(out))
     assert dx.shape == x.shape
@@ -237,7 +237,7 @@ def test_relu_matches_where_reference(dtype):
     grad = signed_gradient(rng, x.shape, dtype)
     relu = dn.ReLU()
     want_out, want_dx = reference_relu(x, grad)
-    assert_bitwise_equal(relu.forward(x), want_out)
+    assert_bitwise_equal(relu.forward(x, train=True), want_out)
     assert_bitwise_equal(relu.backward(grad), want_dx)
 
 
@@ -247,9 +247,45 @@ def test_maxpool_backward_matches_mask_reference(dtype, shape):
     rng = dn.Rng(41)
     x = post_relu_input(rng, shape, dtype)
     pool = dn.MaxPool2x2()
-    out = pool.forward(x)
+    out = pool.forward(x, train=True)
     grad = signed_gradient(rng, out.shape, dtype)
     assert_bitwise_equal(pool.backward(grad), reference_pool_backward(x, out, grad))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_maxpool_routes_nothing_from_nan_windows(dtype):
+    # Windows holding NaN (alone, beside +-inf, or behind an earlier
+    # maximum) pool to NaN, and == never matches NaN, so the reference
+    # routes nothing from them; +-inf windows route like any other.
+    rng = dn.Rng(46)
+    x = post_relu_input(rng, (3, 6, 7, 4), dtype)
+    flat = x.reshape(-1)
+    picks = rng.permutation(flat.size)
+    flat[picks[:12]] = np.nan
+    flat[picks[12:24]] = np.inf
+    flat[picks[24:36]] = -np.inf
+    x[0, 0:2, 0:2, 0] = [[np.inf, np.nan], [np.inf, -np.inf]]
+    x[0, 2:4, 0:2, 0] = [[-np.inf, -np.inf], [-np.inf, -np.inf]]
+    x[0, 4:6, 0:2, 0] = [[np.nan, np.nan], [np.nan, np.nan]]
+    x[1, 0:2, 0:2, 0] = [[1.0, 2.0], [2.0, np.nan]]
+    pool = dn.MaxPool2x2()
+    out = pool.forward(x, train=True)
+    grad = signed_gradient(rng, out.shape, dtype)
+    assert np.isnan(out).sum() >= 3 and np.isinf(out).any()
+    assert_bitwise_equal(pool.backward(grad), reference_pool_backward(x, out, grad))
+
+
+@pytest.mark.parametrize("make", [dn.ReLU, dn.MaxPool2x2], ids=["relu", "maxpool"])
+def test_backward_after_an_eval_forward_raises(make):
+    layer = make()
+    x = dn.Rng(47).normal((2, 4, 4, 3))
+    with pytest.raises(RuntimeError):
+        layer.backward(np.ones((2, 4, 4, 3)))  # no forward yet
+    out = layer.forward(x, train=True)
+    layer.backward(np.ones_like(out))
+    out = layer.forward(x, train=False)  # drops the training forward's state
+    with pytest.raises(RuntimeError, match="train=True"):
+        layer.backward(np.ones_like(out))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -292,15 +328,21 @@ def test_conv_reuses_its_workspace_and_returns_fresh_outputs(padding):
 
 @pytest.mark.parametrize("padding", [0, 1])
 def test_conv_workspace_follows_batch_size_and_dtype(padding):
-    # The same layer sees batch 3, then batch 2, then float32: each call
-    # must match the reference as if the layer were new.
+    # The same layer sees batch 3, then batch 2, then batch 3 again, then
+    # float32: each call must match the reference as if the layer were
+    # new. The smaller batch and the return to the larger one use the
+    # leading rows of the batch-3 workspace; float32 gets a new one.
     rng = dn.Rng(44)
     conv = dn.Conv2d(3, 4, padding=padding, rng=rng)
     conv.b = rng.uniform(-0.5, 0.5, 4)
-    for n, dtype in ((3, np.float64), (2, np.float64), (2, np.float32)):
+    cols = None
+    for n, dtype, reused in ((3, np.float64, False), (2, np.float64, True),
+                             (3, np.float64, True), (2, np.float32, False)):
         conv.w, conv.b = conv.w.astype(dtype), conv.b.astype(dtype)
         x = post_relu_input(rng, (n, 7, 6, 3), dtype)
         out = conv.forward(x)
+        assert (conv._cols is cols) == reused
+        cols = conv._cols
         grad = signed_gradient(rng, out.shape, dtype)
         dx = conv.backward(grad)
         want_out, want_dw, want_db, want_dx = reference_conv(x, conv.w, conv.b, padding, grad)

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import discrimnet as dn
-from conftest import finite_difference, rel_error
+from conftest import finite_difference, rel_error, traced_peak
 
 
 def small_net(seed=0, hidden=8, classes=3, dtype="float64"):
@@ -165,9 +165,19 @@ def test_backward_rejects_unknown_taps_and_requires_forward():
     net = small_net()
     with pytest.raises(RuntimeError):
         net.backward({"logits": np.zeros((1, 3))})
-    net.forward(np.zeros((1, 8, 8, 1)))
+    net.forward(np.zeros((1, 8, 8, 1)), train=True)
     with pytest.raises(KeyError):
         net.backward({"nonsense": np.zeros((1, 3))})
+
+
+def test_backward_after_an_eval_forward_raises():
+    net = small_net()
+    x = dn.Rng(52).normal((2, 8, 8, 1))
+    taps = net.forward(x, train=True)
+    net.backward({"logits": np.ones_like(taps["logits"])})
+    taps = net.forward(x, train=False)
+    with pytest.raises(RuntimeError, match="train=True"):
+        net.backward({"logits": np.ones_like(taps["logits"])})
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -194,6 +204,57 @@ def test_predict_concatenates_batches_in_the_network_dtype():
         assert features.dtype == np.float32 and features.shape == whole[name].shape
         assert_allclose(features, whole[name], rtol=1e-5, atol=1e-6)
         assert_array_equal(features, np.concatenate([taps[name] for taps in per_batch]))
+
+
+def test_predict_holds_each_output_once():
+    # Keeping every batch's taps and concatenating them at the end holds
+    # each output twice (a peak of 2.13 times the returned bytes at numpy
+    # 2.4); writing each batch into preallocated rows holds it once, plus
+    # one batch of activations (1.16 times).
+    net = small_net(seed=4, hidden=256, classes=10)
+    x = dn.Rng(53).normal((2000, 8, 8, 1))
+    got = {}
+    peak, _ = traced_peak(lambda: got.update(net.predict(x, 40)))
+    returned = sum(features.nbytes for features in got.values())
+    assert returned == 2000 * (256 + 10) * 8
+    assert peak < 1.25 * returned
+
+
+def _warm_mnist_small_f32():
+    """A float32 28x28 mnist_small after one training step and one eval
+    forward at batch 100, and a batch for its next forward."""
+    net = dn.build_architecture("mnist_small", input_shape=(28, 28, 1), num_classes=10,
+                                rng=dn.Rng(0), dtype="float32")
+    x = dn.Rng(54).normal((100, 28, 28, 1)).astype(np.float32)
+    taps = net.forward(x, train=True)
+    net.backward({"logits": np.ones_like(taps["logits"])})
+    net.forward(x, train=False)
+    return net, x
+
+
+def test_eval_forward_keeps_no_backward_state():
+    # What an eval forward still holds when it returns is what the layers
+    # keep until the next forward: the dense inputs, 1.4 MB at numpy 2.4.
+    # Keeping backward state in eval holds 22.8 MB: pool0's and pool1's
+    # inputs and outputs (18.75 MB) and the ReLU masks (3.9 MB).
+    net, x = _warm_mnist_small_f32()
+    _, held = traced_peak(lambda: net.forward(x, train=False))
+    assert held < 4.0e6
+
+
+def test_training_step_keeps_a_byte_per_pool_output():
+    # Between training steps the layers keep what backward reads: the
+    # ReLU masks (3.9 MB), one uint8 index per pool output (0.94 MB) and
+    # the dense inputs, 6.1 MB in all at numpy 2.4. Keeping each pool's
+    # input and output instead of its index holds 22.8 MB.
+    net, x = _warm_mnist_small_f32()
+
+    def step():
+        taps = net.forward(x, train=True)
+        net.backward({"logits": np.ones_like(taps["logits"])})
+
+    _, held = traced_peak(step)
+    assert held < 10.0e6
 
 
 def test_forward_keeps_only_tap_outputs():
