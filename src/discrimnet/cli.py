@@ -33,13 +33,22 @@ def _build_run_config(args):
     return cfg.validate()
 
 
-def _dataset_for(args, cfg):
+def _dataset_for(args, net, cfg):
+    """The split a checkpoint reader reads: the run's own data, or the
+    dataset that --data and --data-dir name, which must fit the network."""
     if args.data_dir:
         cfg.data_dir = args.data_dir
     if args.data:
         cfg.dataset = args.data
-    train, test = load_run_datasets(cfg)
-    return train if args.split == "train" else test
+    train, test = load_run_datasets(cfg.validate())
+    dataset = train if args.split == "train" else test
+    shape, classes = tuple(net.arch_params["input_shape"]), net.arch_params["num_classes"]
+    if (dataset.images.shape[1:], dataset.num_classes) != (shape, classes):
+        raise ConfigError(
+            f"dataset {cfg.dataset!r} has {dataset.images.shape[1:]} images in "
+            f"{dataset.num_classes} classes, but the network takes {shape} in {classes}"
+        )
+    return dataset
 
 
 def cmd_train(args):
@@ -51,7 +60,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     net, cfg, _ = load_checkpoint(args.ckpt)
-    dataset = _dataset_for(args, cfg)
+    dataset = _dataset_for(args, net, cfg)
     loss, acc = evaluate(net, dataset, batch_size=cfg.batch_size)
     print(f"split {args.split} loss {loss!r} accuracy {acc!r}")
     return 0
@@ -59,7 +68,7 @@ def cmd_eval(args):
 
 def cmd_export_histogram(args):
     net, cfg, _ = load_checkpoint(args.ckpt)
-    dataset = _dataset_for(args, cfg)
+    dataset = _dataset_for(args, net, cfg)
     k = args.neuron
     if not 0 <= k < dataset.num_classes:
         raise ConfigError(f"neuron {k} out of range for {dataset.num_classes} classes")
@@ -79,7 +88,7 @@ def cmd_export_scatter(args):
         raise ConfigError(
             f"scatter export needs a checkpoint trained with hidden width 2, got {width}"
         )
-    dataset = _dataset_for(args, cfg)
+    dataset = _dataset_for(args, net, cfg)
     hidden = net.predict(dataset.images, cfg.batch_size)["hidden_preact"]
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("x1,x2,class\n")

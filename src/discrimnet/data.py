@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Rng
-
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
@@ -110,8 +108,8 @@ def load_idx_dir(root, split):
     return load_idx(os.path.join(root, img_name), os.path.join(root, lab_name), split=split)
 
 
-def synth_blobs(num_classes, image_size, n_per_class, separation, seed):
-    """Deterministic Gaussian-blob image classes for fast tests.
+def synth_blobs(num_classes, image_size, n_per_class, separation, rng):
+    """Gaussian-blob image classes for fast tests, drawn from ``rng``.
 
     Each class has a mean image lighting up one distinct pixel; class
     means are exactly `separation` apart in Euclidean distance before
@@ -125,12 +123,11 @@ def synth_blobs(num_classes, image_size, n_per_class, separation, seed):
     dim = image_size * image_size
     if num_classes > dim:
         raise ValueError("more classes than pixels")
-    rng = Rng(seed)
     hot = rng.choice(dim, num_classes, replace=False)
     means = np.zeros((num_classes, dim))
     means[np.arange(num_classes), hot] = separation / np.sqrt(2.0)
     labels = np.repeat(np.arange(num_classes), n_per_class)
-    raw = means[labels] + rng.normal(shape=(len(labels), dim))
+    raw = means[labels] + rng.normal(size=(len(labels), dim))
     lo, hi = float(raw.min()), float(raw.max())
     images = ((raw - lo) / (hi - lo)).reshape(-1, image_size, image_size, 1)
     return Dataset(

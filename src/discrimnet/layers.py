@@ -7,8 +7,9 @@ reads what the last training forward (``train=True``) kept, stores
 parameter gradients on the layer, and returns the gradient with respect
 to its input, or None when called with ``input_grad=False`` (the first
 layer of a network, whose input gradient nothing reads). Eval forwards
-of ReLU and MaxPool2x2 keep no backward state and drop what the last
-training forward kept, so a backward after one raises RuntimeError.
+of ReLU, MaxPool2x2, BatchNorm and Dropout keep no backward state and
+drop what the last training forward kept, so a backward after one
+raises RuntimeError.
 Dense and Conv2d write their weight gradient ``dw`` into a buffer they
 own, reallocated only when its shape or dtype changes.
 """
@@ -279,10 +280,12 @@ class BatchNorm(Layer):
     """Per-channel normalization over the trailing axis, with running
     statistics for evaluation mode. Evaluating before any training batch
     is an error because the running statistics are undefined. Training
-    batches move the running statistics in place, by MOMENTUM."""
+    batches move the running statistics in place, by MOMENTUM, and keep
+    the normalized input for backward."""
 
     MOMENTUM = 0.1
     EPS = 1e-5
+    _xhat = None
 
     def __init__(self, channels, dtype=np.float64):
         self.channels = int(channels)
@@ -298,6 +301,7 @@ class BatchNorm(Layer):
         if x.shape[-1] != self.channels:
             raise ValueError(f"expected trailing axis of {self.channels} channels, got {x.shape}")
         axes = tuple(range(x.ndim - 1))
+        self._xhat = None  # free the last training forward's state first
         if train:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
@@ -314,22 +318,20 @@ class BatchNorm(Layer):
             var = self.running_var.astype(x.dtype)
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat = (x - mean) * inv_std
-        self._xhat = xhat
-        self._inv_std = inv_std
-        self._axes = axes
-        self._train = train
+        if train:
+            self._xhat, self._inv_std = xhat, inv_std
         return self.gamma * xhat + self.beta
 
     def backward(self, grad, input_grad=True):
         xhat = self._xhat
-        axes = self._axes
+        if xhat is None:
+            raise _no_state(self)
+        axes = tuple(range(grad.ndim - 1))
         self.dgamma = (grad * xhat).sum(axis=axes)
         self.dbeta = grad.sum(axis=axes)
         if not input_grad:
             return None
         dxhat = grad * self.gamma
-        if not self._train:
-            return dxhat * self._inv_std
         m = 1
         for ax in axes:
             m *= grad.shape[ax]
@@ -352,7 +354,10 @@ class BatchNorm(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: active only in training mode, identity in eval."""
+    """Inverted dropout: active only in training mode, identity in eval.
+
+    A training forward draws its keep mask from ``rng`` and keeps it,
+    scaled by 1/keep_prob, for backward."""
 
     def __init__(self, keep_prob, rng):
         if not 0.0 < keep_prob <= 1.0:
@@ -370,8 +375,6 @@ class Dropout(Layer):
         return x * self._mask
 
     def backward(self, grad, input_grad=True):
-        if not input_grad:
-            return None
         if self._mask is None:
-            return grad
-        return grad * self._mask
+            raise _no_state(self)
+        return grad * self._mask if input_grad else None

@@ -11,7 +11,7 @@ second-to-last fully connected layer.
 import numpy as np
 
 from .layers import BatchNorm, Conv2d, Dense, Dropout, Flatten, MaxPool2x2, ReLU
-from .tensor import CheckpointError, Rng, load_bundle, restore_arrays, save_bundle
+from .tensor import CheckpointError, load_bundle, restore_arrays, save_bundle, seeded_rng
 
 ARCHITECTURES = ("mnist_small", "comparison")
 DTYPES = ("float32", "float64")
@@ -175,10 +175,12 @@ def build_architecture(
     then three fully connected layers with dropout. Both expose the
     ``hidden_preact`` tap (width ``hidden_width``) feeding the final
     classifier, and the ``logits`` tap at the output. Parameters and
-    activations are ``dtype``, float32 or float64.
+    activations are ``dtype``, float32 or float64. Weights, and the
+    dropout masks of "comparison", draw from ``rng``, a numpy Generator
+    that defaults to ``seeded_rng(0)``.
     """
     if rng is None:
-        rng = Rng(0)
+        rng = seeded_rng(0)
     dt = np.dtype(dtype)
     if dt.name not in DTYPES:
         raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")

@@ -1,4 +1,7 @@
-"""A seeded deterministic RNG and the binary bundle format of checkpoints.
+"""Seeded PCG64 generators and the binary bundle format of checkpoints.
+
+``seeded_rng(seed, stream)`` returns numpy's own Generator; the engine
+calls it directly, and ``train.py`` alone maps a run's seed to streams.
 
 A bundle is a JSON manifest followed by one DTRN0001 tensor record per
 named array; records always store little-endian float64.
@@ -23,49 +26,18 @@ class CheckpointError(RuntimeError):
     """A bundle is malformed or truncated."""
 
 
-class Rng:
-    """Seeded deterministic random stream.
+def seeded_rng(seed, stream=None):
+    """numpy's PCG64 Generator for ``seed``, or for stream ``stream`` of it.
 
-    Backed by numpy's PCG64 bit generator, whose output stream for a
-    given seed is fixed, so the same seed reproduces the same samples
-    across runs and platforms.
+    PCG64 is named, not left to ``np.random.default_rng``, whose bit
+    generator numpy may change. Each stream index gives an independent
+    generator of the same seed, so one stream replays without the others.
     """
-
-    def __init__(self, seed):
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
-        self.seed = seed
-        self._g = np.random.Generator(np.random.PCG64(seed))
-
-    def normal(self, shape=None, loc=0.0, scale=1.0):
-        return self._g.normal(loc, scale, size=shape)
-
-    def uniform(self, low=0.0, high=1.0, shape=None):
-        return self._g.uniform(low, high, size=shape)
-
-    def permutation(self, n):
-        return self._g.permutation(n)
-
-    def integers(self, low, high=None, shape=None):
-        return self._g.integers(low, high, size=shape)
-
-    def choice(self, n, size, replace=False):
-        return self._g.choice(n, size=size, replace=replace)
-
-    def child(self, key):
-        """Derive an independent deterministic substream.
-
-        child(k) of a given seed always yields the same stream, so a
-        consumer can replay one substream (say, dataset subsetting)
-        without replaying the others.
-        """
-        r = object.__new__(Rng)
-        r.seed = self.seed
-        r._g = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(self.seed, spawn_key=(int(key),)))
-        )
-        return r
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+    spawn_key = () if stream is None else (int(stream),)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
 
 
 def _write_tensor_record(f, arr):

@@ -19,14 +19,18 @@ from .losses import (
 )
 from .network import Network, build_architecture
 from .optim import SGD, lr_at_epoch
-from .tensor import CheckpointError, Rng, restore_arrays
+from .tensor import CheckpointError, restore_arrays, seeded_rng
 
 EPOCH_COLUMNS = (
     "epoch", "lr", "train_loss", "train_acc", "test_loss", "test_acc",
 ) + CSV_COLUMNS[2:]
 
-# One master stream per run, split into fixed-purpose substreams so a
-# later eval can replay dataset selection without replaying training.
+# The seed map, kept here and nowhere else. A run's seed gives three
+# generators: ``seeded_rng(seed)`` draws the synth images, the data
+# stream draws the train/test split and the subsets, and the model
+# stream draws the init, the epoch shuffles, the augmentation and the
+# dropout masks. So a later eval replays dataset selection without
+# replaying training.
 _DATA_STREAM, _MODEL_STREAM = 0, 1
 
 
@@ -46,11 +50,11 @@ def load_run_datasets(cfg):
     if cfg.dataset == "synth":
         full = synth_blobs(
             cfg.synth_classes, cfg.synth_size, cfg.synth_per_class,
-            cfg.synth_separation, cfg.seed,
+            cfg.synth_separation, seeded_rng(cfg.seed),
         )
         n = len(full)
         split = max(1, int(n * 0.8))
-        order = Rng(cfg.seed).child(_DATA_STREAM).permutation(n)
+        order = seeded_rng(cfg.seed, _DATA_STREAM).permutation(n)
         train = full.subset(order[:split])
         test = full.subset(order[split:])
         test.split = "test"
@@ -58,7 +62,7 @@ def load_run_datasets(cfg):
         root = os.path.join(resolve_data_dir(cfg), cfg.dataset)
         train = load_idx_dir(root, "train")
         test = load_idx_dir(root, "test")
-        rng = Rng(cfg.seed).child(_DATA_STREAM)
+        rng = seeded_rng(cfg.seed, _DATA_STREAM)
         if cfg.train_subset:
             train = train.subset(rng.permutation(len(train))[: cfg.train_subset])
         if cfg.test_subset:
@@ -87,7 +91,7 @@ def run_training(cfg: RunConfig, progress=False):
     cfg.validate()
     train, test = load_run_datasets(cfg)
     num_classes = train.num_classes
-    model_rng = Rng(cfg.seed).child(_MODEL_STREAM)
+    model_rng = seeded_rng(cfg.seed, _MODEL_STREAM)
     h, w, c = train.images.shape[1:]
     try:
         net = build_architecture(
@@ -103,7 +107,9 @@ def run_training(cfg: RunConfig, progress=False):
     os.makedirs(run_dir, exist_ok=True)
     save_config_file(cfg, os.path.join(run_dir, "config.txt"))
 
-    train_x = train.images.astype(net.dtype, copy=False)
+    # One copy of the train images, in the network's dtype, which evaluate's
+    # predict converts every batch to anyway.
+    train.images = train.images.astype(net.dtype, copy=False)
     train_t = train.one_hot()
     step = 0
     best = None
@@ -118,7 +124,7 @@ def run_training(cfg: RunConfig, progress=False):
             sums, counts = {}, {}
             for rows in _batch_ranges(len(train), cfg.batch_size):
                 batch = order[rows]
-                x = train_x[batch]
+                x = train.images[batch]
                 if cfg.augment:
                     x = augment_batch(x, model_rng).astype(net.dtype, copy=False)
                 t = train_t[batch]

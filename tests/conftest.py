@@ -1,4 +1,5 @@
 import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -66,6 +67,28 @@ def separation_ratio_from_histogram(path):
     var_within = np.where(t, (z - mu) ** 2, (z - mu_hat) ** 2).mean()
     var_total = ((z - z.mean()) ** 2).mean()
     return float(var_within / var_total)
+
+
+def idx_image_bytes(images):
+    images = np.asarray(images, dtype=np.uint8)
+    n, rows, cols = images.shape
+    return struct.pack(">IIII", 0x00000803, n, rows, cols) + images.tobytes()
+
+
+def idx_label_bytes(labels):
+    labels = np.asarray(labels, dtype=np.uint8)
+    return struct.pack(">II", 0x00000801, len(labels)) + labels.tobytes()
+
+
+def write_idx_dir(root, images, labels):
+    """Write ``images`` (n, rows, cols) and ``labels`` as both standard-named
+    IDX splits in ``root``, the layout ``load_idx_dir`` reads."""
+    os.makedirs(root, exist_ok=True)
+    for prefix in ("train", "t10k"):
+        with open(os.path.join(root, f"{prefix}-images-idx3-ubyte"), "wb") as f:
+            f.write(idx_image_bytes(images))
+        with open(os.path.join(root, f"{prefix}-labels-idx1-ubyte"), "wb") as f:
+            f.write(idx_label_bytes(labels))
 
 
 def data_root():

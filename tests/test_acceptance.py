@@ -47,8 +47,8 @@ def onehot(labels, k):
 
 @criterion(1, "streaming oracle equivalence")
 def test_1_streaming_oracle_equivalence():
-    rng = dn.Rng(1000)
-    center_rng = dn.Rng(1001)  # its own stream, so the 1000 sequences stay fixed
+    rng = dn.seeded_rng(1000)
+    center_rng = dn.seeded_rng(1001)  # its own stream, so the 1000 sequences stay fixed
     alphas = (0.5, 0.9, 0.99)
     start = time.time()
     for trial in range(1000):
@@ -109,15 +109,15 @@ def _random_case(rng):
     n = int(rng.integers(2, 9))       # N <= 8
     k = int(rng.integers(2, 5))       # K <= 4
     d = int(rng.integers(2, 7))       # D <= 6
-    z = rng.normal((n, k)) * 2.0
-    x = rng.normal((n, d)) * 2.0
+    z = rng.normal(size=(n, k)) * 2.0
+    x = rng.normal(size=(n, d)) * 2.0
     t = onehot(rng.integers(0, k, n), k)
     return z, x, t
 
 
 @criterion(2, "gradient verification, 50 instances per loss")
 def test_2_gradient_verification():
-    rng = dn.Rng(2000)
+    rng = dn.seeded_rng(2000)
     start = time.time()
     for _ in range(50):
         z, x, t = _random_case(rng)
@@ -132,7 +132,7 @@ def test_2_gradient_verification():
         fd = finite_difference(lambda v: dn.discriminant_criterion(v, t)[0], z)
         assert rel_error(dz, fd) < 1e-4, "batch discriminant"
 
-        centers = rng.normal((k, d))
+        centers = rng.normal(size=(k, d))
         bank = dn.CenterBank(k, d, beta=1.0)
         bank.centers = centers.copy()
         _, dx = dn.center_loss(x, t, bank)
@@ -144,7 +144,7 @@ def test_2_gradient_verification():
         alpha = 0.9
         warm_stats = dn.NeuronClassStats(k, alpha)
         for _ in range(5):
-            warm_stats.update(rng.normal(k), onehot([int(rng.integers(0, k))], k)[0])
+            warm_stats.update(rng.normal(size=k), onehot([int(rng.integers(0, k))], k)[0])
         stats_for_grad = copy.deepcopy(warm_stats)
         _, dz = dn.adaptive_discriminant(z, t, stats_for_grad)
 
@@ -198,16 +198,16 @@ def test_3_full_network_gradient_check():
         alpha=0.9,
     )
     net = dn.build_architecture(
-        "mnist_small", input_shape=(8, 8, 1), num_classes=3, rng=dn.Rng(30),
+        "mnist_small", input_shape=(8, 8, 1), num_classes=3, rng=dn.seeded_rng(30),
         conv_channels=(2, 2), fc1_width=16, hidden_width=8,
     )
-    rng = dn.Rng(31)
-    x = rng.normal((4, 8, 8, 1))
+    rng = dn.seeded_rng(31)
+    x = rng.normal(size=(4, 8, 8, 1))
     t = onehot(rng.integers(0, 3, 4), 3)
 
     # warm the accumulators so denominators are healthy
     state = dn.AuxState(cfg, num_classes=3, feature_dim=8)
-    taps0 = net.forward(rng.normal((6, 8, 8, 1)), train=True)
+    taps0 = net.forward(rng.normal(size=(6, 8, 8, 1)), train=True)
     dn.combined_objective(cfg, taps0, onehot(rng.integers(0, 3, 6), 3), state=state)
 
     # analytic pass: advance a copy of the state, capture frozen statistics

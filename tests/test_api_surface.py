@@ -3,12 +3,15 @@
 Every name that ``discrimnet/__init__.py`` imports must be loaded, as a
 bare name or as an attribute, by some other module of the package, and
 so must every function, class and method the package defines (dunder
-methods aside). A name that only the tests call is code the engine
-never runs; helpers the tests need live in the tests.
+methods aside), outside its own body: a method that only forwards to a
+namesake, or only calls itself, is not used. A name that only the tests
+call is code the engine never runs; helpers the tests need live in the
+tests.
 """
 
 import ast
 import os
+from collections import Counter
 
 import discrimnet
 
@@ -33,12 +36,13 @@ def exported_names():
 
 
 def loaded_names(tree):
-    names = set()
+    """How many times each name is loaded, as a bare name or an attribute."""
+    names = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            names.add(node.attr)
+            names[node.attr] += 1
     return names
 
 
@@ -48,26 +52,30 @@ def test_every_export_is_used_inside_the_package():
     used = set()
     for filename in sorted(os.listdir(PACKAGE_DIR)):
         if filename.endswith(".py") and filename != "__init__.py":
-            used |= loaded_names(parse(filename))
+            used.update(loaded_names(parse(filename)))
     unused = sorted(exported - used - TEST_ONLY)
     assert not unused, f"exported but never used inside the package: {unused}"
 
 
-def defined_names(tree):
-    return {
-        node.name
+def definitions(tree):
+    return [
+        node
         for node in ast.walk(tree)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not (node.name.startswith("__") and node.name.endswith("__"))
-    }
+    ]
 
 
 def test_every_definition_is_used_inside_the_package():
-    defined, used = set(), set()
+    defined, used = [], Counter()
     for filename in sorted(os.listdir(PACKAGE_DIR)):
         if filename.endswith(".py"):
             tree = parse(filename)
-            defined |= defined_names(tree)
-            used |= loaded_names(tree)
-    unused = sorted(defined - used - TEST_ONLY)
+            defined += definitions(tree)
+            used += loaded_names(tree)
+    # A definition counts as used only where its name is loaded outside its own body.
+    unused = sorted(
+        {node.name for node in defined if used[node.name] == loaded_names(node)[node.name]}
+        - TEST_ONLY
+    )
     assert not unused, f"defined but never used inside the package: {unused}"

@@ -18,7 +18,7 @@ from discrimnet.config import (
     parse_config_text,
 )
 from discrimnet.train import load_run_datasets
-from conftest import separation_ratio_from_histogram
+from conftest import separation_ratio_from_histogram, write_idx_dir
 
 
 def synth_config(tmp_path, name="run", **overrides):
@@ -215,9 +215,9 @@ def test_eval_consistency_with_logged_train_accuracy(synth_run):
 
 
 def test_untrained_model_is_at_chance_level():
-    ds = dn.synth_blobs(4, 8, 100, 6.0, seed=3)
+    ds = dn.synth_blobs(4, 8, 100, 6.0, dn.seeded_rng(3))
     net = dn.build_architecture(
-        "mnist_small", input_shape=(8, 8, 1), num_classes=4, rng=dn.Rng(5),
+        "mnist_small", input_shape=(8, 8, 1), num_classes=4, rng=dn.seeded_rng(5),
         conv_channels=(4, 4), fc1_width=16, hidden_width=8,
     )
     _, acc = dn.evaluate(net, ds, 50)
@@ -304,6 +304,34 @@ def test_cli_truncated_checkpoint(tmp_path):
     ckpt = tmp_path / "t" / "final.ckpt"
     ckpt.write_bytes(ckpt.read_bytes()[:200])
     assert main(["eval", "--ckpt", str(ckpt)]) == 1
+
+
+def test_cli_readers_check_the_data_override_against_the_network(tmp_path, capsys):
+    # Ten 8x8 classes, so 8x8 IDX files (always ten classes) fit the network.
+    cfg = synth_config(tmp_path, name="ten", synth_classes=10, synth_per_class=6, epochs=1)
+    assert main(["train", "--config", write_config(cfg, tmp_path / "ten.txt"), "--quiet"]) == 0
+    cfg = synth_config(tmp_path, name="three", synth_per_class=10, epochs=1)
+    assert main(["train", "--config", write_config(cfg, tmp_path / "three.txt"), "--quiet"]) == 0
+    ten, three = (str(tmp_path / name / "final.ckpt") for name in ("ten", "three"))
+    labels = np.arange(20) % 10
+    for size in (8, 28):
+        images = np.zeros((20, size, size), dtype=np.uint8)
+        images[np.arange(20), labels % size, labels % size] = 255
+        write_idx_dir(str(tmp_path / f"idx{size}" / "mnist"), images, labels)
+    idx8, idx28 = str(tmp_path / "idx8"), str(tmp_path / "idx28")
+
+    assert main(["eval", "--ckpt", ten, "--data", "mnist", "--data-dir", idx8]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", ten, "--data", "foo"]) == 2
+    assert "unknown dataset 'foo'" in capsys.readouterr().err
+    assert main(["eval", "--ckpt", ten, "--data", "mnist", "--data-dir", idx28]) == 2
+    assert "(28, 28, 1) images" in capsys.readouterr().err
+    assert main(["eval", "--ckpt", three, "--data", "mnist", "--data-dir", idx8]) == 2
+    assert "10 classes" in capsys.readouterr().err
+    hist = str(tmp_path / "h.csv")
+    assert main(["export-histogram", "--ckpt", ten, "--neuron", "0", "--out", hist,
+                 "--data", "mnist", "--data-dir", idx28]) == 2
+    assert not os.path.exists(hist)
 
 
 @pytest.mark.parametrize("edit, named", [

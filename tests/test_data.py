@@ -6,17 +6,7 @@ from numpy.testing import assert_array_equal
 
 import discrimnet as dn
 from discrimnet.data import IdxFormatError, _resample, augment_batch, load_idx_dir
-
-
-def idx_image_bytes(images):
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    return struct.pack(">IIII", 0x00000803, n, rows, cols) + images.tobytes()
-
-
-def idx_label_bytes(labels):
-    labels = np.asarray(labels, dtype=np.uint8)
-    return struct.pack(">II", 0x00000801, len(labels)) + labels.tobytes()
+from conftest import idx_image_bytes, idx_label_bytes
 
 
 @pytest.fixture
@@ -75,16 +65,16 @@ def test_real_mnist_test_split(mnist_root):
 # --- synthetic blobs ----------------------------------------------------------
 
 def test_synth_blobs_deterministic():
-    a = dn.synth_blobs(3, 8, 10, 4.0, seed=5)
-    b = dn.synth_blobs(3, 8, 10, 4.0, seed=5)
+    a = dn.synth_blobs(3, 8, 10, 4.0, dn.seeded_rng(5))
+    b = dn.synth_blobs(3, 8, 10, 4.0, dn.seeded_rng(5))
     assert_array_equal(a.images, b.images)
     assert_array_equal(a.labels, b.labels)
-    c = dn.synth_blobs(3, 8, 10, 4.0, seed=6)
+    c = dn.synth_blobs(3, 8, 10, 4.0, dn.seeded_rng(6))
     assert np.any(a.images != c.images)
 
 
 def test_synth_blobs_exact_class_counts():
-    ds = dn.synth_blobs(5, 6, 17, 3.0, seed=1)
+    ds = dn.synth_blobs(5, 6, 17, 3.0, dn.seeded_rng(1))
     counts = np.bincount(ds.labels, minlength=5)
     assert_array_equal(counts, [17] * 5)
     assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
@@ -95,8 +85,8 @@ def train_logistic_one_epoch(ds, lr=0.5, batch=20, seed=0):
     n, h, w, c = ds.images.shape
     x = ds.images.reshape(n, -1)
     t = ds.one_hot()
-    layer = dn.Dense(h * w * c, ds.num_classes, dn.Rng(seed))
-    order = dn.Rng(seed).permutation(n)
+    layer = dn.Dense(h * w * c, ds.num_classes, dn.seeded_rng(seed))
+    order = dn.seeded_rng(seed).permutation(n)
     for start in range(0, n, batch):
         rows = order[start : start + batch]
         z = layer.forward(x[rows])
@@ -109,12 +99,12 @@ def train_logistic_one_epoch(ds, lr=0.5, batch=20, seed=0):
 
 
 def test_synth_blobs_wide_separation_is_learnable():
-    ds = dn.synth_blobs(2, 8, 150, 10.0, seed=2)
+    ds = dn.synth_blobs(2, 8, 150, 10.0, dn.seeded_rng(2))
     assert train_logistic_one_epoch(ds) > 0.99
 
 
 def test_synth_blobs_zero_separation_is_chance():
-    ds = dn.synth_blobs(4, 8, 150, 0.0, seed=3)
+    ds = dn.synth_blobs(4, 8, 150, 0.0, dn.seeded_rng(3))
     acc = train_logistic_one_epoch(ds)
     assert abs(acc - 0.25) < 0.12
 
@@ -128,7 +118,7 @@ def affine_transform(image, rotation_deg=0.0, scale=1.0, translate=(0.0, 0.0)):
 
 
 def test_affine_identity_is_exact():
-    img = dn.Rng(60).normal((12, 12, 1))
+    img = dn.seeded_rng(60).normal(size=(12, 12, 1))
     out = affine_transform(img)
     assert np.abs(out - img).max() < 1e-12
 
@@ -153,19 +143,19 @@ def test_affine_rotation_round_trip():
 
 
 def test_affine_augment_respects_shape_and_determinism():
-    img = dn.Rng(62).normal((10, 10, 3))
-    a = augment_batch(img[None], dn.Rng(7))[0]
-    b = augment_batch(img[None], dn.Rng(7))[0]
+    img = dn.seeded_rng(62).normal(size=(10, 10, 3))
+    a = augment_batch(img[None], dn.seeded_rng(7))[0]
+    b = augment_batch(img[None], dn.seeded_rng(7))[0]
     assert a.shape == img.shape
     assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("shape", [(5, 9, 13, 3), (4, 28, 28, 1), (3, 6, 6)])
 def test_augment_batch_equals_per_image_augment(shape):
-    images = dn.Rng(63).uniform(0.0, 1.0, shape)
+    images = dn.seeded_rng(63).uniform(0.0, 1.0, shape)
     images[images < 0.2] = 0.0
-    got = augment_batch(images, dn.Rng(8))
-    rng = dn.Rng(8)
+    got = augment_batch(images, dn.seeded_rng(8))
+    rng = dn.seeded_rng(8)
     want = np.stack([augment_batch(im[None], rng)[0] for im in images])
     assert got.dtype == want.dtype and got.shape == want.shape == images.shape
     assert_array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -175,11 +165,11 @@ def test_affine_augment_draw_order():
     # One image consumes four draws: rotation of up to 10 degrees either
     # way, scale in [0.9, 1.1], rows shift, cols shift of up to 0.1 of
     # the image side.
-    img = dn.Rng(64).uniform(0.0, 1.0, (8, 12, 2))
-    twin = dn.Rng(9)
+    img = dn.seeded_rng(64).uniform(0.0, 1.0, (8, 12, 2))
+    twin = dn.seeded_rng(9)
     theta = twin.uniform(-10.0, 10.0)
     scale = twin.uniform(0.9, 1.1)
     ty = twin.uniform(-0.1 * 8, 0.1 * 8)
     tx = twin.uniform(-0.1 * 12, 0.1 * 12)
     want = affine_transform(img, rotation_deg=theta, scale=scale, translate=(ty, tx))
-    assert_array_equal(augment_batch(img[None], dn.Rng(9))[0], want)
+    assert_array_equal(augment_batch(img[None], dn.seeded_rng(9))[0], want)

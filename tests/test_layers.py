@@ -11,7 +11,7 @@ def layer_input_gradient_check(layer, x, train=False, tol=1e-4, h=1e-5):
     sum (random weights keep the probe non-degenerate, e.g. for
     batchnorm, whose plain output sum is input-invariant)."""
     out = layer.forward(x.copy(), train=train)
-    weights = dn.Rng(987).normal(out.shape)
+    weights = dn.seeded_rng(987).normal(size=out.shape)
     got = layer.backward(weights)
 
     def scalar(xx):
@@ -24,7 +24,7 @@ def layer_input_gradient_check(layer, x, train=False, tol=1e-4, h=1e-5):
 
 def layer_param_gradient_check(layer, x, train=False, tol=1e-4, h=1e-5):
     out = layer.forward(x.copy(), train=train)
-    weights = dn.Rng(988).normal(out.shape)
+    weights = dn.seeded_rng(988).normal(size=out.shape)
     layer.backward(weights)
     analytic = {name: g.copy() for name, g in layer.parameter_grads()}
     for name, param in layer.parameters():
@@ -53,8 +53,8 @@ def test_relu_backward_subgradient():
 
 
 def test_relu_finite_difference_away_from_kink():
-    rng = dn.Rng(21)
-    x = rng.normal((4, 6))
+    rng = dn.seeded_rng(21)
+    x = rng.normal(size=(4, 6))
     x[np.abs(x) < 1e-3] = 0.5  # kink exclusion
     relu = dn.ReLU()
     layer_input_gradient_check(relu, x, train=True, tol=1e-6)
@@ -63,15 +63,15 @@ def test_relu_finite_difference_away_from_kink():
 # --- dense ---------------------------------------------------------------------
 
 def test_dense_gradients():
-    rng = dn.Rng(22)
+    rng = dn.seeded_rng(22)
     layer = dn.Dense(5, 3, rng)
-    x = rng.normal((4, 5))
+    x = rng.normal(size=(4, 5))
     layer_input_gradient_check(layer, x)
     layer_param_gradient_check(layer, x)
 
 
 def test_dense_shape_validation():
-    layer = dn.Dense(5, 3, dn.Rng(0))
+    layer = dn.Dense(5, 3, dn.seeded_rng(0))
     with pytest.raises(ValueError):
         layer.forward(np.zeros((2, 4)))
 
@@ -80,21 +80,21 @@ def test_dense_shape_validation():
 
 def test_conv_output_shape_with_padding():
     # 28x28x1 input, 32 filters, padding 1 keeps the resolution
-    conv = dn.Conv2d(1, 32, padding=1, rng=dn.Rng(1))
+    conv = dn.Conv2d(1, 32, padding=1, rng=dn.seeded_rng(1))
     out = conv.forward(np.zeros((2, 28, 28, 1)))
     assert out.shape == (2, 28, 28, 32)
 
 
 def test_conv_output_shape_without_padding():
-    conv = dn.Conv2d(3, 8, padding=0, rng=dn.Rng(1))
+    conv = dn.Conv2d(3, 8, padding=0, rng=dn.seeded_rng(1))
     out = conv.forward(np.zeros((2, 8, 8, 3)))
     assert out.shape == (2, 6, 6, 8)
 
 
 def test_conv_matches_direct_convolution():
-    rng = dn.Rng(23)
+    rng = dn.seeded_rng(23)
     conv = dn.Conv2d(2, 3, padding=1, rng=rng)
-    x = rng.normal((2, 5, 6, 2))
+    x = rng.normal(size=(2, 5, 6, 2))
     out = conv.forward(x)
     w = conv.w.reshape(3, 3, 2, 3)
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
@@ -109,10 +109,10 @@ def test_conv_matches_direct_convolution():
 
 
 def test_conv_gradients():
-    rng = dn.Rng(24)
+    rng = dn.seeded_rng(24)
     for padding in (0, 1):
         conv = dn.Conv2d(2, 4, padding=padding, rng=rng)
-        x = rng.normal((3, 6, 5, 2))
+        x = rng.normal(size=(3, 6, 5, 2))
         layer_input_gradient_check(conv, x)
         layer_param_gradient_check(conv, x)
 
@@ -142,14 +142,14 @@ def test_maxpool_values_and_routing():
 
 
 def test_maxpool_gradient_check():
-    rng = dn.Rng(25)
-    x = rng.normal((2, 6, 6, 3))
+    rng = dn.seeded_rng(25)
+    x = rng.normal(size=(2, 6, 6, 3))
     layer_input_gradient_check(dn.MaxPool2x2(), x, train=True, tol=1e-6)
 
 
 def test_maxpool_odd_input_drops_tail():
     pool = dn.MaxPool2x2()
-    x = dn.Rng(26).normal((1, 7, 7, 2))
+    x = dn.seeded_rng(26).normal(size=(1, 7, 7, 2))
     out = pool.forward(x, train=True)
     assert out.shape == (1, 3, 3, 2)
     dx = pool.backward(np.ones_like(out))
@@ -218,20 +218,20 @@ def reference_conv(x, w, b, padding, grad):
 def post_relu_input(rng, shape, dtype):
     """Rectified normals, about half exact zeros, plus ties among coarsely
     rounded positives and a few negative zeros."""
-    x = np.maximum(np.round(rng.normal(shape) * 2.0) / 2.0, 0.0)
+    x = np.maximum(np.round(rng.normal(size=shape) * 2.0) / 2.0, 0.0)
     x[rng.uniform(0.0, 1.0, shape) < 0.05] = -0.0
     return x.astype(dtype)
 
 
 def signed_gradient(rng, shape, dtype):
-    g = rng.normal(shape)
+    g = rng.normal(size=shape)
     g[rng.uniform(0.0, 1.0, shape) < 0.05] = -0.0
     return g.astype(dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_relu_matches_where_reference(dtype):
-    rng = dn.Rng(40)
+    rng = dn.seeded_rng(40)
     x = signed_gradient(rng, (3, 7, 7, 4), dtype)
     x[0, 0, 0, :] = [-0.0, 0.0, -1.0, 1.0]
     grad = signed_gradient(rng, x.shape, dtype)
@@ -244,7 +244,7 @@ def test_relu_matches_where_reference(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(4, 8, 8, 3), (3, 7, 7, 2), (2, 6, 9, 5)])
 def test_maxpool_backward_matches_mask_reference(dtype, shape):
-    rng = dn.Rng(41)
+    rng = dn.seeded_rng(41)
     x = post_relu_input(rng, shape, dtype)
     pool = dn.MaxPool2x2()
     out = pool.forward(x, train=True)
@@ -257,7 +257,7 @@ def test_maxpool_routes_nothing_from_nan_windows(dtype):
     # Windows holding NaN (alone, beside +-inf, or behind an earlier
     # maximum) pool to NaN, and == never matches NaN, so the reference
     # routes nothing from them; +-inf windows route like any other.
-    rng = dn.Rng(46)
+    rng = dn.seeded_rng(46)
     x = post_relu_input(rng, (3, 6, 7, 4), dtype)
     flat = x.reshape(-1)
     picks = rng.permutation(flat.size)
@@ -275,10 +275,15 @@ def test_maxpool_routes_nothing_from_nan_windows(dtype):
     assert_bitwise_equal(pool.backward(grad), reference_pool_backward(x, out, grad))
 
 
-@pytest.mark.parametrize("make", [dn.ReLU, dn.MaxPool2x2], ids=["relu", "maxpool"])
+@pytest.mark.parametrize("make", [
+    dn.ReLU,
+    dn.MaxPool2x2,
+    lambda: dn.BatchNorm(3),
+    lambda: dn.Dropout(0.5, dn.seeded_rng(48)),
+], ids=["relu", "maxpool", "batchnorm", "dropout"])
 def test_backward_after_an_eval_forward_raises(make):
     layer = make()
-    x = dn.Rng(47).normal((2, 4, 4, 3))
+    x = dn.seeded_rng(47).normal(size=(2, 4, 4, 3))
     with pytest.raises(RuntimeError):
         layer.backward(np.ones((2, 4, 4, 3)))  # no forward yet
     out = layer.forward(x, train=True)
@@ -292,7 +297,7 @@ def test_backward_after_an_eval_forward_raises(make):
 @pytest.mark.parametrize("padding", [0, 1])
 @pytest.mark.parametrize("cin", [1, 3])
 def test_conv_matches_im2col_reference(dtype, padding, cin):
-    rng = dn.Rng(42)
+    rng = dn.seeded_rng(42)
     conv = dn.Conv2d(cin, 4, padding=padding, rng=rng)
     conv.w = conv.w.astype(dtype)
     conv.b = rng.uniform(-0.5, 0.5, 4).astype(dtype)
@@ -315,12 +320,12 @@ def test_conv_matches_im2col_reference(dtype, padding, cin):
 
 @pytest.mark.parametrize("padding", [0, 1])
 def test_conv_reuses_its_workspace_and_returns_fresh_outputs(padding):
-    rng = dn.Rng(43)
+    rng = dn.seeded_rng(43)
     conv = dn.Conv2d(2, 3, padding=padding, rng=rng)
-    first = conv.forward(rng.normal((2, 6, 5, 2)))
+    first = conv.forward(rng.normal(size=(2, 6, 5, 2)))
     kept = first.copy()
     cols = conv._cols
-    second = conv.forward(rng.normal((2, 6, 5, 2)))
+    second = conv.forward(rng.normal(size=(2, 6, 5, 2)))
     assert conv._cols is cols
     assert second is not first and not np.shares_memory(first, second)
     assert_bitwise_equal(first, kept)
@@ -332,7 +337,7 @@ def test_conv_workspace_follows_batch_size_and_dtype(padding):
     # float32: each call must match the reference as if the layer were
     # new. The smaller batch and the return to the larger one use the
     # leading rows of the batch-3 workspace; float32 gets a new one.
-    rng = dn.Rng(44)
+    rng = dn.seeded_rng(44)
     conv = dn.Conv2d(3, 4, padding=padding, rng=rng)
     conv.b = rng.uniform(-0.5, 0.5, 4)
     cols = None
@@ -352,25 +357,22 @@ def test_conv_workspace_follows_batch_size_and_dtype(padding):
         assert_bitwise_equal(dx, want_dx)
 
 
-@pytest.mark.parametrize("make, shape, train", [
-    (lambda rng: dn.Conv2d(3, 4, padding=1, rng=rng), (2, 5, 5, 3), True),
-    (lambda rng: dn.Conv2d(3, 4, padding=0, rng=rng), (2, 5, 5, 3), True),
-    (lambda rng: dn.Dense(6, 4, rng), (5, 6), True),
-    (lambda rng: dn.BatchNorm(3), (4, 3), True),
-    (lambda rng: dn.BatchNorm(3), (4, 3), False),
-    (lambda rng: dn.ReLU(), (2, 4, 4, 3), True),
-    (lambda rng: dn.MaxPool2x2(), (2, 4, 4, 3), True),
-    (lambda rng: dn.Flatten(), (2, 4, 4, 3), True),
-    (lambda rng: dn.Dropout(0.5, rng), (4, 6), True),
-], ids=["conv-pad1", "conv-pad0", "dense", "batchnorm-train", "batchnorm-eval", "relu",
-        "maxpool", "flatten", "dropout"])
-def test_backward_without_input_grad_keeps_parameter_grads(make, shape, train):
-    rng = dn.Rng(45)
+@pytest.mark.parametrize("make, shape", [
+    (lambda rng: dn.Conv2d(3, 4, padding=1, rng=rng), (2, 5, 5, 3)),
+    (lambda rng: dn.Conv2d(3, 4, padding=0, rng=rng), (2, 5, 5, 3)),
+    (lambda rng: dn.Dense(6, 4, rng), (5, 6)),
+    (lambda rng: dn.BatchNorm(3), (4, 3)),
+    (lambda rng: dn.ReLU(), (2, 4, 4, 3)),
+    (lambda rng: dn.MaxPool2x2(), (2, 4, 4, 3)),
+    (lambda rng: dn.Flatten(), (2, 4, 4, 3)),
+    (lambda rng: dn.Dropout(0.5, rng), (4, 6)),
+], ids=["conv-pad1", "conv-pad0", "dense", "batchnorm-train", "relu", "maxpool", "flatten",
+        "dropout"])
+def test_backward_without_input_grad_keeps_parameter_grads(make, shape):
+    rng = dn.seeded_rng(45)
     layer = make(rng)
-    if not train:
-        layer.forward(rng.normal(shape), train=True)  # running statistics for eval mode
-    out = layer.forward(rng.normal(shape), train=train)
-    grad = rng.normal(out.shape)
+    out = layer.forward(rng.normal(size=shape), train=True)
+    grad = rng.normal(size=out.shape)
     assert layer.backward(grad).shape == shape
     want = [(name, g.copy()) for name, g in layer.parameter_grads()]
     assert layer.backward(grad, input_grad=False) is None
@@ -384,7 +386,7 @@ def test_backward_without_input_grad_keeps_parameter_grads(make, shape, train):
 
 def test_flatten_round_trip():
     flat = dn.Flatten()
-    x = dn.Rng(27).normal((3, 4, 5, 2))
+    x = dn.seeded_rng(27).normal(size=(3, 4, 5, 2))
     out = flat.forward(x)
     assert out.shape == (3, 40)
     assert_array_equal(flat.backward(out), x)
@@ -393,9 +395,9 @@ def test_flatten_round_trip():
 # --- batchnorm ---------------------------------------------------------------------
 
 def test_batchnorm_normalizes_in_training():
-    rng = dn.Rng(28)
+    rng = dn.seeded_rng(28)
     bn = dn.BatchNorm(5)
-    x = rng.normal((64, 5)) * 3.0 + 2.0
+    x = rng.normal(size=(64, 5)) * 3.0 + 2.0
     out = bn.forward(x, train=True)
     assert np.abs(out.mean(axis=0)).max() < 1e-6
     assert np.abs(out.var(axis=0) - 1.0).max() < 1e-4
@@ -408,11 +410,11 @@ def test_batchnorm_eval_before_training_errors():
 
 
 def test_batchnorm_eval_uses_running_statistics():
-    rng = dn.Rng(29)
+    rng = dn.seeded_rng(29)
     bn = dn.BatchNorm(4)
     for _ in range(200):
-        bn.forward(rng.normal((32, 4)) * 2.0 + 1.0, train=True)
-    x = rng.normal((16, 4)) * 2.0 + 1.0
+        bn.forward(rng.normal(size=(32, 4)) * 2.0 + 1.0, train=True)
+    x = rng.normal(size=(16, 4)) * 2.0 + 1.0
     out = bn.forward(x, train=False)
     # running stats approximate the generating distribution
     assert np.abs(out.mean(axis=0)).max() < 0.5
@@ -421,31 +423,31 @@ def test_batchnorm_eval_uses_running_statistics():
 
 
 def test_batchnorm_gradients():
-    rng = dn.Rng(30)
+    rng = dn.seeded_rng(30)
     bn = dn.BatchNorm(3)
-    x = rng.normal((6, 3))
+    x = rng.normal(size=(6, 3))
     layer_input_gradient_check(bn, x, train=True)
     layer_param_gradient_check(bn, x, train=True)
 
 
 def test_batchnorm_gradients_nhwc():
-    rng = dn.Rng(31)
+    rng = dn.seeded_rng(31)
     bn = dn.BatchNorm(2)
-    x = rng.normal((2, 3, 3, 2))
+    x = rng.normal(size=(2, 3, 3, 2))
     layer_input_gradient_check(bn, x, train=True)
 
 
 # --- dropout -----------------------------------------------------------------------
 
 def test_dropout_eval_is_bitwise_identity():
-    drop = dn.Dropout(0.5, dn.Rng(32))
-    x = dn.Rng(33).normal((4, 6))
+    drop = dn.Dropout(0.5, dn.seeded_rng(32))
+    x = dn.seeded_rng(33).normal(size=(4, 6))
     out = drop.forward(x, train=False)
     assert out is x
 
 
 def test_dropout_training_masks_and_scales():
-    drop = dn.Dropout(0.5, dn.Rng(34))
+    drop = dn.Dropout(0.5, dn.seeded_rng(34))
     x = np.ones((200, 50))
     out = drop.forward(x, train=True)
     kept = out != 0
@@ -458,4 +460,4 @@ def test_dropout_training_masks_and_scales():
 
 def test_dropout_keep_prob_validation():
     with pytest.raises(ValueError):
-        dn.Dropout(0.0, dn.Rng(0))
+        dn.Dropout(0.0, dn.seeded_rng(0))

@@ -15,7 +15,7 @@ def onehot(labels, k):
 
 
 def random_instance(rng, n, k):
-    z = rng.normal((n, k)) * 2.0
+    z = rng.normal(size=(n, k)) * 2.0
     labels = rng.integers(0, k, n)
     return z, onehot(labels, k)
 
@@ -34,8 +34,8 @@ def test_softmax_huge_logits_do_not_overflow():
 
 
 def test_softmax_shift_invariance_and_row_sums():
-    rng = dn.Rng(2)
-    z = rng.normal((16, 5)) * 3.0
+    rng = dn.seeded_rng(2)
+    z = rng.normal(size=(16, 5)) * 3.0
     c = 7.3
     assert np.abs(dn.softmax(z + c) - dn.softmax(z)).max() < 1e-12
     assert np.abs(dn.softmax(z).sum(axis=1) - 1.0).max() < 1e-12
@@ -57,7 +57,7 @@ def test_cross_entropy_confident_prediction_vanishes():
 
 
 def test_cross_entropy_sum_vs_mean():
-    rng = dn.Rng(3)
+    rng = dn.seeded_rng(3)
     z, t = random_instance(rng, 6, 4)
     loss_mean, dz_mean = dn.softmax_cross_entropy(z, t)
     e = np.exp(z)
@@ -67,7 +67,7 @@ def test_cross_entropy_sum_vs_mean():
 
 
 def test_cross_entropy_gradient_matches_finite_differences():
-    rng = dn.Rng(4)
+    rng = dn.seeded_rng(4)
     z, t = random_instance(rng, 8, 4)
     _, dz = dn.softmax_cross_entropy(z, t)
     fd = finite_difference(lambda zz: dn.softmax_cross_entropy(zz, t)[0], z)
@@ -122,7 +122,7 @@ def test_discriminant_absent_class_contributes_nothing_and_is_flagged():
 
 
 def test_discriminant_gradient_matches_finite_differences():
-    rng = dn.Rng(6)
+    rng = dn.seeded_rng(6)
     for n, k in [(6, 3), (8, 4), (5, 2)]:
         z, t = random_instance(rng, n, k)
         _, dz = dn.discriminant_criterion(z, t)
@@ -131,7 +131,7 @@ def test_discriminant_gradient_matches_finite_differences():
 
 
 def test_discriminant_loss_ratios_bounded_below():
-    rng = dn.Rng(7)
+    rng = dn.seeded_rng(7)
     for _ in range(20):
         z, t = random_instance(rng, 10, 4)
         loss, _ = dn.discriminant_criterion(z, t)
@@ -185,8 +185,8 @@ def test_adaptive_discriminant_single_sample_matches_recurrences():
 
 
 def test_adaptive_discriminant_gradient_matches_frozen_surrogate_fd():
-    rng = dn.Rng(8)
-    warm = [(rng.normal(3), onehot([int(rng.integers(0, 3))], 3)[0]) for _ in range(12)]
+    rng = dn.seeded_rng(8)
+    warm = [(rng.normal(size=3), onehot([int(rng.integers(0, 3))], 3)[0]) for _ in range(12)]
     z, t = random_instance(rng, 8, 3)
     loss, dz, pre, _ = run_adaptive(z, t, alpha=0.9, warm=warm)
     frozen = capture_surrogate(z, t, pre)
@@ -215,10 +215,10 @@ def test_adaptive_discriminant_concentrated_stream_drives_loss_down():
     assert losses[-1] < 0.6
     assert losses[-1] < losses[5]
 
-    rng = dn.Rng(77)
+    rng = dn.seeded_rng(77)
     noise_stats = dn.NeuronClassStats(2, 0.9)
     for _ in range(400):
-        zz = rng.normal((2, 2))
+        zz = rng.normal(size=(2, 2))
         noise_loss, _ = dn.adaptive_discriminant(zz, t, noise_stats)
     assert losses[-1] < 0.5 * noise_loss
 
@@ -252,9 +252,9 @@ def test_center_loss_zero_at_centers():
 
 
 def test_center_loss_gradient_matches_finite_differences():
-    rng = dn.Rng(11)
-    bank = make_bank(rng.normal((4, 6)))
-    x = rng.normal((8, 6))
+    rng = dn.seeded_rng(11)
+    bank = make_bank(rng.normal(size=(4, 6)))
+    x = rng.normal(size=(8, 6))
     t = onehot(rng.integers(0, 4, 8), 4)
     _, dx = dn.center_loss(x, t, bank)
     fd = finite_difference(lambda xx: dn.center_loss(xx, t, bank)[0], x)
@@ -262,9 +262,9 @@ def test_center_loss_gradient_matches_finite_differences():
 
 
 def test_center_loss_translation_covariance():
-    rng = dn.Rng(12)
-    bank = make_bank(rng.normal((3, 4)))
-    x = rng.normal((6, 4))
+    rng = dn.seeded_rng(12)
+    bank = make_bank(rng.normal(size=(3, 4)))
+    x = rng.normal(size=(6, 4))
     t = onehot(rng.integers(0, 3, 6), 3)
     shift = np.array([0.3, -1.2, 4.0, 0.01])
     loss1, dx1 = dn.center_loss(x, t, bank)
@@ -293,9 +293,9 @@ def test_adaptive_center_fresh_bank_fixture():
 
 
 def test_adaptive_center_near_one_alpha_approaches_plain_center_loss():
-    rng = dn.Rng(13)
-    centers = rng.normal((3, 4))
-    x = rng.normal((6, 4))
+    rng = dn.seeded_rng(13)
+    centers = rng.normal(size=(3, 4))
+    x = rng.normal(size=(6, 4))
     t = onehot(rng.integers(0, 3, 6), 3)
     bank = dn.CenterBank(3, 4, alpha=1 - 1e-9)
     bank.centers = centers.copy()
@@ -306,10 +306,10 @@ def test_adaptive_center_near_one_alpha_approaches_plain_center_loss():
 
 
 def test_adaptive_center_gradient_matches_frozen_center_fd():
-    rng = dn.Rng(14)
+    rng = dn.seeded_rng(14)
     bank = dn.CenterBank(3, 5, alpha=0.9)
-    bank.centers = rng.normal((3, 5))
-    x = rng.normal((7, 5))
+    bank.centers = rng.normal(size=(3, 5))
+    x = rng.normal(size=(7, 5))
     t = onehot(rng.integers(0, 3, 7), 3)
     before = bank.centers.copy()
     loss, dx = dn.adaptive_center_loss(x, t, bank)
@@ -325,13 +325,13 @@ def test_adaptive_center_gradient_matches_frozen_center_fd():
 
 
 def test_batch_loss_permutation_equivariance():
-    rng = dn.Rng(15)
+    rng = dn.seeded_rng(15)
     z, t = random_instance(rng, 9, 3)
     perm = rng.permutation(9)
     for fn in (
         lambda zz, tt: dn.softmax_cross_entropy(zz, tt),
         lambda zz, tt: dn.discriminant_criterion(zz, tt),
-        lambda zz, tt: dn.center_loss(zz, tt, make_bank(rng.normal((3, 3)) * 0 + 0.5)),
+        lambda zz, tt: dn.center_loss(zz, tt, make_bank(rng.normal(size=(3, 3)) * 0 + 0.5)),
     ):
         loss1, g1 = fn(z, t)
         loss2, g2 = fn(z[perm], t[perm])
@@ -342,7 +342,7 @@ def test_batch_loss_permutation_equivariance():
 # --- combined objective -----------------------------------------------------------
 
 def test_combined_all_weights_zero_is_pure_cross_entropy():
-    rng = dn.Rng(16)
+    rng = dn.seeded_rng(16)
     z, t = random_instance(rng, 5, 3)
     cfg = dn.RunConfig()
     report = dn.combined_objective(cfg, {"logits": z}, t, state=None)
@@ -353,10 +353,10 @@ def test_combined_all_weights_zero_is_pure_cross_entropy():
 
 
 def test_combined_published_mnist_setting_and_component_sum():
-    rng = dn.Rng(17)
+    rng = dn.seeded_rng(17)
     n, k, d = 6, 4, 5
     z, t = random_instance(rng, n, k)
-    x = rng.normal((n, d))
+    x = rng.normal(size=(n, d))
     cfg = dn.RunConfig(
         lambda_adaptive_discriminant=0.001,
         lambda_adaptive_center=1.0,
@@ -374,7 +374,7 @@ def test_combined_published_mnist_setting_and_component_sum():
 
 
 def test_combined_gradients_are_weighted_sums():
-    rng = dn.Rng(18)
+    rng = dn.seeded_rng(18)
     n, k = 7, 3
     z, t = random_instance(rng, n, k)
     lam = 0.25

@@ -14,7 +14,7 @@ def small_net(seed=0, hidden=8, classes=3, dtype="float64"):
         "mnist_small",
         input_shape=(8, 8, 1),
         num_classes=classes,
-        rng=dn.Rng(seed),
+        rng=dn.seeded_rng(seed),
         conv_channels=(2, 2),
         fc1_width=10,
         hidden_width=hidden,
@@ -34,7 +34,7 @@ def layer_shapes(net, x):
 
 def test_mnist_small_shape_chain():
     net = dn.build_architecture("mnist_small", input_shape=(28, 28, 1), num_classes=10,
-                                rng=dn.Rng(0))
+                                rng=dn.seeded_rng(0))
     shapes = layer_shapes(net, np.zeros((2, 28, 28, 1)))
     want = [
         (2, 28, 28, 32),  # conv 3x3 pad 1
@@ -55,7 +55,7 @@ def test_mnist_small_shape_chain():
 
 def test_comparison_shape_chain_32x32():
     net = dn.build_architecture("comparison", input_shape=(32, 32, 3), num_classes=10,
-                                rng=dn.Rng(0))
+                                rng=dn.seeded_rng(0))
     shapes = layer_shapes(net, np.zeros((1, 32, 32, 3)))
     assert shapes[0] == (1, 32, 32, 128)    # conv 3x3 pad 1
     # after two pools: 8x8; three unpadded convs: 6x6x512, 4x4x256, 2x2x128
@@ -74,7 +74,7 @@ def test_comparison_shape_chain_32x32():
 
 def test_hidden_preact_tap_width():
     for arch, shape in (("mnist_small", (28, 28, 1)), ("comparison", (32, 32, 3))):
-        net = dn.build_architecture(arch, input_shape=shape, num_classes=10, rng=dn.Rng(0))
+        net = dn.build_architecture(arch, input_shape=shape, num_classes=10, rng=dn.seeded_rng(0))
         taps = net.forward(np.zeros((3,) + shape, dtype=np.float64), train=True)
         assert taps["hidden_preact"].shape == (3, 100)
         assert taps["logits"].shape == (3, 10)
@@ -82,22 +82,22 @@ def test_hidden_preact_tap_width():
 
 def test_pooling_chain_validation():
     with pytest.raises(ValueError):
-        dn.build_architecture("mnist_small", input_shape=(30, 28, 1), rng=dn.Rng(0))
+        dn.build_architecture("mnist_small", input_shape=(30, 28, 1), rng=dn.seeded_rng(0))
     with pytest.raises(ValueError):
-        dn.build_architecture("comparison", input_shape=(28, 28, 3), rng=dn.Rng(0))
+        dn.build_architecture("comparison", input_shape=(28, 28, 3), rng=dn.seeded_rng(0))
     with pytest.raises(ValueError):
-        dn.build_architecture("no_such_arch", input_shape=(28, 28, 1), rng=dn.Rng(0))
+        dn.build_architecture("no_such_arch", input_shape=(28, 28, 1), rng=dn.seeded_rng(0))
 
 
 def test_forward_is_deterministic_bitwise():
-    x = dn.Rng(40).normal((4, 8, 8, 1))
+    x = dn.seeded_rng(40).normal(size=(4, 8, 8, 1))
     a = small_net(seed=7).forward(x)["logits"]
     b = small_net(seed=7).forward(x)["logits"]
     assert_array_equal(a, b)
 
 
 def test_different_seeds_differ():
-    x = dn.Rng(41).normal((2, 8, 8, 1))
+    x = dn.seeded_rng(41).normal(size=(2, 8, 8, 1))
     a = small_net(seed=1).forward(x)["logits"]
     b = small_net(seed=2).forward(x)["logits"]
     assert np.any(a != b)
@@ -105,7 +105,7 @@ def test_different_seeds_differ():
 
 def test_backward_fills_all_parameter_gradients():
     net = small_net()
-    x = dn.Rng(42).normal((4, 8, 8, 1))
+    x = dn.seeded_rng(42).normal(size=(4, 8, 8, 1))
     taps = net.forward(x, train=True)
     net.backward({"logits": np.ones_like(taps["logits"])})
     grads = net.gradients()
@@ -117,8 +117,8 @@ def test_backward_fills_all_parameter_gradients():
 
 def test_full_network_gradient_check_with_logits_loss():
     net = small_net(seed=3)
-    rng = dn.Rng(43)
-    x = rng.normal((4, 8, 8, 1))
+    rng = dn.seeded_rng(43)
+    x = rng.normal(size=(4, 8, 8, 1))
     t = np.zeros((4, 3))
     t[np.arange(4), rng.integers(0, 3, 4)] = 1.0
 
@@ -145,7 +145,7 @@ def test_tap_gradient_injection_adds_to_backprop():
     # Injecting a gradient at hidden_preact must change earlier-layer
     # gradients but leave later layers' parameter gradients alone.
     net = small_net(seed=5)
-    x = dn.Rng(44).normal((4, 8, 8, 1))
+    x = dn.seeded_rng(44).normal(size=(4, 8, 8, 1))
     taps = net.forward(x, train=True)
     dz = np.ones_like(taps["logits"])
     net.backward({"logits": dz})
@@ -172,7 +172,7 @@ def test_backward_rejects_unknown_taps_and_requires_forward():
 
 def test_backward_after_an_eval_forward_raises():
     net = small_net()
-    x = dn.Rng(52).normal((2, 8, 8, 1))
+    x = dn.seeded_rng(52).normal(size=(2, 8, 8, 1))
     taps = net.forward(x, train=True)
     net.backward({"logits": np.ones_like(taps["logits"])})
     taps = net.forward(x, train=False)
@@ -182,7 +182,7 @@ def test_backward_after_an_eval_forward_raises():
 
 def test_checkpoint_round_trip(tmp_path):
     net = small_net(seed=9)
-    x = dn.Rng(45).normal((2, 8, 8, 1))
+    x = dn.seeded_rng(45).normal(size=(2, 8, 8, 1))
     want = net.forward(x)["logits"]
     path = tmp_path / "net.ckpt"
     net.save(path, extra_manifest={"config": {"note": 1}}, extra_arrays={"extra.v": np.ones(3)})
@@ -195,7 +195,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_predict_concatenates_batches_in_the_network_dtype():
     net = small_net(seed=3, dtype="float32")
-    x = dn.Rng(47).normal((7, 8, 8, 1))
+    x = dn.seeded_rng(47).normal(size=(7, 8, 8, 1))
     whole = net.forward(x)
     got = net.predict(x, 3)  # batches of 3, 3 and 1
     per_batch = [net.forward(x[start : start + 3]) for start in (0, 3, 6)]
@@ -212,7 +212,7 @@ def test_predict_holds_each_output_once():
     # 2.4); writing each batch into preallocated rows holds it once, plus
     # one batch of activations (1.16 times).
     net = small_net(seed=4, hidden=256, classes=10)
-    x = dn.Rng(53).normal((2000, 8, 8, 1))
+    x = dn.seeded_rng(53).normal(size=(2000, 8, 8, 1))
     got = {}
     peak, _ = traced_peak(lambda: got.update(net.predict(x, 40)))
     returned = sum(features.nbytes for features in got.values())
@@ -224,8 +224,8 @@ def _warm_mnist_small_f32():
     """A float32 28x28 mnist_small after one training step and one eval
     forward at batch 100, and a batch for its next forward."""
     net = dn.build_architecture("mnist_small", input_shape=(28, 28, 1), num_classes=10,
-                                rng=dn.Rng(0), dtype="float32")
-    x = dn.Rng(54).normal((100, 28, 28, 1)).astype(np.float32)
+                                rng=dn.seeded_rng(0), dtype="float32")
+    x = dn.seeded_rng(54).normal(size=(100, 28, 28, 1)).astype(np.float32)
     taps = net.forward(x, train=True)
     net.backward({"logits": np.ones_like(taps["logits"])})
     net.forward(x, train=False)
@@ -269,7 +269,7 @@ def test_forward_keeps_only_tap_outputs():
         return out
 
     conv0.forward = recording
-    taps = net.forward(dn.Rng(48).normal((2, 8, 8, 1)), train=True)
+    taps = net.forward(dn.seeded_rng(48).normal(size=(2, 8, 8, 1)), train=True)
     assert refs[0]() is None
     assert net.backward({"logits": np.ones_like(taps["logits"])}) is None  # no input gradient
 
@@ -283,8 +283,8 @@ def test_second_step_allocates_no_second_workspace():
     # are held, and keeping every layer output, raises it to 7.75 MB.
     # The bound sits between the two.
     net = dn.build_architecture("mnist_small", input_shape=(28, 28, 1), num_classes=10,
-                                rng=dn.Rng(0), dtype="float32")
-    x = dn.Rng(49).normal((16, 28, 28, 1)).astype(np.float32)
+                                rng=dn.seeded_rng(0), dtype="float32")
+    x = dn.seeded_rng(49).normal(size=(16, 28, 28, 1)).astype(np.float32)
 
     def step():
         taps = net.forward(x, train=True)
@@ -310,8 +310,8 @@ def test_second_backward_allocates_no_second_weight_gradient():
     # dense0's 3.2 MB weight gradient, which coexists with the previous
     # one until it replaces it (6.64 MB). The bound sits between the two.
     net = dn.build_architecture("mnist_small", input_shape=(28, 28, 1), num_classes=10,
-                                rng=dn.Rng(0), dtype="float32")
-    x = dn.Rng(50).normal((16, 28, 28, 1)).astype(np.float32)
+                                rng=dn.seeded_rng(0), dtype="float32")
+    x = dn.seeded_rng(50).normal(size=(16, 28, 28, 1)).astype(np.float32)
     taps = net.forward(x, train=True)
     net.backward({"logits": np.ones_like(taps["logits"])})
     first = net.gradients()
@@ -340,11 +340,11 @@ def test_checkpoint_truncation_is_a_clean_error(tmp_path):
 
 def test_checkpoint_preserves_batchnorm_state(tmp_path):
     net = dn.build_architecture("comparison", input_shape=(32, 32, 3), num_classes=4,
-                                rng=dn.Rng(11), fc_width=32, hidden_width=8)
-    rng = dn.Rng(46)
+                                rng=dn.seeded_rng(11), fc_width=32, hidden_width=8)
+    rng = dn.seeded_rng(46)
     for _ in range(2):
-        net.forward(rng.normal((2, 32, 32, 3)), train=True)
-    x = rng.normal((2, 32, 32, 3))
+        net.forward(rng.normal(size=(2, 32, 32, 3)), train=True)
+    x = rng.normal(size=(2, 32, 32, 3))
     want = net.forward(x, train=False)["logits"]
     path = tmp_path / "bn.ckpt"
     net.save(path)
@@ -358,7 +358,7 @@ def test_comparison_shape_chain_96x96_float32():
     # 96 -> 24 after two pools, 22/20/18 through the unpadded convs,
     # 18 -> 9 at the last pool, flat 9*9*128
     net = dn.build_architecture("comparison", input_shape=(96, 96, 3),
-                                num_classes=10, rng=dn.Rng(0), dtype="float32")
+                                num_classes=10, rng=dn.seeded_rng(0), dtype="float32")
     shapes = layer_shapes(net, np.zeros((1, 96, 96, 3), dtype=np.float32))
     assert shapes[9] == (1, 48, 48, 128)
     assert shapes[19] == (1, 24, 24, 256)
@@ -375,7 +375,7 @@ def test_state_arrays_stay_live_through_training_steps():
     # A checkpoint or resume that keeps the state_arrays() dicts must see
     # the trained values: every owner updates its arrays in place.
     net = dn.build_architecture("comparison", input_shape=(32, 32, 3), num_classes=4,
-                                rng=dn.Rng(12), fc_width=8, hidden_width=4)
+                                rng=dn.seeded_rng(12), fc_width=8, hidden_width=4)
     combined = dn.apply_preset("mnist-combined")
     center = dn.apply_preset("mnist-center")
     auxes = [dn.AuxState(cfg, 4, 4) for cfg in (combined, center)]
@@ -384,10 +384,10 @@ def test_state_arrays_stay_live_through_training_steps():
     live = {f"{owner}.{name}": arr for owner, obj in owners.items()
             for name, arr in obj.state_arrays().items()}
     before = {name: arr.copy() for name, arr in live.items()}
-    rng = dn.Rng(51)
+    rng = dn.seeded_rng(51)
     t = np.eye(4)[[0, 1, 2, 3, 0, 1]]
     for _ in range(2):
-        taps = net.forward(rng.normal((6, 32, 32, 3)), train=True)
+        taps = net.forward(rng.normal(size=(6, 32, 32, 3)), train=True)
         reports = [dn.combined_objective(cfg, taps, t, state=aux)
                    for cfg, aux in zip((combined, center), auxes)]
         net.backward(reports[0].gradients)

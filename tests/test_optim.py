@@ -15,9 +15,9 @@ def test_sgd_hand_fixture():
 
 
 def test_sgd_degenerates_to_plain_gradient_descent():
-    rng = dn.Rng(50)
-    w = rng.normal(6)
-    g = rng.normal(6)
+    rng = dn.seeded_rng(50)
+    w = rng.normal(size=6)
+    g = rng.normal(size=6)
     want = w - 0.1 * g
     opt = dn.SGD([("w", w)], momentum=0.0, weight_decay=0.0)
     opt.step({"w": g}, lr=0.1)
@@ -51,11 +51,11 @@ def test_sgd_shape_mismatch():
 
 
 def test_sgd_preserves_shapes_and_finiteness():
-    rng = dn.Rng(51)
-    params = [(f"p{i}", rng.normal((3, 4))) for i in range(4)]
+    rng = dn.seeded_rng(51)
+    params = [(f"p{i}", rng.normal(size=(3, 4))) for i in range(4)]
     opt = dn.SGD(params, momentum=0.9, weight_decay=0.01)
     for _ in range(25):
-        grads = {name: rng.normal((3, 4)) for name, _ in params}
+        grads = {name: rng.normal(size=(3, 4)) for name, _ in params}
         opt.step(grads, lr=0.05)
     for _, w in params:
         assert w.shape == (3, 4)
@@ -78,11 +78,11 @@ def test_lr_schedule_is_non_increasing():
 
 
 def test_optimizer_state_round_trip(tmp_path):
-    rng = dn.Rng(52)
+    rng = dn.seeded_rng(52)
     for dtype in (np.float64, np.float32):
-        w = rng.normal(5).astype(dtype)
+        w = rng.normal(size=5).astype(dtype)
         opt = dn.SGD([("w", w)], momentum=0.9)
-        opt.step({"w": rng.normal(5).astype(dtype)}, lr=0.1)
+        opt.step({"w": rng.normal(size=5).astype(dtype)}, lr=0.1)
         path = tmp_path / "opt.bin"
         dn.save_bundle(path, {}, opt.state_arrays())
         _, arrays = dn.load_bundle(path)

@@ -19,7 +19,7 @@ def test_serialization_golden_bytes(tmp_path):
 
 def test_serialization_round_trip(tmp_path):
     path = tmp_path / "b.bin"
-    values = dn.Rng(5).normal((3, 4, 2))
+    values = dn.seeded_rng(5).normal(size=(3, 4, 2))
     values[0, 0, 0] = -0.0
     dn.save_bundle(path, {}, {"v": values, "f32": values.astype(np.float32),
                               "scalar": np.float64(2.5)})
@@ -58,17 +58,28 @@ def test_bundle_round_trip_and_truncation(tmp_path):
 
 
 def test_rng_determinism():
-    a = dn.Rng(42).normal(16)
-    b = dn.Rng(42).normal(16)
-    c = dn.Rng(43).normal(16)
+    a = dn.seeded_rng(42).normal(size=16)
+    b = dn.seeded_rng(42).normal(size=16)
+    c = dn.seeded_rng(43).normal(size=16)
     assert_array_equal(a, b)
     assert np.any(a != c)
 
 
 def test_rng_child_streams_are_stable_and_distinct():
-    r = dn.Rng(9)
-    a = r.child(0).normal(8)
-    b = dn.Rng(9).child(0).normal(8)
-    c = dn.Rng(9).child(1).normal(8)
+    a = dn.seeded_rng(9, 0).normal(size=8)
+    b = dn.seeded_rng(9, 0).normal(size=8)
+    c = dn.seeded_rng(9, 1).normal(size=8)
     assert_array_equal(a, b)
     assert np.any(a != c)
+
+
+@pytest.mark.parametrize("stream, want", [
+    (None, [0.781483647550524, 0.3882751196385571]),
+    (0, [0.7375840785500124, 0.24554757078232337]),
+    (1, [0.5903226157469701, 0.5944363144311812]),
+], ids=["root", "stream0", "stream1"])
+def test_rng_streams_match_recorded_draws(stream, want):
+    """Seed 517's PCG64 draws, pinned so a change of bit generator or of
+    stream derivation shows here, not as a silent change of every run."""
+    got = dn.seeded_rng(517, stream).uniform(0.0, 1.0, 2)
+    assert got.tolist() == want
