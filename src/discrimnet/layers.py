@@ -7,9 +7,12 @@ reads what the last training forward (``train=True``) kept, stores
 parameter gradients on the layer, and returns the gradient with respect
 to its input, or None when called with ``input_grad=False`` (the first
 layer of a network, whose input gradient nothing reads). Eval forwards
-of ReLU, MaxPool2x2, BatchNorm and Dropout keep no backward state and
-drop what the last training forward kept, so a backward after one
-raises RuntimeError.
+keep no backward state and drop what the last training forward kept, so
+a backward after one raises RuntimeError.
+ReLU works in place: forward overwrites the array it is given and
+returns it, and backward does the same with the gradient. No other
+layer keeps its own output, so the caller (``Network``) only has to own
+what it hands the chain.
 Dense and Conv2d write their weight gradient ``dw`` into a buffer they
 own, reallocated only when its shape or dtype changes.
 """
@@ -36,15 +39,17 @@ class Layer:
         return []
 
 
-def _select(mask, values):
+def _select(mask, values, out=None):
     """``np.where(mask, values, 0)`` bit for bit, several times faster.
 
     Multiplies the values' bit patterns, as unsigned integers, by the 0/1
     mask: selected entries keep every bit (the sign of a zero, NaN), the
-    rest become +0.0. ``mask`` and ``values`` may broadcast.
+    rest become +0.0. ``mask`` and ``values`` may broadcast. ``out=values``
+    selects in place.
     """
-    bits = values.view(np.dtype(f"u{values.itemsize}"))
-    return (mask * bits).view(values.dtype)
+    uint = np.dtype(f"u{values.itemsize}")
+    bits = np.multiply(mask, values.view(uint), out=None if out is None else out.view(uint))
+    return bits.view(values.dtype)
 
 
 def _he_uniform(rng, fan_in, shape, dtype):
@@ -84,12 +89,14 @@ class Dense(_Affine):
     def forward(self, x, train=False):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"expected (N, {self.in_dim}) input, got {x.shape}")
-        self._x = x
+        self._x = x if train else None
         out = x @ self.w
         out += self.b
         return out
 
     def backward(self, grad, input_grad=True):
+        if self._x is None:
+            raise _no_state(self)
         self._weight_grad(self._x.T, grad)
         self.db = grad.sum(axis=0)
         return grad @ self.w.T if input_grad else None
@@ -114,7 +121,9 @@ class Conv2d(_Affine):
     batch, so a trailing partial batch reuses them and the columns of
     the previous call are overwritten rather than kept alive beside new
     ones. The output and the input gradient are fresh arrays on every
-    call, since callers keep them.
+    call, since callers keep them. An eval forward uses the workspace
+    too, but leaves the layer marked untrained, so a backward after it
+    raises rather than return the eval batch's gradients.
     """
 
     KSIZE = 3
@@ -131,6 +140,7 @@ class Conv2d(_Affine):
         self._padded = None
         self._cols = None
         self._in_shape = None
+        self._trained = False
 
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
@@ -151,6 +161,7 @@ class Conv2d(_Affine):
             if p:
                 self._padded = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
         self._in_shape = x.shape
+        self._trained = train
         cols = self._cols[: n * oh * ow]
         if p:
             padded = self._padded[:n]
@@ -164,6 +175,8 @@ class Conv2d(_Affine):
         return out.reshape(n, oh, ow, self.out_channels)
 
     def backward(self, grad, input_grad=True):
+        if not self._trained:
+            raise _no_state(self)
         n, oh, ow, _ = grad.shape
         g2 = grad.reshape(n * oh * ow, self.out_channels)
         self._weight_grad(self._cols[: n * oh * ow].T, g2)
@@ -187,20 +200,25 @@ def _no_state(layer):
 
 
 class ReLU(Layer):
-    """max(x, 0). A training forward keeps the boolean mask x > 0;
-    backward keeps the gradient where it is set and zeroes it elsewhere,
-    so the derivative at exactly 0 is 0."""
+    """max(x, 0), in place. A training forward keeps the boolean mask
+    x > 0; backward keeps the gradient where it is set and zeroes it
+    elsewhere, so the derivative at exactly 0 is 0.
+
+    Forward overwrites ``x`` with the result and returns it, and backward
+    overwrites ``grad`` the same way, so neither allocates an
+    activation-sized array. Pass a copy to keep the argument.
+    """
 
     _mask = None
 
     def forward(self, x, train=False):
         self._mask = x > 0 if train else None
-        return np.maximum(x, 0)
+        return np.maximum(x, 0, out=x)
 
     def backward(self, grad, input_grad=True):
         if self._mask is None:
             raise _no_state(self)
-        return _select(self._mask, grad) if input_grad else None
+        return _select(self._mask, grad, out=grad) if input_grad else None
 
 
 class MaxPool2x2(Layer):

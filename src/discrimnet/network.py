@@ -40,14 +40,22 @@ class Network:
         other layer output is freed as soon as the next layer has read it.
         An eval forward keeps no backward state, so ``backward`` after it
         raises RuntimeError.
+
+        Layers may overwrite the array they are given (ReLU does), so the
+        network owns every array it hands one: the batch is copied on
+        entry, and a tap output is copied before the next layer reads it.
+        No array the caller holds, ``x`` or a returned tap, is overwritten.
         """
-        x = np.asarray(x, dtype=self.dtype)
+        x = np.array(x, dtype=self.dtype)  # a copy on every numpy version
         tapped = set(self.taps.values())
+        last = len(self.layers) - 1
         kept = {}
         for i, layer in enumerate(self.layers):
             x = layer.forward(x, train=train)
             if i in tapped:
                 kept[i] = x
+                if i < last:
+                    x = x.copy()
         self._last_out = (x.shape, x.dtype) if train else None
         return {name: kept[idx] for name, idx in self.taps.items()}
 

@@ -4,6 +4,8 @@ import numpy as np
 
 from .tensor import NonFiniteError
 
+BLOCK = 1 << 15  # elements per update block: 256 KB of float64 scratch
+
 
 def lr_at_epoch(epoch, base_lr, drop_factor, drop_period):
     """Step schedule: base_lr divided by drop_factor every drop_period epochs."""
@@ -19,16 +21,28 @@ class SGD:
 
     Per parameter: g' = g + weight_decay * w; v <- momentum * v + g';
     w <- w - lr * v. Decay applies to weights and biases alike. Each
-    (name, array) pair given gets a zeroed velocity in its own dtype. The
-    step aborts, touching nothing, if any gradient is non-finite. The
-    caller passes each step's lr, for example from ``lr_at_epoch``.
+    (name, array) pair given gets a zeroed velocity in its own dtype;
+    parameters must be C-contiguous, since they are updated through flat
+    views. The step aborts, touching nothing, if any gradient is
+    non-finite. The caller passes each step's lr, for example from
+    ``lr_at_epoch``.
+
+    The update walks each flattened parameter in blocks of ``BLOCK``
+    elements through one scratch block per dtype that the optimizer owns,
+    so a step allocates nothing parameter-sized. Each block runs the
+    operations of the whole-array formula in the same order, so the
+    result is the same bit for bit.
     """
 
     def __init__(self, params, momentum=0.9, weight_decay=0.01):
         self.params = list(params)
+        for name, w in self.params:
+            if not w.flags.c_contiguous:
+                raise ValueError(f"parameter {name} is not C-contiguous")
         self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self.velocity = {name: np.zeros_like(w) for name, w in self.params}
+        self._scratch = {w.dtype: np.empty(BLOCK, w.dtype) for _, w in self.params}
 
     def step(self, grads, lr):
         """Apply one update to every parameter.
@@ -42,14 +56,23 @@ class SGD:
                                  f"parameter has {w.shape}")
             if not np.all(np.isfinite(g)):
                 raise NonFiniteError(f"non-finite gradient for parameter {name}; step aborted")
+        m, wd = self.momentum, self.weight_decay
         for name, w in self.params:
-            g = grads[name]
-            if self.weight_decay:
-                g = g + self.weight_decay * w
-            v = self.velocity[name]
-            v *= self.momentum
-            v += g
-            w -= lr * v
+            w_flat = w.reshape(-1)
+            g_flat = grads[name].reshape(-1)
+            v_flat = self.velocity[name].reshape(-1)
+            scratch = self._scratch[w.dtype]
+            for start in range(0, w_flat.size, BLOCK):
+                blk = slice(start, start + BLOCK)
+                w_b, g_b, v_b = w_flat[blk], g_flat[blk], v_flat[blk]
+                s = scratch[: w_b.size]
+                if wd:
+                    np.multiply(w_b, wd, out=s)
+                    s += g_b
+                v_b *= m
+                v_b += s if wd else g_b
+                np.multiply(v_b, lr, out=s)
+                w_b -= s
 
     def state_arrays(self):
         return {f"velocity.{name}": v for name, v in self.velocity.items()}

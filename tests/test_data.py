@@ -89,7 +89,7 @@ def train_logistic_one_epoch(ds, lr=0.5, batch=20, seed=0):
     order = dn.seeded_rng(seed).permutation(n)
     for start in range(0, n, batch):
         rows = order[start : start + batch]
-        z = layer.forward(x[rows])
+        z = layer.forward(x[rows], train=True)
         _, dz = dn.softmax_cross_entropy(z, t[rows])
         layer.backward(dz)
         layer.w -= lr * layer.dw

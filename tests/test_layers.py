@@ -12,10 +12,10 @@ def layer_input_gradient_check(layer, x, train=False, tol=1e-4, h=1e-5):
     batchnorm, whose plain output sum is input-invariant)."""
     out = layer.forward(x.copy(), train=train)
     weights = dn.seeded_rng(987).normal(size=out.shape)
-    got = layer.backward(weights)
+    got = layer.backward(weights.copy())  # ReLU's backward overwrites its argument
 
     def scalar(xx):
-        return float((layer.forward(xx, train=train) * weights).sum())
+        return float((layer.forward(xx.copy(), train=train) * weights).sum())
 
     fd = finite_difference(scalar, x, h=h)
     layer.forward(x.copy(), train=train)  # restore cache
@@ -66,8 +66,8 @@ def test_dense_gradients():
     rng = dn.seeded_rng(22)
     layer = dn.Dense(5, 3, rng)
     x = rng.normal(size=(4, 5))
-    layer_input_gradient_check(layer, x)
-    layer_param_gradient_check(layer, x)
+    layer_input_gradient_check(layer, x, train=True)
+    layer_param_gradient_check(layer, x, train=True)
 
 
 def test_dense_shape_validation():
@@ -113,8 +113,8 @@ def test_conv_gradients():
     for padding in (0, 1):
         conv = dn.Conv2d(2, 4, padding=padding, rng=rng)
         x = rng.normal(size=(3, 6, 5, 2))
-        layer_input_gradient_check(conv, x)
-        layer_param_gradient_check(conv, x)
+        layer_input_gradient_check(conv, x, train=True)
+        layer_param_gradient_check(conv, x, train=True)
 
 
 # --- maxpool ---------------------------------------------------------------------
@@ -242,6 +242,29 @@ def test_relu_matches_where_reference(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_overwrites_its_arguments_bit_for_bit(dtype):
+    # In-place forward and backward give the bits of the out-of-place
+    # forms, np.maximum(x, 0) and np.where(x > 0, grad, 0), for +-0.0,
+    # NaN of either sign and +-inf in the input and in the gradient.
+    rng = dn.seeded_rng(55)
+    specials = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf], dtype)
+    x = signed_gradient(rng, (3, 5, 5, 4), dtype)
+    grad = signed_gradient(rng, x.shape, dtype)
+    for i, row in enumerate((specials, specials[::-1], np.roll(specials, 2))):
+        x.reshape(-1)[6 * i : 6 * i + 6] = row
+        grad.reshape(-1)[6 * i : 6 * i + 6] = specials
+    want_out = np.maximum(x, 0)
+    want_dx = np.where(x > 0, grad, np.zeros((), dtype))
+    relu = dn.ReLU()
+    out = relu.forward(x, train=True)
+    assert np.shares_memory(out, x)
+    assert_bitwise_equal(out, want_out)
+    dx = relu.backward(grad)
+    assert np.shares_memory(dx, grad)
+    assert_bitwise_equal(dx, want_dx)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(4, 8, 8, 3), (3, 7, 7, 2), (2, 6, 9, 5)])
 def test_maxpool_backward_matches_mask_reference(dtype, shape):
     rng = dn.seeded_rng(41)
@@ -275,17 +298,19 @@ def test_maxpool_routes_nothing_from_nan_windows(dtype):
     assert_bitwise_equal(pool.backward(grad), reference_pool_backward(x, out, grad))
 
 
-@pytest.mark.parametrize("make", [
-    dn.ReLU,
-    dn.MaxPool2x2,
-    lambda: dn.BatchNorm(3),
-    lambda: dn.Dropout(0.5, dn.seeded_rng(48)),
-], ids=["relu", "maxpool", "batchnorm", "dropout"])
-def test_backward_after_an_eval_forward_raises(make):
+@pytest.mark.parametrize("make, shape", [
+    (dn.ReLU, (2, 4, 4, 3)),
+    (dn.MaxPool2x2, (2, 4, 4, 3)),
+    (lambda: dn.BatchNorm(3), (2, 4, 4, 3)),
+    (lambda: dn.Dropout(0.5, dn.seeded_rng(48)), (2, 4, 4, 3)),
+    (lambda: dn.Dense(6, 4, dn.seeded_rng(49)), (2, 6)),
+    (lambda: dn.Conv2d(3, 4, padding=1, rng=dn.seeded_rng(49)), (2, 4, 4, 3)),
+], ids=["relu", "maxpool", "batchnorm", "dropout", "dense", "conv"])
+def test_backward_after_an_eval_forward_raises(make, shape):
     layer = make()
-    x = dn.seeded_rng(47).normal(size=(2, 4, 4, 3))
+    x = dn.seeded_rng(47).normal(size=shape)
     with pytest.raises(RuntimeError):
-        layer.backward(np.ones((2, 4, 4, 3)))  # no forward yet
+        layer.backward(np.ones(shape))  # no forward yet
     out = layer.forward(x, train=True)
     layer.backward(np.ones_like(out))
     out = layer.forward(x, train=False)  # drops the training forward's state
@@ -302,7 +327,7 @@ def test_conv_matches_im2col_reference(dtype, padding, cin):
     conv.w = conv.w.astype(dtype)
     conv.b = rng.uniform(-0.5, 0.5, 4).astype(dtype)
     x = post_relu_input(rng, (3, 7, 6, cin), dtype)
-    out = conv.forward(x)
+    out = conv.forward(x, train=True)
     grad = signed_gradient(rng, out.shape, dtype)
     dx = conv.backward(grad)
     want_out, want_dw, want_db, want_dx = reference_conv(x, conv.w, conv.b, padding, grad)
@@ -345,7 +370,7 @@ def test_conv_workspace_follows_batch_size_and_dtype(padding):
                              (3, np.float64, True), (2, np.float32, False)):
         conv.w, conv.b = conv.w.astype(dtype), conv.b.astype(dtype)
         x = post_relu_input(rng, (n, 7, 6, 3), dtype)
-        out = conv.forward(x)
+        out = conv.forward(x, train=True)
         assert (conv._cols is cols) == reused
         cols = conv._cols
         grad = signed_gradient(rng, out.shape, dtype)

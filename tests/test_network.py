@@ -234,12 +234,13 @@ def _warm_mnist_small_f32():
 
 def test_eval_forward_keeps_no_backward_state():
     # What an eval forward still holds when it returns is what the layers
-    # keep until the next forward: the dense inputs, 1.4 MB at numpy 2.4.
-    # Keeping backward state in eval holds 22.8 MB: pool0's and pool1's
-    # inputs and outputs (18.75 MB) and the ReLU masks (3.9 MB).
+    # keep until the next forward: a few input shapes, under 1 KB at numpy
+    # 2.4. Keeping backward state in eval holds 22.8 MB: pool0's and
+    # pool1's inputs and outputs (18.75 MB), the ReLU masks (3.9 MB) and
+    # the dense inputs; the dense inputs alone are 1.4 MB.
     net, x = _warm_mnist_small_f32()
     _, held = traced_peak(lambda: net.forward(x, train=False))
-    assert held < 4.0e6
+    assert held < 64e3
 
 
 def test_training_step_keeps_a_byte_per_pool_output():
@@ -255,6 +256,86 @@ def test_training_step_keeps_a_byte_per_pool_output():
 
     _, held = traced_peak(step)
     assert held < 10.0e6
+
+
+def _warm_mnist_small_f64():
+    """A float64 28x28 mnist_small after one training step, its optimizer,
+    and a batch at 100 for the next step."""
+    net = dn.build_architecture("mnist_small", input_shape=(28, 28, 1), num_classes=10,
+                                rng=dn.seeded_rng(0), dtype="float64")
+    x = dn.seeded_rng(57).normal(size=(100, 28, 28, 1))
+    opt = dn.SGD(net.parameters())
+    taps = net.forward(x, train=True)
+    net.backward({"logits": np.ones_like(taps["logits"])})
+    opt.step(net.gradients(), 1e-3)
+    return net, x, opt
+
+
+def test_relu_allocates_only_its_mask():
+    # relu0 sees 100x28x28x32 float64 activations (20.1 MB). In place, its
+    # forward allocates just the boolean mask (2.5 MB) and its backward
+    # nothing but numpy's cast buffer for the mask (bufsize elements of
+    # the gradient's dtype, 64 KB). A fresh output or gradient each call
+    # peaks at 22.6 and 20.1 MB.
+    net, x, _ = _warm_mnist_small_f64()
+    act = net.layers[0].forward(x, train=True)
+    relu0 = net.layers[1]
+    peak, _ = traced_peak(lambda: relu0.forward(act, train=True))
+    assert peak <= act.size + 64 * 1024
+    grad = np.ones_like(act)
+    peak, _ = traced_peak(lambda: relu0.backward(grad))
+    assert peak < np.getbufsize() * grad.itemsize + 16 * 1024
+
+
+def test_sgd_step_allocates_no_parameter_sized_temporaries():
+    # The block update needs only its 256 KB scratch block, allocated with
+    # the optimizer. What the step still allocates is the finiteness
+    # check's boolean array for dense0's 802816 weights (0.8 MB); the
+    # whole-array formula peaks at 12.85 MB.
+    net, x, opt = _warm_mnist_small_f64()
+    taps = net.forward(x, train=True)
+    net.backward({"logits": np.ones_like(taps["logits"])})
+    grads = net.gradients()
+    peak, _ = traced_peak(lambda: opt.step(grads, 1e-3))
+    assert peak < 1.0e6
+
+
+def test_forward_leaves_the_callers_arrays_unchanged():
+    # The network copies the batch before ReLU, its first layer, rectifies
+    # it in place, and the tap at index 2 before ReLU 3 reads it. Backward
+    # adds each tap gradient into a fresh array before a layer sees it.
+    rng = dn.seeded_rng(58)
+    net = dn.Network([dn.ReLU(), dn.Dense(6, 5, rng), dn.ReLU(), dn.Dense(5, 3, rng)],
+                     {"act": 2, "logits": 3})
+    x = rng.normal(size=(4, 6))
+    kept = x.copy()
+    for train in (False, True):
+        taps = net.forward(x, train=train)
+        assert_array_equal(x, kept)
+        assert (x < 0).any()
+    grads = {name: rng.normal(size=f.shape) for name, f in taps.items()}
+    kept_grads = {name: g.copy() for name, g in grads.items()}
+    net.backward(grads)
+    for name, g in grads.items():
+        assert_array_equal(g, kept_grads[name])
+
+
+@pytest.mark.parametrize("train", [False, True])
+def test_hidden_preact_tap_keeps_its_negative_entries(train):
+    # hidden_preact (layer 9) feeds relu3, which works in place, so the
+    # network must copy it first. Reference: each layer run on a copy of
+    # the previous output.
+    net = small_net(seed=5)
+    x = dn.seeded_rng(59).normal(size=(6, 8, 8, 1))
+    want = []
+    a = x.copy()
+    for layer in net.layers:
+        a = layer.forward(a.copy(), train=train)
+        want.append(a)
+    taps = net.forward(x, train=train)
+    for name, idx in net.taps.items():
+        assert_array_equal(taps[name], want[idx])
+    assert (taps["hidden_preact"] < 0).any()
 
 
 def test_forward_keeps_only_tap_outputs():

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import discrimnet as dn
+from discrimnet.optim import BLOCK
 
 
 def test_sgd_hand_fixture():
@@ -60,6 +61,38 @@ def test_sgd_preserves_shapes_and_finiteness():
     for _, w in params:
         assert w.shape == (3, 4)
         assert np.all(np.isfinite(w))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_sgd_blocks_match_the_whole_array_formula(dtype, weight_decay):
+    # Parameters of 1, BLOCK - 1, BLOCK, BLOCK + 1 and 2.5 BLOCK elements,
+    # the last one 2-D, against the whole-array update, bit for bit.
+    rng = dn.seeded_rng(53)
+    shapes = [(1,), (BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (5, BLOCK // 2)]
+    params = [(f"p{i}", rng.normal(size=shape).astype(dtype)) for i, shape in enumerate(shapes)]
+    want = {name: w.copy() for name, w in params}
+    velocity = {name: np.zeros_like(w) for name, w in params}
+    opt = dn.SGD(params, momentum=0.9, weight_decay=weight_decay)
+    for lr in (0.05, 0.05, 0.005):
+        grads = {name: rng.normal(size=w.shape).astype(dtype) for name, w in params}
+        opt.step(grads, lr=lr)
+        for name, w in want.items():
+            g = grads[name]
+            if weight_decay:
+                g = g + weight_decay * w
+            velocity[name] *= 0.9
+            velocity[name] += g
+            w -= lr * velocity[name]
+    for name, w in params:
+        assert w.dtype == dtype
+        assert_array_equal(w.view(np.uint8), want[name].view(np.uint8))
+        assert_array_equal(opt.velocity[name].view(np.uint8), velocity[name].view(np.uint8))
+
+
+def test_sgd_rejects_a_parameter_it_cannot_update_in_place():
+    with pytest.raises(ValueError, match="C-contiguous"):
+        dn.SGD([("w", np.zeros((3, 4)).T)])
 
 
 def test_lr_schedule_published_values():
