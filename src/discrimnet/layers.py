@@ -15,6 +15,10 @@ layer keeps its own output, so the caller (``Network``) only has to own
 what it hands the chain.
 Dense and Conv2d write their weight gradient ``dw`` into a buffer they
 own, reallocated only when its shape or dtype changes.
+Every layer product runs through ``_matmul`` in near-equal row blocks
+of at most ``ROWS`` rows. They bound the packing buffer that OpenBLAS
+keeps resident, out of tracemalloc's sight, and give the same bits as
+one product.
 """
 
 import numpy as np
@@ -52,6 +56,29 @@ def _select(mask, values, out=None):
     return bits.view(values.dtype)
 
 
+# Rows per matrix product. OpenBLAS keeps a packing buffer the size of the
+# largest left operand it has run resident, so products run in row blocks
+# of at most ROWS rows. A short block changes the output's bits (a 1-row
+# product differs from the same row of a larger one), so blocks are
+# near-equal and never shorter than ROWS // 2.
+ROWS = 2048
+
+
+def _matmul(a, b, out=None):
+    """``np.matmul(a, b, out=out)`` for 2-D operands, bit for bit, run over
+    near-equal blocks of at most ``ROWS`` rows of ``a``."""
+    m = a.shape[0]
+    if m <= ROWS:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((m, b.shape[1]), dtype=np.result_type(a, b))
+    blocks = -(-m // ROWS)
+    step = -(-m // blocks)
+    for start in range(0, m, step):
+        np.matmul(a[start : start + step], b, out=out[start : start + step])
+    return out
+
+
 def _he_uniform(rng, fan_in, shape, dtype):
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, shape).astype(dtype)
@@ -67,7 +94,7 @@ class _Affine(Layer):
         dtype = np.result_type(a, b)
         if self.dw is None or self.dw.shape != self.w.shape or self.dw.dtype != dtype:
             self.dw = np.empty(self.w.shape, dtype=dtype)
-        np.matmul(a, b, out=self.dw)
+        _matmul(a, b, out=self.dw)
 
     def parameters(self):
         return [("w", self.w), ("b", self.b)]
@@ -90,7 +117,7 @@ class Dense(_Affine):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"expected (N, {self.in_dim}) input, got {x.shape}")
         self._x = x if train else None
-        out = x @ self.w
+        out = _matmul(x, self.w)
         out += self.b
         return out
 
@@ -99,7 +126,7 @@ class Dense(_Affine):
             raise _no_state(self)
         self._weight_grad(self._x.T, grad)
         self.db = grad.sum(axis=0)
-        return grad @ self.w.T if input_grad else None
+        return _matmul(grad, self.w.T) if input_grad else None
 
 
 class Conv2d(_Affine):
@@ -108,11 +135,16 @@ class Conv2d(_Affine):
     The kernel is stored as (3*3*in_channels, out_channels) with patch
     entries ordered (row offset, col offset, channel). Forward copies a
     strided sliding-window view of the padded input into that column
-    order and runs one matrix product; the weight gradient is one
-    product against the cached columns. The input gradient runs one
-    product per kernel offset, ``grad @ w[offset].T``, and adds each
-    (N, oh, ow, in_channels) result into its shifted window of the
-    padded input gradient.
+    order and multiplies the columns by the kernel; the weight gradient
+    multiplies the cached columns' transpose by the output gradient. The
+    input gradient multiplies by the kernel once per kernel offset,
+    ``grad @ w[offset].T``, into one (N*oh*ow, in_channels) buffer, and
+    adds each result into its shifted window of the padded input
+    gradient. The forward and input-gradient products have one row per
+    output pixel (19600 for a 14x14 layer at batch 100), so ``_matmul``
+    runs them in row blocks of at most ``ROWS`` rows, which keeps
+    OpenBLAS's resident packing buffer at the size of one block instead
+    of the whole column matrix.
 
     The layer owns one workspace: a zero-bordered padded-input buffer
     (padding 1 only) and the column matrix, sized for the largest batch
@@ -170,7 +202,7 @@ class Conv2d(_Affine):
         # (n, oh, ow, c, k, k) window view -> (n, oh, ow, k, k, c): one copy
         # into (row offset, col offset, channel) columns.
         cols.reshape(n, oh, ow, k, k, c)[...] = windows.transpose(0, 1, 2, 4, 5, 3)
-        out = cols @ self.w
+        out = _matmul(cols, self.w)
         out += self.b
         return out.reshape(n, oh, ow, self.out_channels)
 
@@ -187,9 +219,11 @@ class Conv2d(_Affine):
         p = self.padding
         dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=grad.dtype)
         w_blocks = self.w.reshape(self.KSIZE, self.KSIZE, c, self.out_channels)
+        prod = np.empty((n * oh * ow, c), dtype=np.result_type(g2, self.w))
         for i in range(self.KSIZE):
             for j in range(self.KSIZE):
-                dxp[:, i : i + oh, j : j + ow, :] += (g2 @ w_blocks[i, j].T).reshape(n, oh, ow, c)
+                _matmul(g2, w_blocks[i, j].T, out=prod)
+                dxp[:, i : i + oh, j : j + ow, :] += prod.reshape(n, oh, ow, c)
         return dxp[:, p : p + h, p : p + w, :] if p else dxp
 
 
@@ -212,7 +246,9 @@ class ReLU(Layer):
     _mask = None
 
     def forward(self, x, train=False):
-        self._mask = x > 0 if train else None
+        self._mask = None  # free the last training forward's mask first
+        if train:
+            self._mask = x > 0
         return np.maximum(x, 0, out=x)
 
     def backward(self, grad, input_grad=True):

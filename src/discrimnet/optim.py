@@ -27,11 +27,13 @@ class SGD:
     non-finite. The caller passes each step's lr, for example from
     ``lr_at_epoch``.
 
-    The update walks each flattened parameter in blocks of ``BLOCK``
-    elements through one scratch block per dtype that the optimizer owns,
-    so a step allocates nothing parameter-sized. Each block runs the
-    operations of the whole-array formula in the same order, so the
-    result is the same bit for bit.
+    The finiteness check and the update walk each flattened array in
+    blocks of ``BLOCK`` elements through scratch blocks that the
+    optimizer owns, one boolean and one per dtype, so a step allocates
+    nothing parameter-sized. Every gradient is checked before any
+    parameter moves. Each update block runs the operations of the
+    whole-array formula in the same order, so the result is the same
+    bit for bit.
     """
 
     def __init__(self, params, momentum=0.9, weight_decay=0.01):
@@ -43,6 +45,7 @@ class SGD:
         self.weight_decay = float(weight_decay)
         self.velocity = {name: np.zeros_like(w) for name, w in self.params}
         self._scratch = {w.dtype: np.empty(BLOCK, w.dtype) for _, w in self.params}
+        self._finite = np.empty(BLOCK, np.bool_)
 
     def step(self, grads, lr):
         """Apply one update to every parameter.
@@ -54,8 +57,11 @@ class SGD:
             if g.shape != w.shape:
                 raise ValueError(f"gradient for {name} has shape {g.shape}, "
                                  f"parameter has {w.shape}")
-            if not np.all(np.isfinite(g)):
-                raise NonFiniteError(f"non-finite gradient for parameter {name}; step aborted")
+            g_flat = g.reshape(-1)
+            for start in range(0, g_flat.size, BLOCK):
+                g_b = g_flat[start : start + BLOCK]
+                if not np.isfinite(g_b, out=self._finite[: g_b.size]).all():
+                    raise NonFiniteError(f"non-finite gradient for parameter {name}; step aborted")
         m, wd = self.momentum, self.weight_decay
         for name, w in self.params:
             w_flat = w.reshape(-1)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 import discrimnet as dn
 from conftest import finite_difference, rel_error
+from discrimnet.layers import ROWS, _matmul
 
 
 def layer_input_gradient_check(layer, x, train=False, tol=1e-4, h=1e-5):
@@ -405,6 +406,65 @@ def test_backward_without_input_grad_keeps_parameter_grads(make, shape):
     assert [name for name, _ in got] == [name for name, _ in want]
     for (_, g), (_, w) in zip(got, want):
         assert_bitwise_equal(g, w)
+
+
+# --- row-blocked products ----------------------------------------------------------
+# A product of a few rows gets other bits than the same rows of a larger
+# product (1 row for every engine shape, up to 37 rows for K=64, N=32), so
+# a split into blocks of ROWS with a short tail block (M = ROWS + 1) would
+# fail these.
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, n, transposed, largest", [
+    (288, 64, False, 19600),    # conv1 forward, columns @ kernel
+    (64, 32, True, 78400),      # conv1 input gradient, grad @ w[offset].T
+    (9, 32, False, 78400),      # conv0 forward
+    (3136, 256, False, 2 * ROWS + 1),  # dense0 forward
+], ids=["conv1-fwd", "conv1-dx", "conv0-fwd", "dense0-fwd"])
+def test_matmul_blocks_match_one_product(dtype, k, n, transposed, largest):
+    # The largest M is the product's own at batch 100 (78400 rows for the
+    # 28x28 layers), or 2 * ROWS + 1 where that would take over 100 MB.
+    rng = dn.seeded_rng(46)
+    b = rng.normal(size=(n, k) if transposed else (k, n)).astype(dtype)
+    b = b.T if transposed else b
+    for m in (ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1, 19600, 78400):
+        if m > largest:
+            continue
+        a = rng.normal(size=(m, k)).astype(dtype)
+        want = np.matmul(a, b)
+        assert_bitwise_equal(_matmul(a, b), want)
+        out = np.empty((m, n), dtype)
+        assert _matmul(a, b, out=out) is out
+        assert_bitwise_equal(out, want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matmul_blocks_a_transposed_left_operand(dtype):
+    # dense0's weight gradient, x.T @ grad: 3136 rows of a transposed view.
+    rng = dn.seeded_rng(47)
+    x = rng.normal(size=(100, 3136)).astype(dtype)
+    g = rng.normal(size=(100, 256)).astype(dtype)
+    assert_bitwise_equal(_matmul(x.T, g), np.matmul(x.T, g))
+
+
+def test_matmul_blocks_are_near_equal_and_never_short(monkeypatch):
+    rows = []
+    matmul = np.matmul
+
+    def spy(a, b, out=None):
+        rows.append(len(a))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    b = np.ones((1, 1))
+    for m in [1, ROWS - 1, ROWS, 78400, *range(ROWS + 1, 64 * ROWS, 97)]:
+        rows.clear()
+        _matmul(np.ones((m, 1)), b)
+        assert sum(rows) == m
+        assert len(rows) == -(-m // ROWS)
+        if m > ROWS:
+            assert min(rows) >= ROWS // 2 and max(rows) <= ROWS
+            assert max(rows) - min(rows) < len(rows)
 
 
 # --- flatten ---------------------------------------------------------------------

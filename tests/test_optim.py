@@ -45,6 +45,23 @@ def test_sgd_aborts_atomically_on_non_finite_gradient():
     assert not np.any(opt.velocity["a"])
 
 
+@pytest.mark.parametrize("where", [0, BLOCK - 1, BLOCK, -1])
+def test_sgd_checks_every_block_before_any_update(where):
+    # The finiteness check walks the gradients in blocks; a non-finite
+    # entry in any block of the last parameter stops the whole step.
+    rng = dn.seeded_rng(52)
+    params = [("a", rng.normal(size=BLOCK + 5)), ("b", rng.normal(size=(3, BLOCK)))]
+    kept = [w.copy() for _, w in params]
+    opt = dn.SGD(params)
+    grads = {name: rng.normal(size=w.shape) for name, w in params}
+    grads["b"].reshape(-1)[where] = np.inf
+    with pytest.raises(dn.NonFiniteError):
+        opt.step(grads, lr=0.1)
+    for (name, w), w0 in zip(params, kept):
+        assert_array_equal(w, w0)
+        assert not np.any(opt.velocity[name])
+
+
 def test_sgd_shape_mismatch():
     opt = dn.SGD([("w", np.zeros(3))])
     with pytest.raises(ValueError):
