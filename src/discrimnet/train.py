@@ -1,5 +1,11 @@
 """Training orchestration: data resolution, the epoch loop, logging,
-checkpointing, and evaluation."""
+checkpointing, and evaluation.
+
+Each epoch runs one evaluation pass, over the test split. The epoch's
+``train_loss`` and ``train_acc`` are sample-weighted running means over
+the training-mode forwards the steps already make (so for ``comparison``
+they see dropout and batchnorm in training mode); ``discrimnet eval
+--split train`` gives the end-of-run full-pass figure."""
 
 import dataclasses
 import os
@@ -86,7 +92,11 @@ def run_training(cfg: RunConfig, progress=False):
     """Train per the config; returns the run directory.
 
     The run directory receives the resolved config, a per-step loss CSV,
-    a per-epoch metrics CSV, a summary, and the final checkpoint.
+    a per-epoch metrics CSV, a summary, and the final checkpoint. In the
+    per-epoch CSV, ``train_loss`` is each batch's cross-entropy weighted
+    by its size and ``train_acc`` the share of samples whose logits, taken
+    before that batch's update, put the label first; ``test_loss`` and
+    ``test_acc`` come from a full eval-mode pass after the epoch.
     """
     cfg.validate()
     train, test = load_run_datasets(cfg)
@@ -107,8 +117,8 @@ def run_training(cfg: RunConfig, progress=False):
     os.makedirs(run_dir, exist_ok=True)
     save_config_file(cfg, os.path.join(run_dir, "config.txt"))
 
-    # One copy of the train images, in the network's dtype, which evaluate's
-    # predict converts every batch to anyway.
+    # One copy of the train images in the network's dtype, so training
+    # batches and augment_batch run in it.
     train.images = train.images.astype(net.dtype, copy=False)
     train_t = train.one_hot()
     step = 0
@@ -122,6 +132,7 @@ def run_training(cfg: RunConfig, progress=False):
             lr = lr_at_epoch(epoch, cfg.lr, cfg.lr_drop_factor, cfg.lr_drop_period)
             order = model_rng.permutation(len(train))
             sums, counts = {}, {}
+            ce_sum, correct = 0.0, 0
             for rows in _batch_ranges(len(train), cfg.batch_size):
                 batch = order[rows]
                 x = train.images[batch]
@@ -131,13 +142,15 @@ def run_training(cfg: RunConfig, progress=False):
                 taps = net.forward(x, train=True)
                 report = combined_objective(cfg, taps, t, state=aux)
                 steps_f.write(report.csv_row(step) + "\n")
+                ce_sum += report.components["cross_entropy"] * len(batch)
+                correct += int((taps["logits"].argmax(axis=1) == train.labels[batch]).sum())
                 net.backward(report.gradients)
                 opt.step(net.gradients(), lr)
                 for name, value in report.components.items():
                     sums[name] = sums.get(name, 0.0) + value
                     counts[name] = counts.get(name, 0) + 1
                 step += 1
-            train_loss, train_acc = evaluate(net, train, cfg.batch_size)
+            train_loss, train_acc = ce_sum / len(train), correct / len(train)
             test_loss, test_acc = evaluate(net, test, cfg.batch_size)
             means = {name: sums[name] / counts[name] for name in sums}
             row = [epoch, lr, train_loss, train_acc, test_loss, test_acc] + [
@@ -148,7 +161,7 @@ def run_training(cfg: RunConfig, progress=False):
                 best = (epoch, test_acc)
             if progress:
                 print(
-                    f"epoch {epoch}: lr {lr:g} train {train_loss:.4f}/{train_acc:.4f} "
+                    f"epoch {epoch}: lr {lr:g} train (running) {train_loss:.4f}/{train_acc:.4f} "
                     f"test {test_loss:.4f}/{test_acc:.4f}",
                     flush=True,
                 )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import discrimnet as dn
+import discrimnet.train as train_mod
 from discrimnet.cli import main
 from discrimnet.config import (
     PRESETS,
@@ -204,14 +205,49 @@ def test_resolved_config_reproduces_run(synth_run, tmp_path):
     assert a == b
 
 
-def test_eval_consistency_with_logged_train_accuracy(synth_run):
-    cfg, run_dir = synth_run
-    net, loaded_cfg, _ = dn.load_checkpoint(os.path.join(run_dir, "final.ckpt"))
-    train, test = dn.load_run_datasets(loaded_cfg)
-    train_loss, train_acc = dn.evaluate(net, train, loaded_cfg.batch_size)
-    last = open(os.path.join(run_dir, "epochs.csv")).read().splitlines()[-1].split(",")
-    assert abs(float(last[2]) - train_loss) < 1e-6
-    assert abs(float(last[3]) - train_acc) < 1e-6
+def test_logged_train_metrics_are_epoch_running_means(tmp_path, monkeypatch):
+    # train_loss / train_acc come from the training-mode forwards of the
+    # epoch's own steps: recompute them from every batch's logits and labels.
+    seen, objective = [], train_mod.combined_objective
+
+    def spy(cfg, taps, labels_onehot, state=None):
+        seen.append((np.array(taps["logits"], dtype=np.float64), labels_onehot.argmax(axis=1)))
+        return objective(cfg, taps, labels_onehot, state=state)
+
+    monkeypatch.setattr(train_mod, "combined_objective", spy)
+    cfg = synth_config(tmp_path, epochs=3, batch_size=25)
+    n = len(load_run_datasets(cfg)[0])
+    assert n % cfg.batch_size  # a ragged last batch, weighted by its size
+    run_dir = dn.run_training(cfg)
+
+    rows = [l.split(",") for l in open(os.path.join(run_dir, "epochs.csv")).read().splitlines()[1:]]
+    per_epoch = -(-n // cfg.batch_size)
+    assert len(rows) == cfg.epochs and len(seen) == cfg.epochs * per_epoch
+    for epoch, row in enumerate(rows):
+        batches = seen[epoch * per_epoch:(epoch + 1) * per_epoch]
+        assert sum(len(labels) for _, labels in batches) == n
+        assert len(batches[-1][1]) == n % cfg.batch_size
+        ce_sum, correct = 0.0, 0
+        for z, labels in batches:
+            m = z.max(axis=1)
+            lse = m + np.log(np.exp(z - m[:, None]).sum(axis=1))
+            ce_sum += float((lse - z[np.arange(len(labels)), labels]).sum())
+            correct += int((z.argmax(axis=1) == labels).sum())
+        assert float(row[3]) == correct / n
+        assert float(row[2]) == pytest.approx(ce_sum / n, rel=1e-12, abs=0)
+
+
+def test_each_epoch_evaluates_only_the_test_split(tmp_path, monkeypatch):
+    splits, evaluate = [], train_mod.evaluate
+
+    def spy(net, dataset, batch_size=100):
+        splits.append(dataset.split)
+        return evaluate(net, dataset, batch_size)
+
+    monkeypatch.setattr(train_mod, "evaluate", spy)
+    cfg = synth_config(tmp_path, epochs=3)
+    dn.run_training(cfg)
+    assert splits == ["test"] * cfg.epochs
 
 
 def test_untrained_model_is_at_chance_level():
