@@ -1,7 +1,9 @@
 """Command-line interface: train, eval, export-histogram, export-scatter.
 
-Exit codes: 0 success, 1 an unreadable checkpoint or data file,
-2 configuration problems, 3 a non-finite loss during training (the
+Exit codes: 0 success; 1 a malformed checkpoint or IDX data, or a file
+that cannot be opened or made (a directory given as a file, a run
+directory that is a file); 2 configuration problems, a config file that
+is not UTF-8 among them; 3 a non-finite loss during training (the
 offending component is named in the diagnostic).
 """
 
@@ -161,7 +163,7 @@ def main(argv=None):
     except NonFiniteError as e:
         print(f"non-finite loss: {e}", file=sys.stderr)
         return 3
-    except (CheckpointError, IdxFormatError, FileNotFoundError) as e:
+    except (CheckpointError, IdxFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -165,7 +165,11 @@ def parse_config_text(text, base=None):
 
 def load_config_file(path, base=None):
     with open(path, "r", encoding="utf-8") as f:
-        return parse_config_text(f.read(), base=base)
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path} is not UTF-8 text: {e}") from e
+    return parse_config_text(text, base=base)
 
 
 def config_to_text(cfg):

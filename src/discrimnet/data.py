@@ -1,10 +1,13 @@
 """Dataset ingestion (IDX files), synthetic data, and affine augmentation."""
 
+import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .streaming import class_ids
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -24,45 +27,31 @@ MAX_SHIFT_FRAC = 0.1
 
 
 class IdxFormatError(ValueError):
-    """An IDX file has a bad magic number or a truncated payload."""
+    """IDX files that cannot be a dataset: a bad magic number, a truncated
+    payload, no samples, labels out of range, or splits of different
+    image sizes."""
 
 
 @dataclass
 class Dataset:
     """Images in [0, 1] with integer class labels.
 
-    images: (N, h, w, c) float array; labels: (N,) ints in [0, K).
+    images: (N, h, w, c) float array; labels: (N,) ints in [0, num_classes).
     """
 
     images: np.ndarray
     labels: np.ndarray
+    num_classes: int
     split: str = "train"
-    num_classes: int = 0
 
     def __post_init__(self):
-        if self.images.shape[0] != self.labels.shape[0]:
-            raise ValueError("image and label counts disagree")
-        if self.num_classes == 0:
-            self.num_classes = int(self.labels.max()) + 1 if len(self.labels) else 0
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
-            raise ValueError("labels out of range")
+        class_ids(self.labels, self.num_classes, self.images.shape[0])
 
     def __len__(self):
         return self.images.shape[0]
 
-    def one_hot(self):
-        t = np.zeros((len(self), self.num_classes))
-        t[np.arange(len(self)), self.labels] = 1.0
-        return t
-
     def subset(self, indices):
-        indices = np.asarray(indices)
-        return Dataset(
-            images=self.images[indices],
-            labels=self.labels[indices],
-            split=self.split,
-            num_classes=self.num_classes,
-        )
+        return replace(self, images=self.images[indices], labels=self.labels[indices])
 
 
 def _read_idx(path, expect_magic, expect_dims):
@@ -75,7 +64,7 @@ def _read_idx(path, expect_magic, expect_dims):
     if magic != expect_magic:
         raise IdxFormatError(f"{path}: bad magic 0x{magic:08x}, expected 0x{expect_magic:08x}")
     dims = struct.unpack(f">{expect_dims}I", buf[4:header])
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: np.prod wraps around on huge header dims
     if len(buf) - header < count:
         raise IdxFormatError(f"{path}: truncated payload ({len(buf) - header} of {count} bytes)")
     if len(buf) - header > count:
@@ -87,7 +76,8 @@ def load_idx(images_path, labels_path, split="train"):
     """Load a big-endian IDX image/label file pair.
 
     Images use magic 0x00000803 (u8, 3 dims), labels 0x00000801
-    (u8, 1 dim). Pixels are scaled to [0, 1] by dividing by 255.
+    (u8, 1 dim), and the labels are class ids in [0, 10). Pixels are
+    scaled to [0, 1] by dividing by 255.
     """
     raw_images = _read_idx(images_path, IDX_IMAGES_MAGIC, 3)
     raw_labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1)
@@ -95,6 +85,10 @@ def load_idx(images_path, labels_path, split="train"):
         raise IdxFormatError(
             f"count mismatch: {raw_images.shape[0]} images vs {raw_labels.shape[0]} labels"
         )
+    if raw_labels.size == 0:
+        raise IdxFormatError(f"{labels_path}: no samples")
+    if raw_labels.max() >= 10:
+        raise IdxFormatError(f"{labels_path}: label {raw_labels.max()} out of range [0, 10)")
     images = raw_images.astype(np.float64)[..., None] / 255.0
     labels = raw_labels.astype(np.int64)
     return Dataset(images=images, labels=labels, split=split, num_classes=10)

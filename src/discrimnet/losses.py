@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .streaming import CenterBank, NeuronClassStats
+from .streaming import CenterBank, NeuronClassStats, class_ids, class_targets
 from .tensor import NonFiniteError
 
 # Floor of the discriminant losses' total-variance denominators.
@@ -32,14 +32,6 @@ def _as2d(x, name):
     return x
 
 
-def _check_onehot(t, n, name="labels"):
-    if t.shape[0] != n:
-        raise ValueError(f"{name} rows ({t.shape[0]}) != batch rows ({n})")
-    rows = t.sum(axis=1)
-    if not (np.all((t == 0.0) | (t == 1.0)) and np.all(rows == 1.0)):
-        raise ValueError(f"{name} must be one-hot rows")
-
-
 def softmax(z):
     """Row-wise softmax, computed with max subtraction so it cannot overflow."""
     z = _as2d(z, "logits")
@@ -48,16 +40,15 @@ def softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def softmax_cross_entropy(z, t):
-    """Mean cross-entropy of softmax(z) against one-hot targets.
+def softmax_cross_entropy(z, labels):
+    """Mean cross-entropy of softmax(z) against integer class ids.
 
     Returns (loss, dz). Both are divided by the batch size so
     auxiliary-loss weights stay batch-size independent.
     """
     z = _as2d(z, "logits")
-    t = _as2d(t, "labels")
-    n = z.shape[0]
-    _check_onehot(t, n)
+    n, k = z.shape
+    t = class_targets(labels, k, n)
     shifted = z - z.max(axis=1, keepdims=True)
     log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     loss = -float((t * log_probs).sum()) / n
@@ -75,23 +66,22 @@ def _ratio_loss(var_within, var_total, dev, centered, coef):
     return loss, coef * (dev / denom - (var_within / denom**2) * centered)
 
 
-def discriminant_criterion(z, t):
+def discriminant_criterion(z, labels):
     """Per-neuron within/total variance ratio over one batch, summed.
 
     For each output neuron the batch is split into target and non-target
     samples; the loss adds sigma_within^2 / sigma_total^2 computed from
     the batch means. Low values mean each neuron separates its class
-    from the rest. Returns (loss, dz) with dz the exact gradient through
-    all batch statistics. A class absent from the batch (or occupying
-    the whole batch) simply contributes no deviation terms on the empty
-    side.
+    from the rest; labels are the samples' integer class ids. Returns
+    (loss, dz) with dz the exact gradient through all batch statistics. A
+    class absent from the batch (or occupying the whole batch) simply
+    contributes no deviation terms on the empty side.
     """
     z = _as2d(z, "logits")
-    t = _as2d(t, "labels")
     n, k = z.shape
     if n < 2:
         raise ValueError("discriminant criterion needs a batch of at least 2")
-    _check_onehot(t, n)
+    t = class_targets(labels, k, n)
     counts = t.sum(axis=0)
     counts_hat = n - counts
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -108,13 +98,12 @@ def discriminant_criterion(z, t):
     return _ratio_loss(var_within, var_total, dev, z - mu_total, 2.0 / n)
 
 
-def absent_class_sides(t):
-    """Classes with an empty target or non-target side in this batch."""
-    t = _as2d(t, "labels")
-    counts = t.sum(axis=0)
-    n = t.shape[0]
+def absent_class_sides(labels, num_classes):
+    """Classes with an empty target or non-target side among these class ids."""
+    n = np.size(labels)
+    counts = np.bincount(class_ids(labels, num_classes, n), minlength=num_classes)
     flags = []
-    for k in range(t.shape[1]):
+    for k in range(num_classes):
         if counts[k] == 0:
             flags.append(f"class {k} absent from batch")
         elif counts[k] == n:
@@ -122,21 +111,20 @@ def absent_class_sides(t):
     return flags
 
 
-def adaptive_discriminant(z, t, stats):
+def adaptive_discriminant(z, labels, stats):
     """Forgetting-statistics version of the discriminant criterion.
 
     Every sample in the batch advances the accumulators once, in row
-    order. The loss is the post-batch ratio sum; the gradient treats all
-    statistics as constants, pairing each sample with the means that
-    were current when it was folded in. Mutates ``stats``; returns
-    (loss, dz).
+    order, with its integer class id from ``labels``. The loss is the
+    post-batch ratio sum; the gradient treats all statistics as
+    constants, pairing each sample with the means that were current when
+    it was folded in. Mutates ``stats``; returns (loss, dz).
     """
     z = _as2d(z, "logits")
-    t = _as2d(t, "labels")
     n, k = z.shape
-    _check_onehot(t, n)
     if k != stats.num_classes:
         raise ValueError(f"stats track {stats.num_classes} classes, batch has {k}")
+    t = class_targets(labels, k, n)
     mu_pre = np.empty_like(z)
     mu_hat_pre = np.empty_like(z)
     mu_total_pre = np.empty_like(z)
@@ -144,28 +132,24 @@ def adaptive_discriminant(z, t, stats):
         mu_pre[i] = stats.mu
         mu_hat_pre[i] = stats.mu_hat
         mu_total_pre[i] = stats.mu_total
-        stats.update(z[i], t[i])
+        stats.update(z[i], labels[i])
     a = stats.alpha
     dev = t * (z - mu_pre) + (1.0 - t) * (z - mu_hat_pre)
     return _ratio_loss(stats.var_within, stats.var_total, dev, z - mu_total_pre,
                        2.0 * a * (1.0 - a))
 
 
-def center_loss(x, t, bank):
-    """Mean squared distance of features to their class centroids.
+def center_loss(x, labels, bank):
+    """Mean squared distance of features to their class ids' centroids.
 
     Returns (loss, dx); the bank's centroids are read, never moved.
     """
     x = _as2d(x, "features")
-    t = _as2d(t, "labels")
-    n = x.shape[0]
-    _check_onehot(t, n)
+    n, d = x.shape
     centers = bank.centers
-    if centers.shape != (t.shape[1], x.shape[1]):
-        raise ValueError(
-            f"centers shape {centers.shape} does not match "
-            f"{t.shape[1]} classes x {x.shape[1]} dims"
-        )
+    if centers.shape[1] != d:
+        raise ValueError(f"centers shape {centers.shape} does not match {d} dims")
+    t = class_targets(labels, centers.shape[0], n)
     assigned = t @ centers                       # per-row class centroid
     diff = x - assigned
     loss = float((diff**2).sum() / n)
@@ -173,22 +157,19 @@ def center_loss(x, t, bank):
     return loss, dx
 
 
-def adaptive_center_loss(x, t, bank):
+def adaptive_center_loss(x, labels, bank):
     """Center loss against forgetting centroids.
 
-    Each sample first folds itself into its class centroid, in row
-    order; the loss and gradient are then taken against
+    Each sample first folds itself into the centroid of its integer
+    class id, in row order; the loss and gradient are then taken against
     the post-batch centroids, which are treated as constants. Mutates
     ``bank``; returns (loss, dx).
     """
     x = _as2d(x, "features")
-    t = _as2d(t, "labels")
-    n = x.shape[0]
-    _check_onehot(t, n)
-    labels = t.argmax(axis=1)
-    for i in range(n):
+    labels = class_ids(labels, bank.num_classes, x.shape[0])
+    for i in range(x.shape[0]):
         bank.update_sample(x[i], labels[i])
-    return center_loss(x, t, bank)
+    return center_loss(x, labels, bank)
 
 
 CSV_COLUMNS = ("step", "total", "L_S", "L_D", "L_AD", "L_C", "L_AC")
@@ -249,13 +230,13 @@ class AuxState:
         return arrays
 
 
-def combined_objective(cfg, taps, labels_onehot, state=None):
+def combined_objective(cfg, taps, labels, state=None):
     """Evaluate the full training objective at the network's tap points.
 
     cfg is the run's RunConfig; a ``lambda_*`` weight of zero disables its
     loss. Cross-entropy and the discriminant losses read the ``logits``
-    tap, the center losses read ``hidden_preact``. labels_onehot is the
-    batch's one-hot label matrix. Every enabled loss with state advances
+    tap, the center losses read ``hidden_preact``. labels are the
+    batch's integer class ids. Every enabled loss with state advances
     it in ``state``: the adaptive losses fold each sample in before they
     are evaluated, and the minibatch center rule moves the centroids
     after the center loss has read them. Returns a LossReport
@@ -265,11 +246,10 @@ def combined_objective(cfg, taps, labels_onehot, state=None):
     cfg.validate()
     z_raw = taps["logits"]
     z = np.asarray(z_raw, dtype=np.float64)
-    t = _as2d(np.asarray(labels_onehot), "labels")
 
     components = {}
     notes = []
-    ls, dz_ce = softmax_cross_entropy(z, t)
+    ls, dz_ce = softmax_cross_entropy(z, labels)
     components["cross_entropy"] = ls
     dz_total = dz_ce
     total = ls
@@ -278,16 +258,16 @@ def combined_objective(cfg, taps, labels_onehot, state=None):
         # Batch statistics need two samples; a trailing batch of one skips them.
         notes.append("discriminant criterion skipped: batch of 1")
     elif cfg.lambda_discriminant > 0:
-        ld, dz = discriminant_criterion(z, t)
+        ld, dz = discriminant_criterion(z, labels)
         components["discriminant"] = ld
-        notes.extend(absent_class_sides(t))
+        notes.extend(absent_class_sides(labels, z.shape[1]))
         dz_total = dz_total + cfg.lambda_discriminant * dz
         total += cfg.lambda_discriminant * ld
 
     if cfg.lambda_adaptive_discriminant > 0:
         if state is None or state.neuron_stats is None:
             raise ValueError("adaptive discriminant loss needs AuxState.neuron_stats")
-        lad, dz = adaptive_discriminant(z, t, state.neuron_stats)
+        lad, dz = adaptive_discriminant(z, labels, state.neuron_stats)
         components["adaptive_discriminant"] = lad
         dz_total = dz_total + cfg.lambda_adaptive_discriminant * dz
         total += cfg.lambda_adaptive_discriminant * lad
@@ -299,12 +279,12 @@ def combined_objective(cfg, taps, labels_onehot, state=None):
         if state is None or state.center_bank is None:
             raise ValueError("center losses need AuxState.center_bank")
         if cfg.lambda_center > 0:
-            lc, dx = center_loss(x, t, state.center_bank)
+            lc, dx = center_loss(x, labels, state.center_bank)
             components["center"] = lc
             dx_total = cfg.lambda_center * dx
             total += cfg.lambda_center * lc
         else:
-            lac, dx = adaptive_center_loss(x, t, state.center_bank)
+            lac, dx = adaptive_center_loss(x, labels, state.center_bank)
             components["adaptive_center"] = lac
             dx_total = cfg.lambda_adaptive_center * dx
             total += cfg.lambda_adaptive_center * lac
@@ -313,7 +293,7 @@ def combined_objective(cfg, taps, labels_onehot, state=None):
         if not np.isfinite(value):
             raise NonFiniteError(f"loss component {name!r} is non-finite ({value})")
     if cfg.lambda_center > 0:
-        state.center_bank.update_minibatch(x, t)
+        state.center_bank.update_minibatch(x, labels)
 
     gradients = {"logits": dz_total.astype(np.asarray(z_raw).dtype, copy=False)}
     if dx_total is not None:

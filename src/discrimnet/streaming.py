@@ -16,6 +16,9 @@ Direct-summation closed forms of the same quantities live at the bottom
 of the module; they exist for tests and are never used in training.
 """
 
+import functools
+import operator
+
 import numpy as np
 
 from .tensor import NonFiniteError
@@ -33,11 +36,42 @@ def _check_finite(z, what="input"):
         raise NonFiniteError(f"non-finite {what} fed to a forgetting accumulator")
 
 
+def class_ids(labels, num_classes, n=None):
+    """Checked class ids in [0, num_classes): an integer array of shape (n,),
+    or one int when n is None. Anything else raises ValueError."""
+    if n is None:
+        try:
+            ids = lo = hi = operator.index(labels)
+        except TypeError:
+            raise ValueError(f"a class id must be an integer, got {labels!r}") from None
+    else:
+        ids = np.asarray(labels)
+        if ids.dtype.kind not in "iu" or ids.shape != (n,):
+            raise ValueError(f"labels must be {n} integer class ids, got {ids.dtype} {ids.shape}")
+        lo, hi = ids.min(initial=0), ids.max(initial=0)
+    if lo < 0 or hi >= num_classes:
+        raise ValueError(f"class id {lo if lo < 0 else hi} out of range [0, {num_classes})")
+    return ids
+
+
+@functools.cache
+def _identity(num_classes):
+    eye = np.eye(num_classes)
+    eye.flags.writeable = False  # class_targets hands out views of its rows
+    return eye
+
+
+def class_targets(labels, num_classes, n=None):
+    """The float64 0/1 target rows of ``class_ids``: row i is 1 in column
+    labels[i]. Losses and accumulators build their target masks only here."""
+    return _identity(num_classes)[class_ids(labels, num_classes, n)]
+
+
 class NeuronClassStats:
     """Per-neuron forgetting statistics of a labeled scalar stream.
 
     For each of K output neurons this tracks, over the stream of
-    (logit row, one-hot label row) samples: the target-class mean, the
+    (logit row, class id) samples: the target-class mean, the
     non-target mean, the total mean, and the within-class and total
     variances, all under one shared forgetting factor. One ``update``
     advances every accumulator exactly once, in place, computing
@@ -55,22 +89,20 @@ class NeuronClassStats:
         self.var_total = np.zeros(k)
         self.steps = np.zeros(1)       # samples folded in, as checkpoints store it
 
-    def update(self, z_row, t_row):
+    def update(self, z_row, label):
         """Advance all accumulators by one labeled sample.
 
-        z_row: K logits for one sample; t_row: its one-hot label row.
+        z_row: K logits for one sample; label: its integer class id.
         """
         z = np.asarray(z_row, dtype=np.float64)
-        t = np.asarray(t_row, dtype=np.float64)
-        if z.shape != (self.num_classes,) or t.shape != (self.num_classes,):
-            raise ValueError(
-                f"expected rows of length {self.num_classes}, "
-                f"got {z.shape} and {t.shape}"
-            )
+        if z.shape != (self.num_classes,):
+            raise ValueError(f"expected a row of {self.num_classes} logits, got {z.shape}")
+        t = class_targets(label, self.num_classes)
+        t_hat = 1.0 - t                # non-target gate
         _check_finite(z)
         a = self.alpha
         aa = a * (1.0 - a)
-        dev_w = t * (z - self.mu) ** 2 + (1.0 - t) * (z - self.mu_hat) ** 2
+        dev_w = t * (z - self.mu) ** 2 + t_hat * (z - self.mu_hat) ** 2
         self.var_within *= a
         self.var_within += aa * dev_w
         self.var_total *= a
@@ -78,7 +110,7 @@ class NeuronClassStats:
         self.mu *= a
         self.mu += (1.0 - a) * t * z
         self.mu_hat *= a
-        self.mu_hat += (1.0 - a) * (1.0 - t) * z
+        self.mu_hat += (1.0 - a) * t_hat * z
         self.mu_total *= a
         self.mu_total += (1.0 - a) * z
         self.steps += 1
@@ -124,26 +156,22 @@ class CenterBank:
         return x
 
     def update_sample(self, x, class_id):
-        """Fold one feature vector into its class centroid."""
+        """Fold one feature vector into the centroid of its integer class id."""
         x = self._check_vec(x)
-        k = int(class_id)
-        if not 0 <= k < self.num_classes:
-            raise ValueError(f"class id {k} out of range")
+        k = class_ids(class_id, self.num_classes)
         a = self.alpha
         self.centers[k] = a * self.centers[k] + (1.0 - a) * x
         self.steps += 1
 
-    def update_minibatch(self, features, labels_onehot):
-        """Apply the damped delta rule for every class.
-
-        Classes with no members in the batch are left unchanged.
+    def update_minibatch(self, features, labels):
+        """Apply the damped delta rule for every class, given the features'
+        integer class ids. Classes with no members in the batch are left
+        unchanged.
         """
         x = np.asarray(features, dtype=np.float64)
-        t = np.asarray(labels_onehot, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(f"features must be N x {self.dim}, got {x.shape}")
-        if t.shape != (x.shape[0], self.num_classes):
-            raise ValueError(f"labels must be N x {self.num_classes}, got {t.shape}")
+        t = class_targets(labels, self.num_classes, x.shape[0])
         _check_finite(x)
         counts = t.sum(axis=0)                                   # members per class
         sums = t.T @ x                                           # K x D

@@ -10,6 +10,7 @@ named array; records always store little-endian float64.
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -56,7 +57,7 @@ def _read_exact(f, n, what):
     return buf
 
 
-def _read_tensor_record(f):
+def _read_tensor_record(f, size):
     magic = _read_exact(f, 8, "tensor magic")
     if magic != TENSOR_MAGIC:
         raise CheckpointError(f"bad tensor magic {magic!r}")
@@ -64,7 +65,12 @@ def _read_tensor_record(f):
     shape = tuple(
         struct.unpack("<I", _read_exact(f, 4, "dims"))[0] for _ in range(rank)
     )
-    payload = _read_exact(f, 8 * math.prod(shape), "payload")
+    nbytes = 8 * math.prod(shape)
+    if nbytes > size - f.tell():  # checked first: a huge shape must not reach read()
+        raise CheckpointError(
+            f"truncated file: a record declares {nbytes} bytes, {size - f.tell()} are left"
+        )
+    payload = _read_exact(f, nbytes, "payload")
     arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
     return arr
 
@@ -99,9 +105,13 @@ def load_bundle(path):
             manifest = json.loads(_read_exact(f, blob_len, "manifest"))
         except ValueError as e:
             raise CheckpointError(f"unreadable manifest: {e}") from e
-        arrays = {}
-        for name in manifest.get("entries", []):
-            arrays[name] = _read_tensor_record(f)
+        if not isinstance(manifest, dict):
+            raise CheckpointError("manifest is not a JSON object")
+        entries = manifest.get("entries", [])
+        if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)):
+            raise CheckpointError("manifest entries are not a list of names")
+        size = os.fstat(f.fileno()).st_size
+        arrays = {name: _read_tensor_record(f, size) for name in entries}
     return manifest, arrays
 
 

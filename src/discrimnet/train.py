@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from .config import ConfigError, RunConfig, config_from_stored, save_config_file
-from .data import augment_batch, load_idx_dir, synth_blobs
+from .data import IdxFormatError, augment_batch, load_idx_dir, synth_blobs
 from .losses import (
     _CSV_KEYS,
     CSV_COLUMNS,
@@ -68,6 +68,11 @@ def load_run_datasets(cfg):
         root = os.path.join(resolve_data_dir(cfg), cfg.dataset)
         train = load_idx_dir(root, "train")
         test = load_idx_dir(root, "test")
+        if train.images.shape[1:] != test.images.shape[1:]:
+            raise IdxFormatError(
+                f"{root}: train images are {train.images.shape[1:]}, "
+                f"test images {test.images.shape[1:]}"
+            )
         rng = seeded_rng(cfg.seed, _DATA_STREAM)
         if cfg.train_subset:
             train = train.subset(rng.permutation(len(train))[: cfg.train_subset])
@@ -84,7 +89,7 @@ def _batch_ranges(n, batch_size):
 def evaluate(net, dataset, batch_size=100):
     """Mean cross-entropy and top-1 accuracy of a network on a dataset."""
     z = net.predict(dataset.images, batch_size)["logits"]
-    ce, _ = softmax_cross_entropy(z, dataset.one_hot())
+    ce, _ = softmax_cross_entropy(z, dataset.labels)
     return ce, int((z.argmax(axis=1) == dataset.labels).sum()) / len(dataset)
 
 
@@ -120,7 +125,6 @@ def run_training(cfg: RunConfig, progress=False):
     # One copy of the train images in the network's dtype, so training
     # batches and augment_batch run in it.
     train.images = train.images.astype(net.dtype, copy=False)
-    train_t = train.one_hot()
     step = 0
     best = None
     t_start = time.time()
@@ -138,12 +142,12 @@ def run_training(cfg: RunConfig, progress=False):
                 x = train.images[batch]
                 if cfg.augment:
                     x = augment_batch(x, model_rng).astype(net.dtype, copy=False)
-                t = train_t[batch]
+                y = train.labels[batch]
                 taps = net.forward(x, train=True)
-                report = combined_objective(cfg, taps, t, state=aux)
+                report = combined_objective(cfg, taps, y, state=aux)
                 steps_f.write(report.csv_row(step) + "\n")
                 ce_sum += report.components["cross_entropy"] * len(batch)
-                correct += int((taps["logits"].argmax(axis=1) == train.labels[batch]).sum())
+                correct += int((taps["logits"].argmax(axis=1) == y).sum())
                 net.backward(report.gradients)
                 opt.step(net.gradients(), lr)
                 for name, value in report.components.items():

@@ -80,15 +80,21 @@ def idx_label_bytes(labels):
     return struct.pack(">II", 0x00000801, len(labels)) + labels.tobytes()
 
 
-def write_idx_dir(root, images, labels):
-    """Write ``images`` (n, rows, cols) and ``labels`` as both standard-named
-    IDX splits in ``root``, the layout ``load_idx_dir`` reads."""
+def write_idx_split(root, prefix, images, labels):
+    """Write ``images`` (n, rows, cols) and ``labels`` as the standard-named
+    IDX pair of one split (``prefix`` "train" or "t10k") in ``root``."""
     os.makedirs(root, exist_ok=True)
+    with open(os.path.join(root, f"{prefix}-images-idx3-ubyte"), "wb") as f:
+        f.write(idx_image_bytes(images))
+    with open(os.path.join(root, f"{prefix}-labels-idx1-ubyte"), "wb") as f:
+        f.write(idx_label_bytes(labels))
+
+
+def write_idx_dir(root, images, labels):
+    """Write the same images and labels as both splits in ``root``, the
+    layout ``load_idx_dir`` reads."""
     for prefix in ("train", "t10k"):
-        with open(os.path.join(root, f"{prefix}-images-idx3-ubyte"), "wb") as f:
-            f.write(idx_image_bytes(images))
-        with open(os.path.join(root, f"{prefix}-labels-idx1-ubyte"), "wb") as f:
-            f.write(idx_label_bytes(labels))
+        write_idx_split(root, prefix, images, labels)
 
 
 def data_root():

@@ -57,10 +57,10 @@ def test_1_streaming_oracle_equivalence():
         z = rng.uniform(-10, 10, n)
         t = (rng.uniform(0, 1, n) < 0.5).astype(float)
 
-        # One neuron of the engine's accumulator, gated by t.
-        stats = dn.NeuronClassStats(1, alpha)
+        # Neuron 0 of the engine's accumulator, gated by t: gate 1 is class 0.
+        stats = dn.NeuronClassStats(2, alpha)
         for value, gate in zip(z, t):
-            stats.update([value], [gate])
+            stats.update([value, 0.0], int(1 - gate))
 
         e_direct, v_direct = dn.weighted_moments_direct(z, alpha)
         m_direct = dn.masked_weighted_mean_direct(zip(z, t), alpha)
@@ -111,8 +111,8 @@ def _random_case(rng):
     d = int(rng.integers(2, 7))       # D <= 6
     z = rng.normal(size=(n, k)) * 2.0
     x = rng.normal(size=(n, d)) * 2.0
-    t = onehot(rng.integers(0, k, n), k)
-    return z, x, t
+    labels = rng.integers(0, k, n)
+    return z, x, labels
 
 
 @criterion(2, "gradient verification, 50 instances per loss")
@@ -120,23 +120,24 @@ def test_2_gradient_verification():
     rng = dn.seeded_rng(2000)
     start = time.time()
     for _ in range(50):
-        z, x, t = _random_case(rng)
+        z, x, labels = _random_case(rng)
         n, k = z.shape
         d = x.shape[1]
+        t = onehot(labels, k)
 
-        _, dz = dn.softmax_cross_entropy(z, t)
-        fd = finite_difference(lambda v: dn.softmax_cross_entropy(v, t)[0], z)
+        _, dz = dn.softmax_cross_entropy(z, labels)
+        fd = finite_difference(lambda v: dn.softmax_cross_entropy(v, labels)[0], z)
         assert rel_error(dz, fd) < 1e-4, "softmax cross-entropy"
 
-        _, dz = dn.discriminant_criterion(z, t)
-        fd = finite_difference(lambda v: dn.discriminant_criterion(v, t)[0], z)
+        _, dz = dn.discriminant_criterion(z, labels)
+        fd = finite_difference(lambda v: dn.discriminant_criterion(v, labels)[0], z)
         assert rel_error(dz, fd) < 1e-4, "batch discriminant"
 
         centers = rng.normal(size=(k, d))
         bank = dn.CenterBank(k, d, beta=1.0)
         bank.centers = centers.copy()
-        _, dx = dn.center_loss(x, t, bank)
-        fd = finite_difference(lambda v: dn.center_loss(v, t, bank)[0], x)
+        _, dx = dn.center_loss(x, labels, bank)
+        fd = finite_difference(lambda v: dn.center_loss(v, labels, bank)[0], x)
         assert rel_error(dx, fd) < 1e-4, "center loss"
 
         # adaptive discriminant: finite differences of the frozen-statistics
@@ -144,9 +145,9 @@ def test_2_gradient_verification():
         alpha = 0.9
         warm_stats = dn.NeuronClassStats(k, alpha)
         for _ in range(5):
-            warm_stats.update(rng.normal(size=k), onehot([int(rng.integers(0, k))], k)[0])
+            warm_stats.update(rng.normal(size=k), int(rng.integers(0, k)))
         stats_for_grad = copy.deepcopy(warm_stats)
-        _, dz = dn.adaptive_discriminant(z, t, stats_for_grad)
+        _, dz = dn.adaptive_discriminant(z, labels, stats_for_grad)
 
         replay = copy.deepcopy(warm_stats)
         mu_pre = np.empty_like(z)
@@ -156,7 +157,7 @@ def test_2_gradient_verification():
             mu_pre[i] = replay.mu
             mu_hat_pre[i] = replay.mu_hat
             mu_total_pre[i] = replay.mu_total
-            replay.update(z[i], t[i])
+            replay.update(z[i], labels[i])
         var_w = replay.var_within
         denom = np.maximum(replay.var_total, 1e-8)
         aa = alpha * (1 - alpha)
@@ -172,7 +173,7 @@ def test_2_gradient_verification():
         # adaptive center: finite differences against post-update centers
         abank = dn.CenterBank(k, d, alpha=alpha)
         abank.centers = centers.copy()
-        _, dx = dn.adaptive_center_loss(x, t, abank)
+        _, dx = dn.adaptive_center_loss(x, labels, abank)
         frozen = abank.centers.copy()
 
         def surrogate_ac(v):
@@ -203,17 +204,18 @@ def test_3_full_network_gradient_check():
     )
     rng = dn.seeded_rng(31)
     x = rng.normal(size=(4, 8, 8, 1))
-    t = onehot(rng.integers(0, 3, 4), 3)
+    labels = rng.integers(0, 3, 4)
+    t = onehot(labels, 3)
 
     # warm the accumulators so denominators are healthy
     state = dn.AuxState(cfg, num_classes=3, feature_dim=8)
     taps0 = net.forward(rng.normal(size=(6, 8, 8, 1)), train=True)
-    dn.combined_objective(cfg, taps0, onehot(rng.integers(0, 3, 6), 3), state=state)
+    dn.combined_objective(cfg, taps0, rng.integers(0, 3, 6), state=state)
 
     # analytic pass: advance a copy of the state, capture frozen statistics
     state_for_grad = copy.deepcopy(state)
     taps = net.forward(x, train=True)
-    report = dn.combined_objective(cfg, taps, t, state=state_for_grad)
+    report = dn.combined_objective(cfg, taps, labels, state=state_for_grad)
     net.backward(report.gradients)
     analytic = {k: v.copy() for k, v in net.gradients().items()}
 
@@ -226,8 +228,7 @@ def test_3_full_network_gradient_check():
         mu_pre[i] = replay.neuron_stats.mu
         mu_hat_pre[i] = replay.neuron_stats.mu_hat
         mu_total_pre[i] = replay.neuron_stats.mu_total
-        replay.neuron_stats.update(z[i], t[i])
-    labels = t.argmax(axis=1)
+        replay.neuron_stats.update(z[i], labels[i])
     for i in range(4):
         replay.center_bank.update_sample(taps["hidden_preact"][i], labels[i])
     var_w = replay.neuron_stats.var_within
@@ -239,7 +240,7 @@ def test_3_full_network_gradient_check():
         taps_now = net.forward(x, train=True)
         zz = taps_now["logits"]
         hh = taps_now["hidden_preact"]
-        ce, _ = dn.softmax_cross_entropy(zz, t)
+        ce, _ = dn.softmax_cross_entropy(zz, labels)
         dev = t * (zz - mu_pre) ** 2 + (1 - t) * (zz - mu_hat_pre) ** 2
         ad = float(np.sum(aa * dev / denom
                           - (var_w / denom**2) * aa * (zz - mu_total_pre) ** 2))
@@ -269,7 +270,7 @@ def test_3_full_network_gradient_check():
 def test_4_hand_computed_values():
     # discriminant ratio 2/11 on the {2,4} target / {0,0} non-target fixture
     z = np.array([[2.0, 0.0], [4.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    t = onehot([0, 0, 1, 1], 2)
+    t = np.array([0, 0, 1, 1])
     loss, _ = dn.discriminant_criterion(z, t)
     assert abs(loss - 2.0 / 11.0) < 1e-12
 
@@ -277,7 +278,7 @@ def test_4_hand_computed_values():
     bank = dn.CenterBank(1, 2, beta=1.0)
     bank.centers = np.array([[2.0, 0.0]])
     loss, dx = dn.center_loss(
-        np.array([[1.0, 0.0], [3.0, 0.0]]), np.array([[1.0], [1.0]]), bank
+        np.array([[1.0, 0.0], [3.0, 0.0]]), np.array([0, 0]), bank
     )
     assert abs(loss - 1.0) < 1e-12
     assert np.abs(dx - [[-1.0, 0.0], [1.0, 0.0]]).max() < 1e-12
@@ -285,7 +286,7 @@ def test_4_hand_computed_values():
     # minibatch center update lands on (0.5, 0.5)
     bank = dn.CenterBank(2, 2, beta=1.0)
     bank.centers = np.array([[1.0, 1.0], [0.0, 0.0]])
-    bank.update_minibatch([[0.0, 0.0]], [[1.0, 0.0]])
+    bank.update_minibatch([[0.0, 0.0]], [0])
     assert np.abs(bank.centers[0] - [0.5, 0.5]).max() < 1e-12
 
 
@@ -319,7 +320,7 @@ def _test_logit_ratio(run_dir):
     net, cfg, _ = dn.load_checkpoint(os.path.join(run_dir, "final.ckpt"))
     _, test = load_run_datasets(cfg)
     z = net.predict(test.images, 250)["logits"]
-    loss, _ = dn.discriminant_criterion(z, onehot(test.labels, test.num_classes))
+    loss, _ = dn.discriminant_criterion(z, test.labels)
     return loss
 
 

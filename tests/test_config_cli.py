@@ -1,5 +1,6 @@
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -19,7 +20,8 @@ from discrimnet.config import (
     parse_config_text,
 )
 from discrimnet.train import load_run_datasets
-from conftest import separation_ratio_from_histogram, write_idx_dir
+from discrimnet.tensor import BUNDLE_MAGIC, TENSOR_MAGIC
+from conftest import separation_ratio_from_histogram, write_idx_dir, write_idx_split
 
 
 def synth_config(tmp_path, name="run", **overrides):
@@ -210,9 +212,9 @@ def test_logged_train_metrics_are_epoch_running_means(tmp_path, monkeypatch):
     # epoch's own steps: recompute them from every batch's logits and labels.
     seen, objective = [], train_mod.combined_objective
 
-    def spy(cfg, taps, labels_onehot, state=None):
-        seen.append((np.array(taps["logits"], dtype=np.float64), labels_onehot.argmax(axis=1)))
-        return objective(cfg, taps, labels_onehot, state=state)
+    def spy(cfg, taps, labels, state=None):
+        seen.append((np.array(taps["logits"], dtype=np.float64), np.array(labels)))
+        return objective(cfg, taps, labels, state=state)
 
     monkeypatch.setattr(train_mod, "combined_objective", spy)
     cfg = synth_config(tmp_path, epochs=3, batch_size=25)
@@ -433,6 +435,66 @@ def test_cli_rejects_malformed_batchnorm_state(tmp_path, capsys):
     ckpt = os.path.join(run_dir, "final.ckpt")
     for name in ("layers.1.state.running_mean", "layers.1.state.batches_seen"):
         _assert_eval_rejects(ckpt, name, capsys, tmp_path)
+
+
+def _mnist4_train(tmp_path, train=(), test=()):
+    """Train args for a run on a 4x4 ``mnist`` IDX dir; ``train`` or
+    ``test`` replaces that split's (images, labels)."""
+    good = (np.zeros((20, 4, 4)), np.arange(20) % 10)
+    root = str(tmp_path / "data" / "mnist")
+    write_idx_split(root, "train", *(train or good))
+    write_idx_split(root, "t10k", *(test or good))
+    cfg = synth_config(tmp_path, dataset="mnist", data_dir=str(tmp_path / "data"), epochs=1)
+    return ["train", "--config", write_config(cfg, tmp_path / "c.txt"), "--quiet"]
+
+
+def _bundle_eval(tmp_path, manifest, records=b""):
+    """Eval args for a bundle of a raw JSON manifest and raw record bytes."""
+    path = tmp_path / "bad.ckpt"
+    blob = manifest.encode("utf-8")
+    path.write_bytes(BUNDLE_MAGIC + struct.pack("<I", len(blob)) + blob + records)
+    return ["eval", "--ckpt", str(path)]
+
+
+def _taken_out_dir(tmp_path):
+    (tmp_path / "taken").write_text("")
+    cfg = synth_config(tmp_path, out_dir=str(tmp_path / "taken"), epochs=1)
+    return ["train", "--config", write_config(cfg, tmp_path / "c.txt"), "--quiet"]
+
+
+def _latin1_config(tmp_path):
+    (tmp_path / "c.txt").write_bytes("dataset = synth  # caf\u00e9\n".encode("latin-1"))
+    return ["train", "--config", str(tmp_path / "c.txt"), "--quiet"]
+
+
+# Bad input files, by the exit code they must give: name -> (argv maker, code).
+CLI_INPUT_ERRORS = {
+    "idx-label-out-of-range": (lambda p: _mnist4_train(
+        p, train=(np.zeros((2, 4, 4)), [3, 10])), 1),
+    "idx-empty-train-split": (lambda p: _mnist4_train(p, train=(np.zeros((0, 4, 4)), [])), 1),
+    "idx-empty-test-split": (lambda p: _mnist4_train(p, test=(np.zeros((0, 4, 4)), [])), 1),
+    "idx-test-images-of-another-size": (lambda p: _mnist4_train(
+        p, test=(np.zeros((20, 8, 8)), np.arange(20) % 10)), 1),
+    "bundle-manifest-is-an-array": (lambda p: _bundle_eval(p, "[1, 2]"), 1),
+    "bundle-entries-not-a-list": (lambda p: _bundle_eval(p, '{"entries": 5}'), 1),
+    "bundle-record-larger-than-the-file": (lambda p: _bundle_eval(
+        p, '{"entries": ["w"]}', TENSOR_MAGIC + struct.pack("<4I", 3, *(2**31,) * 3)), 1),
+    "config-is-a-directory": (lambda p: ["train", "--config", str(p), "--quiet"], 1),
+    "out-dir-is-a-file": (_taken_out_dir, 1),
+    "config-not-utf8": (_latin1_config, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_INPUT_ERRORS))
+def test_cli_bad_input_files_exit_without_a_traceback(tmp_path, case):
+    make_args, code = CLI_INPUT_ERRORS[case]
+    proc = run_cli(*make_args(tmp_path))
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith({1: "error: ", 2: "config error: "}[code]), proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "run").exists()  # no run started: no step was taken
 
 
 def test_cli_bad_config_file(tmp_path):

@@ -55,6 +55,16 @@ def test_load_idx_count_mismatch(tmp_path, idx_pair):
         dn.load_idx(img_path, labs3)
 
 
+def test_load_idx_header_dims_too_large_for_int64(tmp_path):
+    # 2**31 cubed wraps to 0 in int64, which an empty payload would match.
+    imgs = tmp_path / "huge"
+    imgs.write_bytes(struct.pack(">IIII", 0x00000803, *(2**31,) * 3))
+    labs = tmp_path / "labs"
+    labs.write_bytes(struct.pack(">II", 0x00000801, 2**31))
+    with pytest.raises(IdxFormatError, match="truncated"):
+        dn.load_idx(imgs, labs)
+
+
 def test_real_mnist_test_split(mnist_root):
     ds = load_idx_dir(f"{mnist_root}/mnist", "test")
     assert len(ds) == 10000
@@ -84,7 +94,7 @@ def train_logistic_one_epoch(ds, lr=0.5, batch=20, seed=0):
     # single dense layer + softmax CE, one pass
     n, h, w, c = ds.images.shape
     x = ds.images.reshape(n, -1)
-    t = ds.one_hot()
+    t = ds.labels
     layer = dn.Dense(h * w * c, ds.num_classes, dn.seeded_rng(seed))
     order = dn.seeded_rng(seed).permutation(n)
     for start in range(0, n, batch):

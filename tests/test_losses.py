@@ -17,7 +17,7 @@ def onehot(labels, k):
 def random_instance(rng, n, k):
     z = rng.normal(size=(n, k)) * 2.0
     labels = rng.integers(0, k, n)
-    return z, onehot(labels, k)
+    return z, labels
 
 
 # --- softmax ----------------------------------------------------------------
@@ -44,22 +44,23 @@ def test_softmax_shift_invariance_and_row_sums():
 # --- softmax cross-entropy ----------------------------------------------------
 
 def test_cross_entropy_uniform_fixture():
-    loss, dz = dn.softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([[1.0, 0.0]]))
+    loss, dz = dn.softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))
     assert loss == pytest.approx(np.log(2.0), rel=1e-14)
     assert_allclose(dz, [[-0.5, 0.5]])
 
 
 def test_cross_entropy_confident_prediction_vanishes():
     z = np.array([[30.0, 0.0, 0.0]])
-    t = np.array([[1.0, 0.0, 0.0]])
+    t = np.array([0])
     loss, _ = dn.softmax_cross_entropy(z, t)
     assert loss < 1e-12
 
 
 def test_cross_entropy_sum_vs_mean():
     rng = dn.seeded_rng(3)
-    z, t = random_instance(rng, 6, 4)
-    loss_mean, dz_mean = dn.softmax_cross_entropy(z, t)
+    z, labels = random_instance(rng, 6, 4)
+    t = onehot(labels, 4)
+    loss_mean, dz_mean = dn.softmax_cross_entropy(z, labels)
     e = np.exp(z)
     row_loss = np.log(e.sum(axis=1)) - (t * z).sum(axis=1)  # -log p(target), row by row
     assert loss_mean == pytest.approx(row_loss.sum() / 6.0, rel=1e-14)
@@ -74,9 +75,51 @@ def test_cross_entropy_gradient_matches_finite_differences():
     assert rel_error(dz, fd) < 1e-6
 
 
+# Labels that break the class-id contract for a batch of 2 in 3 classes.
+BAD_LABELS = {
+    "float": np.array([0.0, 1.0]),
+    "negative": np.array([0, -1]),
+    "too_large": np.array([0, 3]),
+    "wrong_length": np.array([0, 1, 2]),
+    "two_dim": np.array([[0], [1]]),
+}
+
+
 def test_cross_entropy_rejects_bad_labels():
-    with pytest.raises(ValueError):
-        dn.softmax_cross_entropy(np.zeros((2, 3)), np.array([[1.0, 1.0, 0.0]] * 2))
+    for labels in BAD_LABELS.values():
+        with pytest.raises(ValueError, match="class id"):
+            dn.softmax_cross_entropy(np.zeros((2, 3)), labels)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LABELS))
+@pytest.mark.parametrize("call", [
+    lambda y: dn.discriminant_criterion(np.zeros((2, 3)), y),
+    lambda y: dn.adaptive_discriminant(np.zeros((2, 3)), y, dn.NeuronClassStats(3, 0.5)),
+    lambda y: dn.center_loss(np.zeros((2, 4)), y, dn.CenterBank(3, 4)),
+    lambda y: dn.adaptive_center_loss(np.zeros((2, 4)), y, dn.CenterBank(3, 4)),
+    lambda y: dn.CenterBank(3, 4).update_minibatch(np.zeros((2, 4)), y),
+    lambda y: dn.combined_objective(dn.RunConfig(), {"logits": np.zeros((2, 3))}, y),
+], ids=["discriminant", "adaptive_discriminant", "center", "adaptive_center",
+        "update_minibatch", "combined"])
+def test_losses_and_accumulators_reject_labels_that_are_not_class_ids(call, case):
+    with pytest.raises(ValueError, match="class id"):
+        call(BAD_LABELS[case])
+
+
+@pytest.mark.parametrize("case", sorted(set(BAD_LABELS) - {"wrong_length"}))
+def test_absent_class_sides_rejects_labels_that_are_not_class_ids(case):
+    with pytest.raises(ValueError, match="class id"):
+        dn.losses.absent_class_sides(BAD_LABELS[case], 3)
+
+
+@pytest.mark.parametrize("label", [1.7, -1, 3, np.array([1]), "1"])
+def test_per_sample_updates_reject_a_label_that_is_not_one_class_id(label):
+    stats, bank = dn.NeuronClassStats(3, 0.5), dn.CenterBank(3, 2)
+    with pytest.raises(ValueError, match="class id"):
+        stats.update(np.zeros(3), label)
+    with pytest.raises(ValueError, match="class id"):
+        bank.update_sample(np.zeros(2), label)
+    assert stats.steps == 0 and bank.steps == 0
 
 
 # --- batch discriminant criterion ---------------------------------------------
@@ -86,7 +129,7 @@ def test_discriminant_hand_fixture():
     # constant, so its guarded ratio is exactly 0 and the loss is the
     # neuron-0 ratio alone: 0.5 / 2.75 = 2/11.
     z = np.array([[2.0, 0.0], [4.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
-    t = onehot([0, 0, 1, 1], 2)
+    t = np.array([0, 0, 1, 1])
     loss, _ = dn.discriminant_criterion(z, t)
     assert abs(loss - 2.0 / 11.0) < 1e-12
 
@@ -94,14 +137,14 @@ def test_discriminant_hand_fixture():
 def test_discriminant_zero_within_scatter_is_minimum():
     # all targets equal, all non-targets equal (per neuron) -> within = 0
     z = np.array([[3.0, -1.0], [3.0, -1.0], [-1.0, 3.0], [-1.0, 3.0]])
-    t = onehot([0, 0, 1, 1], 2)
+    t = np.array([0, 0, 1, 1])
     loss, dz = dn.discriminant_criterion(z, t)
     assert loss == 0.0
 
 
 def test_discriminant_degenerate_constant_neuron():
     z = np.full((4, 2), 5.0)
-    t = onehot([0, 0, 1, 1], 2)
+    t = np.array([0, 0, 1, 1])
     loss, dz = dn.discriminant_criterion(z, t)
     assert loss == 0.0
     assert_array_equal(dz, np.zeros_like(z))
@@ -109,15 +152,15 @@ def test_discriminant_degenerate_constant_neuron():
 
 def test_discriminant_needs_two_samples():
     with pytest.raises(ValueError):
-        dn.discriminant_criterion(np.zeros((1, 2)), onehot([0], 2))
+        dn.discriminant_criterion(np.zeros((1, 2)), np.array([0]))
 
 
 def test_discriminant_absent_class_contributes_nothing_and_is_flagged():
     z = np.array([[1.0, 0.5, 2.0], [2.0, -0.5, 1.0], [0.0, 0.25, -1.0]])
-    t = onehot([0, 0, 1], 3)  # class 2 absent
+    t = np.array([0, 0, 1])  # class 2 absent
     loss, dz = dn.discriminant_criterion(z, t)
     assert np.isfinite(loss) and np.all(np.isfinite(dz))
-    flags = dn.losses.absent_class_sides(t)
+    flags = dn.losses.absent_class_sides(t, 3)
     assert any("class 2" in f for f in flags)
 
 
@@ -149,17 +192,17 @@ def adaptive_surrogate(z, t, mu_pre, mu_hat_pre, mu_total_pre, var_w, denom, alp
     )
 
 
-def run_adaptive(z, t, alpha, warm=None):
+def run_adaptive(z, labels, alpha, warm=None):
     stats = dn.NeuronClassStats(z.shape[1], alpha)
     if warm is not None:
-        for zr, tr in warm:
-            stats.update(zr, tr)
+        for zr, label in warm:
+            stats.update(zr, label)
     pre = copy.deepcopy(stats)
-    loss, dz = dn.adaptive_discriminant(z, t, stats)
+    loss, dz = dn.adaptive_discriminant(z, labels, stats)
     return loss, dz, pre, stats
 
 
-def capture_surrogate(z, t, pre_stats):
+def capture_surrogate(z, labels, pre_stats):
     stats = copy.deepcopy(pre_stats)
     n, k = z.shape
     mu_pre = np.empty_like(z)
@@ -169,14 +212,14 @@ def capture_surrogate(z, t, pre_stats):
         mu_pre[i] = stats.mu
         mu_hat_pre[i] = stats.mu_hat
         mu_total_pre[i] = stats.mu_total
-        stats.update(z[i], t[i])
+        stats.update(z[i], labels[i])
     denom = np.maximum(stats.var_total, 1e-8)
     return mu_pre, mu_hat_pre, mu_total_pre, stats.var_within, denom
 
 
 def test_adaptive_discriminant_single_sample_matches_recurrences():
     z = np.array([[2.0, -1.0]])
-    t = np.array([[1.0, 0.0]])
+    t = np.array([0])
     loss, dz, _, stats = run_adaptive(z, t, alpha=0.5)
     # one-step values: var_w = a(1-a) z^2 with zero prior (same for var_t)
     assert_allclose(stats.var_within, [1.0, 0.25])
@@ -186,10 +229,11 @@ def test_adaptive_discriminant_single_sample_matches_recurrences():
 
 def test_adaptive_discriminant_gradient_matches_frozen_surrogate_fd():
     rng = dn.seeded_rng(8)
-    warm = [(rng.normal(size=3), onehot([int(rng.integers(0, 3))], 3)[0]) for _ in range(12)]
-    z, t = random_instance(rng, 8, 3)
-    loss, dz, pre, _ = run_adaptive(z, t, alpha=0.9, warm=warm)
-    frozen = capture_surrogate(z, t, pre)
+    warm = [(rng.normal(size=3), int(rng.integers(0, 3))) for _ in range(12)]
+    z, labels = random_instance(rng, 8, 3)
+    t = onehot(labels, 3)
+    loss, dz, pre, _ = run_adaptive(z, labels, alpha=0.9, warm=warm)
+    frozen = capture_surrogate(z, labels, pre)
 
     def surrogate_loss(zz):
         return adaptive_surrogate(zz, t, *frozen, alpha=0.9)
@@ -206,7 +250,7 @@ def test_adaptive_discriminant_concentrated_stream_drives_loss_down():
     # level an uninformative stream holds.
     stats = dn.NeuronClassStats(2, 0.9)
     z = np.array([[2.0, -2.0], [-2.0, 2.0]])
-    t = onehot([0, 1], 2)
+    t = np.array([0, 1])
     losses = []
     for _ in range(400):
         loss, _ = dn.adaptive_discriminant(z.copy(), t, stats)
@@ -235,7 +279,7 @@ def make_bank(centers):
 def test_center_loss_hand_fixture():
     bank = make_bank([[2.0, 0.0]])
     x = np.array([[1.0, 0.0], [3.0, 0.0]])
-    t = np.array([[1.0], [1.0]])
+    t = np.array([0, 0])
     loss, dx = dn.center_loss(x, t, bank)
     assert loss == 1.0
     assert_array_equal(dx, [[-1.0, 0.0], [1.0, 0.0]])
@@ -245,7 +289,7 @@ def test_center_loss_hand_fixture():
 def test_center_loss_zero_at_centers():
     bank = make_bank([[1.0, 2.0], [-1.0, 0.0]])
     x = np.array([[1.0, 2.0], [-1.0, 0.0]])
-    t = onehot([0, 1], 2)
+    t = np.array([0, 1])
     loss, dx = dn.center_loss(x, t, bank)
     assert loss == 0.0
     assert_array_equal(dx, np.zeros_like(x))
@@ -255,7 +299,7 @@ def test_center_loss_gradient_matches_finite_differences():
     rng = dn.seeded_rng(11)
     bank = make_bank(rng.normal(size=(4, 6)))
     x = rng.normal(size=(8, 6))
-    t = onehot(rng.integers(0, 4, 8), 4)
+    t = rng.integers(0, 4, 8)
     _, dx = dn.center_loss(x, t, bank)
     fd = finite_difference(lambda xx: dn.center_loss(xx, t, bank)[0], x)
     assert rel_error(dx, fd) < 1e-6
@@ -265,7 +309,7 @@ def test_center_loss_translation_covariance():
     rng = dn.seeded_rng(12)
     bank = make_bank(rng.normal(size=(3, 4)))
     x = rng.normal(size=(6, 4))
-    t = onehot(rng.integers(0, 3, 6), 3)
+    t = rng.integers(0, 3, 6)
     shift = np.array([0.3, -1.2, 4.0, 0.01])
     loss1, dx1 = dn.center_loss(x, t, bank)
     bank2 = make_bank(bank.centers + shift)
@@ -277,7 +321,7 @@ def test_center_loss_translation_covariance():
 def test_center_loss_dimension_mismatch():
     bank = make_bank([[0.0, 0.0]])
     with pytest.raises(ValueError):
-        dn.center_loss(np.zeros((2, 3)), np.ones((2, 1)), bank)
+        dn.center_loss(np.zeros((2, 3)), np.zeros(2, dtype=np.int64), bank)
 
 
 # --- adaptive center loss ---------------------------------------------------------
@@ -285,7 +329,7 @@ def test_center_loss_dimension_mismatch():
 def test_adaptive_center_fresh_bank_fixture():
     bank = dn.CenterBank(2, 2, alpha=0.5)
     x = np.array([[2.0, 2.0]])
-    t = np.array([[1.0, 0.0]])
+    t = np.array([0])
     loss, dx = dn.adaptive_center_loss(x, t, bank)
     assert_array_equal(bank.centers[0], [1.0, 1.0])
     assert loss == 2.0  # squared distance (2,2) -> (1,1)
@@ -296,7 +340,7 @@ def test_adaptive_center_near_one_alpha_approaches_plain_center_loss():
     rng = dn.seeded_rng(13)
     centers = rng.normal(size=(3, 4))
     x = rng.normal(size=(6, 4))
-    t = onehot(rng.integers(0, 3, 6), 3)
+    t = rng.integers(0, 3, 6)
     bank = dn.CenterBank(3, 4, alpha=1 - 1e-9)
     bank.centers = centers.copy()
     loss_a, dx_a = dn.adaptive_center_loss(x, t, bank)
@@ -310,9 +354,10 @@ def test_adaptive_center_gradient_matches_frozen_center_fd():
     bank = dn.CenterBank(3, 5, alpha=0.9)
     bank.centers = rng.normal(size=(3, 5))
     x = rng.normal(size=(7, 5))
-    t = onehot(rng.integers(0, 3, 7), 3)
+    labels = rng.integers(0, 3, 7)
+    t = onehot(labels, 3)
     before = bank.centers.copy()
-    loss, dx = dn.adaptive_center_loss(x, t, bank)
+    loss, dx = dn.adaptive_center_loss(x, labels, bank)
     frozen = bank.centers.copy()  # post-update centers
 
     def surrogate(xx):
@@ -389,7 +434,7 @@ def test_combined_unresolved_tap_point():
     cfg = dn.RunConfig(lambda_center=1.0)
     state = dn.AuxState(cfg, num_classes=2, feature_dim=3)
     z = np.zeros((2, 2))
-    t = onehot([0, 1], 2)
+    t = np.array([0, 1])
     with pytest.raises(KeyError):
         dn.combined_objective(cfg, {"logits": z}, t, state=state)
 
@@ -398,7 +443,7 @@ def test_combined_detects_non_finite_components():
     # NaN logits give a NaN cross-entropy, which the objective names.
     z = np.array([[np.nan, 0.0], [1.0, 0.0]])
     with pytest.raises(dn.NonFiniteError, match="cross_entropy"):
-        dn.combined_objective(dn.RunConfig(), {"logits": z}, onehot([0, 1], 2))
+        dn.combined_objective(dn.RunConfig(), {"logits": z}, np.array([0, 1]))
 
 
 def test_loss_report_csv_row():
@@ -435,12 +480,12 @@ def test_objective_config_validation():
         dn.AuxState(dn.RunConfig(lambda_center=1.0, lambda_adaptive_center=1.0), 2, 3)
     with pytest.raises(dn.ConfigError):
         dn.combined_objective(dn.RunConfig(alpha=1.5), {"logits": np.zeros((2, 2))},
-                              onehot([0, 1], 2))
+                              np.array([0, 1]))
 
 
 def test_combined_report_flags_absent_classes():
     z = np.array([[1.0, 0.0, 2.0], [0.5, 1.0, -1.0], [2.0, 0.3, 0.1]])
-    t = onehot([0, 0, 1], 3)  # class 2 absent
+    t = np.array([0, 0, 1])  # class 2 absent
     cfg = dn.RunConfig(lambda_discriminant=0.1)
     report = dn.combined_objective(cfg, {"logits": z}, t, state=None)
     assert any("class 2" in note for note in report.notes)
@@ -448,7 +493,7 @@ def test_combined_report_flags_absent_classes():
 
 def test_combined_skips_batch_discriminant_for_one_sample():
     z = np.array([[1.0, 0.0, 2.0]])
-    t = onehot([1], 3)
+    t = np.array([1])
     cfg = dn.RunConfig(lambda_discriminant=0.1)
     report = dn.combined_objective(cfg, {"logits": z}, t, state=None)
     assert "discriminant" not in report.components

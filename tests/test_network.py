@@ -119,8 +119,7 @@ def test_full_network_gradient_check_with_logits_loss():
     net = small_net(seed=3)
     rng = dn.seeded_rng(43)
     x = rng.normal(size=(4, 8, 8, 1))
-    t = np.zeros((4, 3))
-    t[np.arange(4), rng.integers(0, 3, 4)] = 1.0
+    t = rng.integers(0, 3, 4)
 
     def loss_for_current_params():
         taps = net.forward(x, train=True)
@@ -474,7 +473,7 @@ def test_state_arrays_stay_live_through_training_steps():
             for name, arr in obj.state_arrays().items()}
     before = {name: arr.copy() for name, arr in live.items()}
     rng = dn.seeded_rng(51)
-    t = np.eye(4)[[0, 1, 2, 3, 0, 1]]
+    t = np.array([0, 1, 2, 3, 0, 1])
     for _ in range(2):
         taps = net.forward(rng.normal(size=(6, 32, 32, 3)), train=True)
         reports = [dn.combined_objective(cfg, taps, t, state=aux)

@@ -9,11 +9,12 @@ ALPHAS = (0.5, 0.9, 0.99)
 
 
 def feed(pairs, alpha):
-    # One neuron: mu_total is the plain mean, mu the mean gated by t, mu_hat
-    # the mean gated by 1 - t, and var_total the moment-form variance.
-    stats = dn.NeuronClassStats(1, alpha)
+    # Neuron 0 of two: mu_total is the plain mean, mu the mean gated by t,
+    # mu_hat the mean gated by 1 - t, and var_total the moment-form
+    # variance. Gate t = 1 is class 0, t = 0 class 1.
+    stats = dn.NeuronClassStats(2, alpha)
     for z, t in pairs:
-        stats.update([z], [t])
+        stats.update([z, 0.0], int(1 - t))
     return stats
 
 
@@ -64,7 +65,7 @@ def test_geometric_sum_identity():
 def test_mean_update_from_zero_prior():
     stats = dn.NeuronClassStats(1, 0.99)
     assert stats.mu_total[0] == 0.0
-    stats.update([1.0], [1.0])
+    stats.update([1.0], 0)
     assert stats.mu_total[0] == (1.0 - 0.99) * 1.0
 
 
@@ -79,7 +80,7 @@ def test_mean_update_converges_to_constant():
 
 def test_mean_update_rejects_non_finite():
     with pytest.raises(dn.NonFiniteError):
-        dn.NeuronClassStats(1, 0.5).update([np.nan], [1.0])
+        dn.NeuronClassStats(1, 0.5).update([np.nan], 0)
 
 
 def test_alpha_bounds_enforced():
@@ -97,9 +98,9 @@ def test_masked_update_active_sample():
 
 
 def test_masked_update_gated_out_sample_decays_state():
-    stats = dn.NeuronClassStats(1, 0.5)
+    stats = dn.NeuronClassStats(2, 0.5)
     stats.mu[0] = 2.0
-    stats.update([99.0], [0.0])
+    stats.update([99.0, 0.0], 1)
     assert stats.mu[0] == 1.0
     assert stats.mu_hat[0] == 49.5
 
@@ -134,7 +135,7 @@ def test_constant_stream_variance_decays_to_zero():
     stats = feed([(3.0, 1)], 0.5)
     prev = stats.var_total[0]
     for n in range(2, 40):
-        stats.update([3.0], [1.0])
+        stats.update([3.0, 0.0], 0)
         assert stats.var_total[0] == pytest.approx(9.0 * 0.5**n * (1 - 0.5**n), rel=1e-12)
         assert stats.var_total[0] < prev
         prev = stats.var_total[0]
@@ -143,7 +144,7 @@ def test_constant_stream_variance_decays_to_zero():
     slow = dn.NeuronClassStats(1, 0.9)
     values = []
     for _ in range(300):
-        slow.update([3.0], [1.0])
+        slow.update([3.0], 0)
         values.append(slow.var_total[0])
     peak = int(np.argmax(values))
     assert all(b < a for a, b in zip(values[peak:], values[peak + 1 :]))
@@ -154,31 +155,31 @@ def test_constant_stream_variance_decays_to_zero():
 
 def test_within_variance_zero_prior():
     stats = dn.NeuronClassStats(1, 0.5)
-    stats.update([2.0], [1.0])
+    stats.update([2.0], 0)
     assert stats.var_within[0] == 1.0  # 0.5*0.5*(2-0)^2
 
 
 def test_within_variance_second_step_uses_pre_update_mean():
     stats = dn.NeuronClassStats(1, 0.5)
-    stats.update([2.0], [1.0])
+    stats.update([2.0], 0)
     assert stats.mu[0] == 1.0
-    stats.update([2.0], [1.0])
+    stats.update([2.0], 0)
     assert stats.var_within[0] == 0.75  # 0.5*1.0 + 0.25*(2-1)^2
 
 
 def test_matching_mean_stream_decays_by_alpha_exactly():
     alpha = 0.5
-    stats = dn.NeuronClassStats(1, alpha)
+    stats = dn.NeuronClassStats(2, alpha)
     seed_pairs = [(3.0, 1.0), (-1.0, 0.0), (2.0, 1.0)]
     for z, t in seed_pairs:
-        stats.update([z], [t])
+        stats.update([z, 0.0], int(1 - t))
     expect_target = True
     for _ in range(6):
         before = stats.var_within[0]
         if expect_target:
-            stats.update([stats.mu[0]], [1.0])
+            stats.update([stats.mu[0], 0.0], 0)
         else:
-            stats.update([stats.mu_hat[0]], [0.0])
+            stats.update([stats.mu_hat[0], 0.0], 1)
         assert stats.var_within[0] == alpha * before
         expect_target = not expect_target
 
@@ -186,9 +187,9 @@ def test_matching_mean_stream_decays_by_alpha_exactly():
 def test_neuron_stats_all_share_one_alpha_and_validate_rows():
     stats = dn.NeuronClassStats(3, 0.9)
     with pytest.raises(ValueError):
-        stats.update([1.0, 2.0], [1.0, 0.0])
+        stats.update([1.0, 2.0], 0)
     with pytest.raises(dn.NonFiniteError):
-        stats.update([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0])
+        stats.update([np.nan, 0.0, 0.0], 0)
 
 
 # --- centroid bank ----------------------------------------------------------
@@ -225,7 +226,7 @@ def test_adaptive_center_sequence_matches_componentwise_closed_form():
 def test_minibatch_center_single_member():
     bank = dn.CenterBank(2, 2, beta=1.0)
     bank.centers = np.array([[1.0, 1.0], [0.0, 0.0]])
-    bank.update_minibatch([[0.0, 0.0]], [[1.0, 0.0]])
+    bank.update_minibatch([[0.0, 0.0]], [0])
     assert_array_equal(bank.centers[0], [0.5, 0.5])
 
 
@@ -233,14 +234,14 @@ def test_minibatch_center_symmetric_pair_is_stationary():
     bank = dn.CenterBank(1, 2, beta=1.0)
     bank.centers = np.array([[2.0, -1.0]])
     feats = [[3.0, -1.0], [1.0, -1.0]]  # symmetric about the center
-    bank.update_minibatch(feats, [[1.0], [1.0]])
+    bank.update_minibatch(feats, [0, 0])
     assert_array_equal(bank.centers[0], [2.0, -1.0])
 
 
 def test_minibatch_center_absent_class_unchanged():
     bank = dn.CenterBank(2, 2, beta=0.7)
     bank.centers = np.array([[1.0, 2.0], [3.0, 4.0]])
-    bank.update_minibatch([[5.0, 5.0]], [[1.0, 0.0]])
+    bank.update_minibatch([[5.0, 5.0]], [0])
     assert_array_equal(bank.centers[1], [3.0, 4.0])
 
 
@@ -255,7 +256,7 @@ def test_bank_validation():
     with pytest.raises(ValueError):
         bank.update_sample([1.0, 2.0, 3.0], 2)
     with pytest.raises(ValueError):
-        bank.update_minibatch([[1.0, 2.0, 3.0]], [[1.0, 0.0, 0.0]])
+        bank.update_minibatch([[1.0, 2.0, 3.0]], [2])
 
 
 # --- recurrence/closed-form equivalence sweeps ------------------------------
@@ -291,9 +292,7 @@ def test_variances_never_go_negative():
         stats = dn.NeuronClassStats(4, alpha)
         for _ in range(200):
             z = rng.uniform(-50, 50, 4)
-            t = np.zeros(4)
-            t[int(rng.integers(0, 4))] = 1.0
-            stats.update(z, t)
+            stats.update(z, int(rng.integers(0, 4)))
             assert np.all(stats.var_within >= 0)
             assert np.all(stats.var_total >= 0)
 
@@ -304,9 +303,8 @@ def test_state_round_trip_through_bundle(tmp_path):
     stats = dn.NeuronClassStats(3, 0.9)
     rng = dn.seeded_rng(5)
     for _ in range(20):
-        t = np.zeros(3)
-        t[int(rng.integers(0, 3))] = 1.0
-        stats.update(rng.normal(size=3), t)
+        label = int(rng.integers(0, 3))
+        stats.update(rng.normal(size=3), label)
     bank = dn.CenterBank(3, 4, alpha=0.9)
     for _ in range(10):
         bank.update_sample(rng.normal(size=4), int(rng.integers(0, 3)))
@@ -328,6 +326,6 @@ def test_state_round_trip_through_bundle(tmp_path):
     assert_array_equal(bank2.centers, bank.centers)
 
     z = rng.normal(size=3)
-    stats.update(z, [1.0, 0.0, 0.0])
-    stats2.update(z, [1.0, 0.0, 0.0])
+    stats.update(z, 0)
+    stats2.update(z, 0)
     assert_array_equal(stats2.var_total, stats.var_total)
