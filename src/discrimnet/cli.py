@@ -8,6 +8,7 @@ offending component is named in the diagnostic).
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -96,7 +97,7 @@ def cmd_export_scatter(args):
         f.write("x1,x2,class\n")
         for (x1, x2), label in zip(hidden, dataset.labels):
             f.write(f"{float(x1)!r},{float(x2)!r},{int(label)}\n")
-    means_path = args.means_out or (args.out.rsplit(".", 1)[0] + "_means.csv")
+    means_path = args.means_out or (os.path.splitext(args.out)[0] + "_means.csv")
     with open(means_path, "w", encoding="utf-8") as f:
         f.write("class,x1,x2\n")
         for k in np.unique(dataset.labels):  # classes absent from the split have no mean

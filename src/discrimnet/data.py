@@ -139,9 +139,13 @@ def _resample(images, rotation_deg, scale, translate_y, translate_x):
     its source image (undo the translation, then the inverse rotation and
     scale about the center) and read by bilinear interpolation with zero
     padding. Returns float64 (n, h, w, c).
+
+    The corners are gathered from a copy of the batch with a 2-pixel zero
+    border. Source coordinates are clipped to [-2, h] and [-2, w], NaN to
+    -2: the clip only moves points whose four corners all lie outside the
+    image, so they still read only border zeros, with finite weights.
     """
     n, h, w, c = images.shape
-    pixels = images.reshape(n * h * w, c)
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
     theta = np.deg2rad(rotation_deg)[:, None, None]
     cos_t, sin_t = np.cos(theta), np.sin(theta)
@@ -151,23 +155,21 @@ def _resample(images, rotation_deg, scale, translate_y, translate_x):
     dx = cols - cx - translate_x[:, None, None]
     src_y = (cos_t * dy + sin_t * dx) / scale + cy
     src_x = (-sin_t * dy + cos_t * dx) / scale + cx
-    y0 = np.floor(src_y).astype(np.int64)
-    x0 = np.floor(src_x).astype(np.int64)
-    wy = src_y - y0
-    wx = src_x - x0
-    first_pixel = (np.arange(n) * (h * w))[:, None, None]
+    padded = np.zeros((n, h + 4, w + 4, c))
+    padded[:, 2 : h + 2, 2 : w + 2, :] = images
+    pixels = padded.reshape(-1, c)
+    row = w + 4
+    first = np.arange(n)[:, None, None] * ((h + 4) * row)
+    for src, size, stride in ((src_y, h, row), (src_x, w, 1)):
+        np.fmin(np.fmax(src, -2.0, out=src), size, out=src)
+        floor = np.floor(src)
+        src -= floor  # the fractional part: the corner weight along this axis
+        first = first + (floor.astype(np.int64) + 2) * stride
+    wy, wx = src_y, src_x
+    vy, vx = 1 - wy, 1 - wx
     out = np.zeros((n, h, w, c), dtype=np.float64)
-    for oy, ox, weight in (
-        (0, 0, (1 - wy) * (1 - wx)),
-        (0, 1, (1 - wy) * wx),
-        (1, 0, wy * (1 - wx)),
-        (1, 1, wy * wx),
-    ):
-        yy = y0 + oy
-        xx = x0 + ox
-        inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-        vals = pixels[first_pixel + np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1)]
-        out += np.where(inside[..., None], weight[..., None] * vals, 0.0)
+    for offset, a, b in ((0, vy, vx), (1, vy, wx), (row, wy, vx), (row + 1, wy, wx)):
+        out += (a * b)[..., None] * np.take(pixels, first + offset, axis=0)
     return out
 
 

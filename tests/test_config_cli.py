@@ -317,6 +317,22 @@ def test_cli_scatter_means_skip_classes_absent_from_the_split(tmp_path):
     assert len(means) - 1 < cfg.synth_classes and "nan" not in "".join(means)
 
 
+def test_cli_scatter_means_path_keeps_a_dotted_directory(tmp_path, monkeypatch):
+    # An extension-less --out in a dotted directory: the default means
+    # file goes beside it, not to a name cut at the directory's dot.
+    cfg = synth_config(tmp_path, name="dots", epochs=1, hidden_width=2)
+    cfg_path = write_config(cfg, tmp_path / "cfg.txt")
+    assert main(["train", "--config", cfg_path, "--quiet"]) == 0
+    ckpt = str(tmp_path / "dots" / "final.ckpt")
+    (tmp_path / "runs.v2").mkdir()
+    monkeypatch.chdir(tmp_path)
+    assert main(["export-scatter", "--ckpt", ckpt, "--out", "runs.v2/scatter"]) == 0
+    assert sorted(os.listdir(tmp_path / "runs.v2")) == ["scatter", "scatter_means.csv"]
+    assert not (tmp_path / "runs_means.csv").exists()
+    means = (tmp_path / "runs.v2" / "scatter_means.csv").read_text().splitlines()
+    assert means[0] == "class,x1,x2"
+
+
 def test_cli_scatter_requires_width_two(tmp_path):
     cfg = synth_config(tmp_path, name="w100", epochs=1)  # hidden width 100
     cfg_path = write_config(cfg, tmp_path / "cfg.txt")

@@ -152,6 +152,109 @@ def test_affine_rotation_round_trip():
     assert np.abs(back[inner] - img[inner]).max() < 0.05
 
 
+def reference_resample(images, rotation_deg, scale, translate_y, translate_x):
+    """Per-corner masked reads, as ``_resample`` was first written: clip
+    each corner into the image, gather, and zero it where it fell outside."""
+    n, h, w, c = images.shape
+    pixels = images.reshape(n * h * w, c)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    theta = np.deg2rad(rotation_deg)[:, None, None]
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    scale = scale[:, None, None]
+    rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
+    dy = rows - cy - translate_y[:, None, None]
+    dx = cols - cx - translate_x[:, None, None]
+    src_y = (cos_t * dy + sin_t * dx) / scale + cy
+    src_x = (-sin_t * dy + cos_t * dx) / scale + cx
+    y0 = np.floor(src_y).astype(np.int64)
+    x0 = np.floor(src_x).astype(np.int64)
+    wy = src_y - y0
+    wx = src_x - x0
+    first_pixel = (np.arange(n) * (h * w))[:, None, None]
+    out = np.zeros((n, h, w, c), dtype=np.float64)
+    for oy, ox, weight in (
+        (0, 0, (1 - wy) * (1 - wx)),
+        (0, 1, (1 - wy) * wx),
+        (1, 0, wy * (1 - wx)),
+        (1, 1, wy * wx),
+    ):
+        yy = y0 + oy
+        xx = x0 + ox
+        inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+        vals = pixels[first_pixel + np.clip(yy, 0, h - 1) * w + np.clip(xx, 0, w - 1)]
+        out += np.where(inside[..., None], weight[..., None] * vals, 0.0)
+    return out
+
+
+def special_pixels(rng, shape, dtype=np.float64):
+    """Signed normals with -0.0, +-inf and NaN scattered in."""
+    images = rng.normal(size=shape)
+    flat = images.reshape(-1)
+    picks = rng.permutation(flat.size)
+    for i, value in enumerate((-0.0, np.inf, -np.inf, np.nan)):
+        flat[picks[i::23][:4]] = value
+    return images.astype(dtype)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(6, 9, 13, 3), (8, 28, 28, 1), (5, 3, 4, 2)])
+def test_resample_matches_the_masked_reference(shape, dtype):
+    # Transforms from the augmentation bounds and well beyond them (half
+    # turns, 0.3x to 3x, shifts past the border), over pixels that are
+    # negative, -0.0, +-inf and NaN.
+    rng = dn.seeded_rng(65)
+    n, h, w = shape[:3]
+    images = special_pixels(rng, shape, dtype)
+    for low, high in (
+        ((-10.0, 0.9, -0.1 * h, -0.1 * w), (10.0, 1.1, 0.1 * h, 0.1 * w)),
+        ((-180.0, 0.3, -1.5 * h, -1.5 * w), (180.0, 3.0, 1.5 * h, 1.5 * w)),
+    ):
+        params = rng.uniform(low, high, (n, 4)).T
+        assert_same_bits(_resample(images, *params), reference_resample(images, *params))
+
+
+def test_resample_of_transforms_that_map_wholly_outside():
+    rng = dn.seeded_rng(66)
+    images = special_pixels(rng, (7, 10, 12, 2))
+    params = np.array([
+        [0.0, 1.0, 1e3, 0.0],
+        [0.0, 1.0, 0.0, -1e3],
+        [30.0, 1.0, -12.0, 14.0],
+        [0.0, 1.0, 1e30, -1e30],
+        [0.0, 1.0, -1e300, 0.0],
+        [45.0, 1e-12, 0.0, 0.0],  # all but the center pixel thrown out
+        [0.0, 1.0, 0.0, 0.0],
+    ]).T
+    got = _resample(images, *params)
+    with np.errstate(invalid="ignore"):  # the reference casts huge floats to int64
+        want = reference_resample(images, *params)
+    assert_same_bits(got, want)
+    assert not got[:6].any()
+
+
+def test_resample_of_non_finite_coordinates_reads_zero():
+    # Scale 0 and NaN or infinite parameters give NaN or infinite source
+    # coordinates; the reference masks them out as outside the image.
+    rng = dn.seeded_rng(67)
+    images = special_pixels(rng, (5, 6, 7, 1))
+    params = np.array([
+        [0.0, 0.0, 0.0, 0.0],
+        [np.nan, 1.0, 0.0, 0.0],
+        [0.0, 1.0, np.inf, 0.0],
+        [0.0, 1.0, 0.0, -np.inf],
+        [0.0, np.nan, 0.0, 0.0],
+    ]).T
+    with np.errstate(all="ignore"):
+        got = _resample(images, *params)
+        want = reference_resample(images, *params)
+    assert_same_bits(got, want)
+
+
 def test_affine_augment_respects_shape_and_determinism():
     img = dn.seeded_rng(62).normal(size=(10, 10, 3))
     a = augment_batch(img[None], dn.seeded_rng(7))[0]

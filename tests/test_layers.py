@@ -335,13 +335,17 @@ def test_conv_matches_im2col_reference(dtype, padding, cin):
     assert_bitwise_equal(out, want_out)
     assert_bitwise_equal(conv.dw, want_dw)
     assert_bitwise_equal(conv.db, want_db)
+    assert_conv_dx(dx, want_dx, cin)
+
+
+def assert_conv_dx(dx, want_dx, cin):
     if cin > 1:
         assert_bitwise_equal(dx, want_dx)
     else:
         # One input channel makes each per-offset product a matrix-vector
         # product, which BLAS may sum in another order.
         assert dx.dtype == want_dx.dtype
-        assert rel_error(dx, want_dx) < {np.float32: 1e-5, np.float64: 1e-12}[dtype]
+        assert rel_error(dx, want_dx) < {np.float32: 1e-5, np.float64: 1e-12}[dx.dtype.type]
 
 
 @pytest.mark.parametrize("padding", [0, 1])
@@ -358,29 +362,53 @@ def test_conv_reuses_its_workspace_and_returns_fresh_outputs(padding):
 
 
 @pytest.mark.parametrize("padding", [0, 1])
-def test_conv_workspace_follows_batch_size_and_dtype(padding):
+@pytest.mark.parametrize("cin", [1, 3])
+def test_conv_workspace_follows_batch_size_and_dtype(padding, cin):
     # The same layer sees batch 3, then batch 2, then batch 3 again, then
     # float32: each call must match the reference as if the layer were
     # new. The smaller batch and the return to the larger one use the
-    # leading rows of the batch-3 workspace; float32 gets a new one.
+    # leading rows of the batch-3 workspace; float32 gets a new one. An
+    # eval forward comes before and after each training step: with one
+    # input channel it writes patch-major columns into the same
+    # workspace, and must still give the training output bit for bit.
     rng = dn.seeded_rng(44)
-    conv = dn.Conv2d(3, 4, padding=padding, rng=rng)
+    conv = dn.Conv2d(cin, 4, padding=padding, rng=rng)
     conv.b = rng.uniform(-0.5, 0.5, 4)
     cols = None
     for n, dtype, reused in ((3, np.float64, False), (2, np.float64, True),
                              (3, np.float64, True), (2, np.float32, False)):
         conv.w, conv.b = conv.w.astype(dtype), conv.b.astype(dtype)
-        x = post_relu_input(rng, (n, 7, 6, 3), dtype)
-        out = conv.forward(x, train=True)
+        x = post_relu_input(rng, (n, 7, 6, cin), dtype)
+        evaluated = conv.forward(x)
         assert (conv._cols is cols) == reused
         cols = conv._cols
+        out = conv.forward(x, train=True)
+        assert conv._cols is cols
         grad = signed_gradient(rng, out.shape, dtype)
         dx = conv.backward(grad)
         want_out, want_dw, want_db, want_dx = reference_conv(x, conv.w, conv.b, padding, grad)
         assert_bitwise_equal(out, want_out)
+        assert_bitwise_equal(evaluated, want_out)
         assert_bitwise_equal(conv.dw, want_dw)
         assert_bitwise_equal(conv.db, want_db)
-        assert_bitwise_equal(dx, want_dx)
+        assert_conv_dx(dx, want_dx, cin)
+        assert_bitwise_equal(conv.forward(x), want_out)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", [0, 1])
+def test_conv_one_output_channel_eval_matches_training(dtype, padding):
+    # One output channel makes the forward product a matrix-vector
+    # product, whose sum order depends on the column layout: eval
+    # (patch-major for one input channel) and training (row-major) may
+    # differ in the last bits.
+    rng = dn.seeded_rng(50)
+    conv = dn.Conv2d(1, 1, padding=padding, rng=rng, dtype=dtype)
+    x = post_relu_input(rng, (3, 7, 6, 1), dtype)
+    out = conv.forward(x, train=True)
+    evaluated = conv.forward(x)
+    assert evaluated.dtype == out.dtype and evaluated.shape == out.shape
+    assert rel_error(evaluated, out) < {np.float32: 1e-5, np.float64: 1e-12}[dtype]
 
 
 @pytest.mark.parametrize("make, shape", [

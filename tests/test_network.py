@@ -205,6 +205,23 @@ def test_predict_concatenates_batches_in_the_network_dtype():
         assert_array_equal(features, np.concatenate([taps[name] for taps in per_batch]))
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_predict_equals_training_forwards_bit_for_bit(dtype):
+    # Eval forwards of the one-channel first convolution write patch-major
+    # columns, training forwards row-major ones; BLAS packs both into the
+    # same panels, so every held-out figure keeps its bits.
+    net = dn.build_architecture("mnist_small", input_shape=(28, 28, 1), num_classes=10,
+                                rng=dn.seeded_rng(5), dtype=dtype)
+    x = dn.seeded_rng(58).uniform(0.0, 1.0, (250, 28, 28, 1))
+    got = net.predict(x, 100)  # batches of 100, 100 and 50
+    per_batch = [net.forward(x[start : start + 100], train=True) for start in (0, 100, 200)]
+    for name, features in got.items():
+        want = np.concatenate([taps[name] for taps in per_batch])
+        assert features.dtype == want.dtype == np.dtype(dtype)
+        uint = np.dtype(f"u{want.itemsize}")
+        assert_array_equal(features.view(uint), want.view(uint))
+
+
 def test_predict_holds_each_output_once():
     # Keeping every batch's taps and concatenating them at the end holds
     # each output twice (a peak of 2.13 times the returned bytes at numpy
