@@ -89,12 +89,12 @@ class _Affine(Layer):
 
     dw = db = None
 
-    def _weight_grad(self, a, b):
-        """Write the weight gradient ``a @ b`` into the owned ``dw`` buffer."""
+    def _weight_grad(self, a, b, rows=slice(None)):
+        """Write the product ``a @ b`` into ``rows`` of the owned ``dw`` buffer."""
         dtype = np.result_type(a, b)
         if self.dw is None or self.dw.shape != self.w.shape or self.dw.dtype != dtype:
             self.dw = np.empty(self.w.shape, dtype=dtype)
-        _matmul(a, b, out=self.dw)
+        _matmul(a, b, out=self.dw[rows])
 
     def parameters(self):
         return [("w", self.w), ("b", self.b)]
@@ -133,40 +133,65 @@ class Conv2d(_Affine):
     """3x3 convolution, stride 1, padding 0 or 1, NHWC layout.
 
     The kernel is stored as (3*3*in_channels, out_channels) with patch
-    entries ordered (row offset, col offset, channel). Forward copies a
-    strided sliding-window view of the padded input into that column
-    order and multiplies the columns by the kernel; the weight gradient
-    multiplies the cached columns' transpose by the output gradient. The
-    input gradient multiplies by the kernel once per kernel offset,
+    entries ordered (row offset, col offset, channel). Forward copies the
+    input into a padded buffer (zero-bordered for padding 1) and runs over
+    near-equal chunks of whole samples, each of at most ``ROWS`` output
+    pixels (one sample where a sample alone has more). For each chunk it
+    copies a strided sliding-window view of the padded input into that
+    column order, multiplies the columns by the kernel and adds the bias
+    while they are still in cache, so no forward builds a column matrix
+    for the whole batch. Chunks are whole samples and near-equal for the
+    reason ``_matmul``'s blocks are: a short product gets other bits.
+
+    The weight gradient needs every column. Where the column matrix is no
+    larger than the layer's output, ``3*3*in_channels <= out_channels``
+    (the first layer of each preset network), a training forward writes
+    each chunk's columns at their own rows of a whole-batch
+    (N*oh*ow, 3*3*in_channels) matrix and keeps it, and backward
+    multiplies its transpose by the output gradient in one product:
+    gathering those columns again would cost time and save almost no
+    memory. Every other layer keeps only its padded input, 1/9 the size
+    of its columns, and backward gathers the columns from it one kernel
+    row at a time: a (N*oh*ow, 3*in_channels) block, whose rows are
+    contiguous runs of the padded input, times the output gradient gives
+    that kernel row's slice of ``dw``. Each entry of ``dw`` sums the same
+    N*oh*ow terms either way, and OpenBLAS blocks that sum alike for
+    3*in_channels and for 3*3*in_channels output rows at every layer
+    shape the presets build, at 1 and at 2 threads, so there the
+    kernel-row gradient has the bits of the one product. That follows
+    from BLAS's blocking, not by construction: at 19600 output pixels
+    OpenBLAS 0.3.31 gives other last bits for most shapes with
+    in_channels <= 5 and out_channels <= 17, and for out_channels <= 2.
+
+    The input gradient multiplies by the kernel once per kernel offset,
     ``grad @ w[offset].T``, into one (N*oh*ow, in_channels) buffer, and
     adds each result into its shifted window of the padded input
-    gradient. The forward and input-gradient products have one row per
-    output pixel (19600 for a 14x14 layer at batch 100), so ``_matmul``
-    runs them in row blocks of at most ``ROWS`` rows, which keeps
-    OpenBLAS's resident packing buffer at the size of one block instead
-    of the whole column matrix.
+    gradient. Those products have one row per output pixel (19600 for a
+    14x14 layer at batch 100), so ``_matmul`` runs them in row blocks of
+    at most ``ROWS`` rows, which keeps OpenBLAS's resident packing buffer
+    at the size of one block.
 
-    An eval forward (``train=False``) with one input channel writes the
-    columns patch-major instead, as (3*3, N*oh*ow) in the same workspace
-    memory, and multiplies through their transpose. Row-major columns
-    of one channel are copied in runs of 3 elements (one kernel row),
-    patch-major ones in runs of a whole output row, which makes that
-    copy several times faster for a 28x28 input. BLAS packs both
+    An eval forward (``train=False``) with one input channel writes each
+    chunk's columns patch-major instead, as (3*3, rows) in the same
+    workspace memory, and multiplies through their transpose. Row-major
+    columns of one channel are copied in runs of 3 elements (one kernel
+    row), patch-major ones in runs of a whole output row, which makes
+    that copy several times faster for a 28x28 input. BLAS packs both
     layouts into the same panels, so the output keeps its bits (except
     with one output channel, a matrix-vector product whose sum order
     follows the layout). Training forwards keep row-major columns: the
     weight gradient's bits depend on that layout.
 
-    The layer owns one workspace: a zero-bordered padded-input buffer
-    (padding 1 only) and the column matrix, sized for the largest batch
-    seen. Forward writes into their leading rows in place and allocates
-    new ones only on a new per-sample shape, a new dtype or a larger
-    batch, so a trailing partial batch reuses them and the columns of
-    the previous call are overwritten rather than kept alive beside new
-    ones. The output and the input gradient are fresh arrays on every
-    call, since callers keep them. An eval forward uses the workspace
-    too, but leaves the layer marked untrained, so a backward after it
-    raises rather than return the eval batch's gradients.
+    The layer owns one workspace, sized for the largest batch seen: the
+    padded-input buffer and one flat buffer that holds either the kept
+    column matrix or the larger of one forward chunk and one kernel-row
+    block. Forward writes into their leading entries in place and
+    allocates new ones only on a new per-sample shape, a new dtype or a
+    larger batch, so a trailing partial batch reuses them. The output
+    and the input gradient are fresh arrays on every call, since callers
+    keep them. An eval forward uses the workspace too, but leaves the
+    layer marked untrained, so a backward after it raises rather than
+    return the eval batch's gradients.
     """
 
     KSIZE = 3
@@ -180,6 +205,7 @@ class Conv2d(_Affine):
         fan_in = self.KSIZE * self.KSIZE * self.in_channels
         self.w = _he_uniform(rng, fan_in, (fan_in, self.out_channels), dtype)
         self.b = np.zeros(self.out_channels, dtype=dtype)
+        self._keep_cols = fan_in <= self.out_channels
         self._padded = None
         self._cols = None
         self._in_shape = None
@@ -194,52 +220,74 @@ class Conv2d(_Affine):
         ow = w + 2 * p - k + 1
         if oh < 1 or ow < 1:
             raise ValueError(f"input {h}x{w} too small for a 3x3 kernel with padding {p}")
+        pixels, fan_in = oh * ow, k * k * c
+        most = max(1, ROWS // pixels)  # samples in the largest chunk
+        chunks = -(-n // most)
+        step = -(-n // chunks) if chunks else 1
         if (
             self._cols is None
             or x.shape[1:] != self._in_shape[1:]
             or x.dtype != self._cols.dtype
-            or n * oh * ow > len(self._cols)
+            or n > len(self._padded)
         ):
-            self._cols = np.empty((n * oh * ow, k * k * c), dtype=x.dtype)
-            if p:
-                self._padded = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+            self._padded = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+            if self._keep_cols:
+                size = n * pixels * fan_in
+            else:
+                size = max(min(n, most) * pixels * fan_in, n * pixels * k * c)
+            self._cols = np.empty(size, dtype=x.dtype)
         self._in_shape = x.shape
         self._trained = train
-        cols = self._cols[: n * oh * ow]
-        if p:
-            padded = self._padded[:n]
-            padded[:, p : p + h, p : p + w, :] = x
-        windows = sliding_window_view(padded if p else x, (k, k), axis=(1, 2))
-        if c == 1 and not train:
-            # The workspace's memory as (k*k, n*oh*ow) patch-major columns:
-            # one copy of whole output rows, multiplied through the transpose.
-            patches = cols.reshape(k, k, n, oh, ow)
-            patches[...] = windows[:, :, :, 0].transpose(3, 4, 0, 1, 2)
-            cols = patches.reshape(k * k, n * oh * ow).T
-        else:
-            # (n, oh, ow, c, k, k) window view -> (n, oh, ow, k, k, c): one
-            # copy into (row offset, col offset, channel) columns.
-            cols.reshape(n, oh, ow, k, k, c)[...] = windows.transpose(0, 1, 2, 4, 5, 3)
-        out = _matmul(cols, self.w)
-        out += self.b
+        self._padded[:n, p : p + h, p : p + w, :] = x
+        windows = sliding_window_view(self._padded[:n], (k, k), axis=(1, 2))
+        keep = train and self._keep_cols
+        out = np.empty((n * pixels, self.out_channels), dtype=np.result_type(x, self.w))
+        for start in range(0, n, step):
+            chunk = windows[start : start + step]
+            m = len(chunk) * pixels
+            at = start * pixels * fan_in if keep else 0
+            cols = self._cols[at : at + m * fan_in]
+            if c == 1 and not train:
+                # The chunk's memory as (k*k, m) patch-major columns: one
+                # copy of whole output rows, multiplied through the transpose.
+                patches = cols.reshape(k, k, len(chunk), oh, ow)
+                patches[...] = chunk[:, :, :, 0].transpose(3, 4, 0, 1, 2)
+                cols = patches.reshape(k * k, m).T
+            else:
+                # (n, oh, ow, c, k, k) window view -> (n, oh, ow, k, k, c): one
+                # copy into (row offset, col offset, channel) columns.
+                cols.reshape(len(chunk), oh, ow, k, k, c)[...] = chunk.transpose(0, 1, 2, 4, 5, 3)
+                cols = cols.reshape(m, fan_in)
+            part = out[start * pixels : start * pixels + m]
+            _matmul(cols, self.w, out=part)
+            part += self.b
         return out.reshape(n, oh, ow, self.out_channels)
 
     def backward(self, grad, input_grad=True):
         if not self._trained:
             raise _no_state(self)
         n, oh, ow, _ = grad.shape
-        g2 = grad.reshape(n * oh * ow, self.out_channels)
-        self._weight_grad(self._cols[: n * oh * ow].T, g2)
+        _, h, w, c = self._in_shape
+        p, k, m = self.padding, self.KSIZE, n * oh * ow
+        g2 = grad.reshape(m, self.out_channels)
+        if self._keep_cols:
+            self._weight_grad(self._cols[: m * k * k * c].reshape(m, k * k * c).T, g2)
+        else:
+            windows = sliding_window_view(self._padded[:n], (k, k), axis=(1, 2))
+            rows = self._cols[: m * k * c]
+            for i in range(k):
+                # Kernel row i's window view -> (n, oh, ow, k, c): one copy
+                # into (col offset, channel) columns.
+                rows.reshape(n, oh, ow, k, c)[...] = windows[..., i, :].transpose(0, 1, 2, 4, 3)
+                self._weight_grad(rows.reshape(m, k * c).T, g2, slice(i * k * c, (i + 1) * k * c))
         self.db = g2.sum(axis=0)
         if not input_grad:
             return None
-        _, h, w, c = self._in_shape
-        p = self.padding
         dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=grad.dtype)
-        w_blocks = self.w.reshape(self.KSIZE, self.KSIZE, c, self.out_channels)
-        prod = np.empty((n * oh * ow, c), dtype=np.result_type(g2, self.w))
-        for i in range(self.KSIZE):
-            for j in range(self.KSIZE):
+        w_blocks = self.w.reshape(k, k, c, self.out_channels)
+        prod = np.empty((m, c), dtype=np.result_type(g2, self.w))
+        for i in range(k):
+            for j in range(k):
                 _matmul(g2, w_blocks[i, j].T, out=prod)
                 dxp[:, i : i + oh, j : j + ow, :] += prod.reshape(n, oh, ow, c)
         return dxp[:, p : p + h, p : p + w, :] if p else dxp
@@ -340,11 +388,15 @@ class MaxPool2x2(Layer):
 
 
 class Flatten(Layer):
+    _in_shape = None
+
     def forward(self, x, train=False):
-        self._in_shape = x.shape
+        self._in_shape = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad, input_grad=True):
+        if self._in_shape is None:
+            raise _no_state(self)
         return grad.reshape(self._in_shape) if input_grad else None
 
 

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import discrimnet as dn
 from conftest import finite_difference, rel_error
+from discrimnet import layers
 from discrimnet.layers import ROWS, _matmul
 
 
@@ -306,7 +309,8 @@ def test_maxpool_routes_nothing_from_nan_windows(dtype):
     (lambda: dn.Dropout(0.5, dn.seeded_rng(48)), (2, 4, 4, 3)),
     (lambda: dn.Dense(6, 4, dn.seeded_rng(49)), (2, 6)),
     (lambda: dn.Conv2d(3, 4, padding=1, rng=dn.seeded_rng(49)), (2, 4, 4, 3)),
-], ids=["relu", "maxpool", "batchnorm", "dropout", "dense", "conv"])
+    (dn.Flatten, (2, 4, 4, 3)),
+], ids=["relu", "maxpool", "batchnorm", "dropout", "dense", "conv", "flatten"])
 def test_backward_after_an_eval_forward_raises(make, shape):
     layer = make()
     x = dn.seeded_rng(47).normal(size=shape)
@@ -344,8 +348,13 @@ def assert_conv_dx(dx, want_dx, cin):
     else:
         # One input channel makes each per-offset product a matrix-vector
         # product, which BLAS may sum in another order.
-        assert dx.dtype == want_dx.dtype
-        assert rel_error(dx, want_dx) < {np.float32: 1e-5, np.float64: 1e-12}[dx.dtype.type]
+        assert_close(dx, want_dx)
+
+
+def assert_close(got, want):
+    """Equal up to the order in which BLAS sums a product."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert rel_error(got, want) < {np.float32: 1e-5, np.float64: 1e-12}[got.dtype.type]
 
 
 @pytest.mark.parametrize("padding", [0, 1])
@@ -409,6 +418,132 @@ def test_conv_one_output_channel_eval_matches_training(dtype, padding):
     evaluated = conv.forward(x)
     assert evaluated.dtype == out.dtype and evaluated.shape == out.shape
     assert rel_error(evaluated, out) < {np.float32: 1e-5, np.float64: 1e-12}[dtype]
+
+
+def assert_conv_step(conv, x, rng, exact=False):
+    """One training forward and backward of ``conv`` on ``x`` against
+    ``reference_conv``. out and db must match bit for bit, and so must dw
+    on the kept-columns path (3*3*cin <= cout). The kernel-row dw and the
+    per-offset dx have the reference's bits only at shapes where BLAS
+    blocks both products alike, so they are held to a tolerance unless
+    ``exact`` (then dx follows ``assert_conv_dx``). Returned arrays must
+    not alias the workspace. Returns the reference output."""
+    out = conv.forward(x, train=True)
+    grad = signed_gradient(rng, out.shape, x.dtype)
+    dx = conv.backward(grad)
+    want_out, want_dw, want_db, want_dx = reference_conv(x, conv.w, conv.b, conv.padding, grad)
+    assert_bitwise_equal(out, want_out)
+    assert_bitwise_equal(conv.db, want_db)
+    if exact or 9 * conv.in_channels <= conv.out_channels:
+        assert_bitwise_equal(conv.dw, want_dw)
+    else:
+        assert_close(conv.dw, want_dw)
+    if exact:
+        assert_conv_dx(dx, want_dx, conv.in_channels)
+    else:
+        assert_close(dx, want_dx)
+    for kept in (conv._cols, conv._padded):
+        assert not np.shares_memory(out, kept) and not np.shares_memory(dx, kept)
+    return want_out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    cin=st.sampled_from([1, 2, 3, 8, 32]),
+    cout=st.sampled_from([1, 2, 3, 4, 9, 16, 64]),
+    padding=st.sampled_from([0, 1]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    size=st.tuples(st.integers(3, 8), st.integers(3, 8)),
+    calls=st.lists(st.tuples(st.integers(1, 5), st.booleans()), min_size=1, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+def test_conv_matches_im2col_reference_across_calls(cin, cout, padding, dtype, size, calls, seed):
+    # One layer sees a sequence of batch sizes, training steps and eval
+    # forwards interleaved, so each call runs on a workspace left by
+    # calls of other sizes and modes.
+    rng = dn.seeded_rng(seed)
+    conv = dn.Conv2d(cin, cout, padding=padding, rng=rng, dtype=dtype)
+    conv.b = rng.uniform(-0.5, 0.5, cout).astype(dtype)
+    for n, train in calls:
+        x = post_relu_input(rng, (n, *size, cin), dtype)
+        if train:
+            assert_conv_step(conv, x, rng)
+            continue
+        evaluated = conv.forward(x)
+        want_out = reference_conv(x, conv.w, conv.b, padding, np.zeros_like(evaluated))[0]
+        if cin == 1 and cout == 1:  # patch-major matrix-vector product
+            assert_close(evaluated, want_out)
+        else:
+            assert_bitwise_equal(evaluated, want_out)
+        assert not np.shares_memory(evaluated, conv._cols)
+        with pytest.raises(RuntimeError, match="train=True"):
+            conv.backward(np.ones_like(evaluated))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [100, 37])
+@pytest.mark.parametrize("cin, cout, side", [(1, 32, 28), (32, 64, 14)], ids=["conv0", "conv1"])
+def test_preset_conv_shapes_match_im2col_reference_over_chunks(dtype, n, cin, cout, side):
+    # The two convolutions of mnist_small, at the preset batch and an odd
+    # one. Forward runs near-equal chunks of whole samples: 2 at a time
+    # for conv0's 784 output pixels per sample (1 in the last chunk at
+    # batch 37), 10 for conv1's 196 (10, 10, 10 and 7 at batch 37).
+    # conv0 keeps its columns; conv1 gathers kernel rows for dw, which
+    # has the reference's bits at this shape.
+    rng = dn.seeded_rng(51)
+    conv = dn.Conv2d(cin, cout, padding=1, rng=rng, dtype=dtype)
+    conv.b = rng.uniform(-0.5, 0.5, cout).astype(dtype)
+    x = post_relu_input(rng, (n, side, side, cin), dtype)
+    want_out = assert_conv_step(conv, x, rng, exact=True)
+    assert_bitwise_equal(conv.forward(x), want_out)
+
+
+def test_conv_forward_chunks_are_whole_near_equal_samples(monkeypatch):
+    # 196 output pixels per sample: at most ROWS // 196 = 10 samples per
+    # chunk, and near-equal chunks, so none is short (as _matmul's blocks).
+    rows = []
+    matmul = layers._matmul
+
+    def spy(a, b, out=None):
+        rows.append(len(a))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(layers, "_matmul", spy)
+    rng = dn.seeded_rng(53)
+    conv = dn.Conv2d(2, 3, padding=1, rng=rng)
+    for n in (1, 9, 10, 11, 37, 100, 101):
+        rows.clear()
+        conv.forward(rng.normal(size=(n, 14, 14, 2)), train=True)
+        samples = [r // 196 for r in rows]
+        assert [s * 196 for s in samples] == rows and sum(samples) == n
+        assert len(samples) == -(-n // 10) and max(samples) <= 10
+        assert max(samples) - min(samples) < len(samples)
+
+
+def held_bytes(layer):
+    """Bytes of the arrays a layer holds besides its parameters and their gradients."""
+    own = {id(a) for _, a in layer.parameters() + layer.parameter_grads()}
+    return sum(a.nbytes for a in vars(layer).values()
+               if isinstance(a, np.ndarray) and id(a) not in own)
+
+
+def test_conv_keeps_no_whole_batch_columns_unless_they_are_small():
+    # conv1 of mnist_small at batch 100, float64, holds from forward to
+    # backward its padded input (100x16x16x32, 6.6 MB) and one
+    # (N*oh*ow, 3*32) kernel-row block (15.1 MB), the larger part of its
+    # workspace; the whole batch's (N*oh*ow, 9*32) columns are 45.2 MB.
+    rng = dn.seeded_rng(52)
+    conv = dn.Conv2d(32, 64, padding=1, rng=rng)
+    out = conv.forward(rng.normal(size=(100, 14, 14, 32)), train=True)
+    bound = (100 * 16 * 16 * 32 + 100 * 14 * 14 * 3 * 32) * 8
+    assert held_bytes(conv) <= bound
+    conv.backward(np.ones_like(out))
+    assert held_bytes(conv) <= bound
+    # conv0: 9 columns per output pixel against 32 output channels, so it
+    # keeps the whole batch's columns (5.6 MB) rather than gather them again.
+    conv = dn.Conv2d(1, 32, padding=1, rng=rng)
+    conv.forward(rng.normal(size=(100, 28, 28, 1)), train=True)
+    assert held_bytes(conv) >= 100 * 28 * 28 * 9 * 8
 
 
 @pytest.mark.parametrize("make, shape", [
@@ -500,7 +635,7 @@ def test_matmul_blocks_are_near_equal_and_never_short(monkeypatch):
 def test_flatten_round_trip():
     flat = dn.Flatten()
     x = dn.seeded_rng(27).normal(size=(3, 4, 5, 2))
-    out = flat.forward(x)
+    out = flat.forward(x, train=True)
     assert out.shape == (3, 40)
     assert_array_equal(flat.backward(out), x)
 
