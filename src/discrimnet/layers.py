@@ -89,12 +89,12 @@ class _Affine(Layer):
 
     dw = db = None
 
-    def _weight_grad(self, a, b, rows=slice(None)):
-        """Write the product ``a @ b`` into ``rows`` of the owned ``dw`` buffer."""
+    def _weight_grad(self, a, b):
+        """Write the product ``a @ b`` into the owned ``dw`` buffer."""
         dtype = np.result_type(a, b)
         if self.dw is None or self.dw.shape != self.w.shape or self.dw.dtype != dtype:
             self.dw = np.empty(self.w.shape, dtype=dtype)
-        _matmul(a, b, out=self.dw[rows])
+        _matmul(a, b, out=self.dw)
 
     def parameters(self):
         return [("w", self.w), ("b", self.b)]
@@ -134,64 +134,44 @@ class Conv2d(_Affine):
 
     The kernel is stored as (3*3*in_channels, out_channels) with patch
     entries ordered (row offset, col offset, channel). Forward copies the
-    input into a padded buffer (zero-bordered for padding 1) and runs over
-    near-equal chunks of whole samples, each of at most ``ROWS`` output
-    pixels (one sample where a sample alone has more). For each chunk it
-    copies a strided sliding-window view of the padded input into that
-    column order, multiplies the columns by the kernel and adds the bias
-    while they are still in cache, so no forward builds a column matrix
-    for the whole batch. Chunks are whole samples and near-equal for the
-    reason ``_matmul``'s blocks are: a short product gets other bits.
+    input into a padded buffer (zero-bordered for padding 1) and keeps it
+    for backward. Both passes walk the batch in the same near-equal chunks
+    of whole samples, each of at most ``ROWS`` output pixels (one sample
+    where a sample alone has more), and ``_columns`` gathers each chunk's
+    columns from a strided sliding-window view of the padded input into
+    one chunk-sized workspace. Forward multiplies a chunk's columns by the
+    kernel and adds the bias while they are still in cache; backward
+    gathers them again and adds ``cols.T @ grad[chunk]`` into ``dw``. So
+    no pass builds a column matrix for the whole batch. Chunks are whole
+    samples and near-equal for the reason ``_matmul``'s blocks are: a
+    short product gets other bits. Only a batch that runs as one chunk is
+    sure to get the bits of one whole-batch product, though: over several
+    chunks ``dw`` sums in another order, and with few output channels a
+    chunk's ``out`` may differ from the same rows of one product.
 
-    The weight gradient needs every column. Where the column matrix is no
-    larger than the layer's output, ``3*3*in_channels <= out_channels``
-    (the first layer of each preset network), a training forward writes
-    each chunk's columns at their own rows of a whole-batch
-    (N*oh*ow, 3*3*in_channels) matrix and keeps it, and backward
-    multiplies its transpose by the output gradient in one product:
-    gathering those columns again would cost time and save almost no
-    memory. Every other layer keeps only its padded input, 1/9 the size
-    of its columns, and backward gathers the columns from it one kernel
-    row at a time: a (N*oh*ow, 3*in_channels) block, whose rows are
-    contiguous runs of the padded input, times the output gradient gives
-    that kernel row's slice of ``dw``. Each entry of ``dw`` sums the same
-    N*oh*ow terms either way, and OpenBLAS blocks that sum alike for
-    3*in_channels and for 3*3*in_channels output rows at every layer
-    shape the presets build, at 1 and at 2 threads, so there the
-    kernel-row gradient has the bits of the one product. That follows
-    from BLAS's blocking, not by construction: at 19600 output pixels
-    OpenBLAS 0.3.31 gives other last bits for most shapes with
-    in_channels <= 5 and out_channels <= 17, and for out_channels <= 2.
+    Forward writes the columns of a one-channel input patch-major, as
+    (3*3, rows), and multiplies through their transpose: row-major columns
+    of one channel are copied in runs of 3 elements (one kernel row),
+    patch-major ones in runs of a whole output row, several times faster
+    for a 28x28 input. BLAS packs both layouts into the same panels, so the
+    output keeps its bits (except with one output channel, a matrix-vector
+    product whose sum order follows the layout). Backward gathers
+    row-major columns, whose transpose is the product's left operand.
 
     The input gradient multiplies by the kernel once per kernel offset,
     ``grad @ w[offset].T``, into one (N*oh*ow, in_channels) buffer, and
     adds each result into its shifted window of the padded input
-    gradient. Those products have one row per output pixel (19600 for a
-    14x14 layer at batch 100), so ``_matmul`` runs them in row blocks of
-    at most ``ROWS`` rows, which keeps OpenBLAS's resident packing buffer
-    at the size of one block.
+    gradient. ``_matmul`` runs those products in row blocks of at most
+    ``ROWS`` rows, which keeps OpenBLAS's resident packing buffer at the
+    size of one block.
 
-    An eval forward (``train=False``) with one input channel writes each
-    chunk's columns patch-major instead, as (3*3, rows) in the same
-    workspace memory, and multiplies through their transpose. Row-major
-    columns of one channel are copied in runs of 3 elements (one kernel
-    row), patch-major ones in runs of a whole output row, which makes
-    that copy several times faster for a 28x28 input. BLAS packs both
-    layouts into the same panels, so the output keeps its bits (except
-    with one output channel, a matrix-vector product whose sum order
-    follows the layout). Training forwards keep row-major columns: the
-    weight gradient's bits depend on that layout.
-
-    The layer owns one workspace, sized for the largest batch seen: the
-    padded-input buffer and one flat buffer that holds either the kept
-    column matrix or the larger of one forward chunk and one kernel-row
-    block. Forward writes into their leading entries in place and
-    allocates new ones only on a new per-sample shape, a new dtype or a
-    larger batch, so a trailing partial batch reuses them. The output
-    and the input gradient are fresh arrays on every call, since callers
-    keep them. An eval forward uses the workspace too, but leaves the
-    layer marked untrained, so a backward after it raises rather than
-    return the eval batch's gradients.
+    The padded input and the column workspace are sized for the largest
+    batch seen, and reallocated only on a new per-sample shape, a new
+    dtype or a larger batch, so a trailing partial batch reuses their
+    leading entries. The output and the input gradient are fresh arrays
+    on every call, since callers keep them. An eval forward uses the
+    workspace too, but leaves the layer marked untrained, so a backward
+    after it raises rather than return the eval batch's gradients.
     """
 
     KSIZE = 3
@@ -205,11 +185,36 @@ class Conv2d(_Affine):
         fan_in = self.KSIZE * self.KSIZE * self.in_channels
         self.w = _he_uniform(rng, fan_in, (fan_in, self.out_channels), dtype)
         self.b = np.zeros(self.out_channels, dtype=dtype)
-        self._keep_cols = fan_in <= self.out_channels
         self._padded = None
         self._cols = None
         self._in_shape = None
         self._trained = False
+
+    def _columns(self, n, patch_major=False):
+        """Yield ``(row, cols)`` per chunk of the first ``n`` padded samples:
+        the chunk's first output row and its (rows, 3*3*in_channels) columns,
+        gathered into the workspace, which the next chunk overwrites."""
+        k = self.KSIZE
+        windows = sliding_window_view(self._padded[:n], (k, k), axis=(1, 2))
+        _, oh, ow, c = windows.shape[:4]
+        pixels = oh * ow
+        chunks = -(-n // max(1, ROWS // pixels))
+        step = -(-n // chunks) if chunks else 1
+        for start in range(0, n, step):
+            chunk = windows[start : start + step]
+            m = len(chunk) * pixels
+            cols = self._cols[: m * k * k * c]
+            if patch_major:
+                # (k*k, m) patch-major columns: one copy of whole output
+                # rows, used through the transpose.
+                patches = cols.reshape(k, k, len(chunk), oh, ow)
+                patches[...] = chunk[:, :, :, 0].transpose(3, 4, 0, 1, 2)
+                yield start * pixels, patches.reshape(k * k, m).T
+            else:
+                # (n, oh, ow, c, k, k) window view -> (n, oh, ow, k, k, c): one
+                # copy into (row offset, col offset, channel) columns.
+                cols.reshape(len(chunk), oh, ow, k, k, c)[...] = chunk.transpose(0, 1, 2, 4, 5, 3)
+                yield start * pixels, cols.reshape(m, k * k * c)
 
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
@@ -220,10 +225,6 @@ class Conv2d(_Affine):
         ow = w + 2 * p - k + 1
         if oh < 1 or ow < 1:
             raise ValueError(f"input {h}x{w} too small for a 3x3 kernel with padding {p}")
-        pixels, fan_in = oh * ow, k * k * c
-        most = max(1, ROWS // pixels)  # samples in the largest chunk
-        chunks = -(-n // most)
-        step = -(-n // chunks) if chunks else 1
         if (
             self._cols is None
             or x.shape[1:] != self._in_shape[1:]
@@ -231,34 +232,14 @@ class Conv2d(_Affine):
             or n > len(self._padded)
         ):
             self._padded = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
-            if self._keep_cols:
-                size = n * pixels * fan_in
-            else:
-                size = max(min(n, most) * pixels * fan_in, n * pixels * k * c)
-            self._cols = np.empty(size, dtype=x.dtype)
+            chunk = min(n, max(1, ROWS // (oh * ow)))
+            self._cols = np.empty(chunk * oh * ow * k * k * c, dtype=x.dtype)
         self._in_shape = x.shape
         self._trained = train
         self._padded[:n, p : p + h, p : p + w, :] = x
-        windows = sliding_window_view(self._padded[:n], (k, k), axis=(1, 2))
-        keep = train and self._keep_cols
-        out = np.empty((n * pixels, self.out_channels), dtype=np.result_type(x, self.w))
-        for start in range(0, n, step):
-            chunk = windows[start : start + step]
-            m = len(chunk) * pixels
-            at = start * pixels * fan_in if keep else 0
-            cols = self._cols[at : at + m * fan_in]
-            if c == 1 and not train:
-                # The chunk's memory as (k*k, m) patch-major columns: one
-                # copy of whole output rows, multiplied through the transpose.
-                patches = cols.reshape(k, k, len(chunk), oh, ow)
-                patches[...] = chunk[:, :, :, 0].transpose(3, 4, 0, 1, 2)
-                cols = patches.reshape(k * k, m).T
-            else:
-                # (n, oh, ow, c, k, k) window view -> (n, oh, ow, k, k, c): one
-                # copy into (row offset, col offset, channel) columns.
-                cols.reshape(len(chunk), oh, ow, k, k, c)[...] = chunk.transpose(0, 1, 2, 4, 5, 3)
-                cols = cols.reshape(m, fan_in)
-            part = out[start * pixels : start * pixels + m]
+        out = np.empty((n * oh * ow, self.out_channels), dtype=np.result_type(x, self.w))
+        for row, cols in self._columns(n, patch_major=c == 1):
+            part = out[row : row + len(cols)]
             _matmul(cols, self.w, out=part)
             part += self.b
         return out.reshape(n, oh, ow, self.out_channels)
@@ -270,16 +251,12 @@ class Conv2d(_Affine):
         _, h, w, c = self._in_shape
         p, k, m = self.padding, self.KSIZE, n * oh * ow
         g2 = grad.reshape(m, self.out_channels)
-        if self._keep_cols:
-            self._weight_grad(self._cols[: m * k * k * c].reshape(m, k * k * c).T, g2)
-        else:
-            windows = sliding_window_view(self._padded[:n], (k, k), axis=(1, 2))
-            rows = self._cols[: m * k * c]
-            for i in range(k):
-                # Kernel row i's window view -> (n, oh, ow, k, c): one copy
-                # into (col offset, channel) columns.
-                rows.reshape(n, oh, ow, k, c)[...] = windows[..., i, :].transpose(0, 1, 2, 4, 3)
-                self._weight_grad(rows.reshape(m, k * c).T, g2, slice(i * k * c, (i + 1) * k * c))
+        for row, cols in self._columns(n):
+            part = g2[row : row + len(cols)]
+            if row:  # later chunks add to the first chunk's product
+                self.dw += _matmul(cols.T, part)
+            else:
+                self._weight_grad(cols.T, part)
         self.db = g2.sum(axis=0)
         if not input_grad:
             return None
