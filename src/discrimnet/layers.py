@@ -17,8 +17,9 @@ Dense and Conv2d write their weight gradient ``dw`` into a buffer they
 own, reallocated only when its shape or dtype changes.
 Every layer product runs through ``_matmul`` in near-equal row blocks
 of at most ``ROWS`` rows. They bound the packing buffer that OpenBLAS
-keeps resident, out of tracemalloc's sight, and give the same bits as
-one product.
+keeps resident, out of tracemalloc's sight. They give the same bits as
+one product when the right operand is wide enough, as every preset
+convolution's is (see ``ROWS``).
 """
 
 import numpy as np
@@ -60,23 +61,48 @@ def _select(mask, values, out=None):
 # largest left operand it has run resident, so products run in row blocks
 # of at most ROWS rows. A short block changes the output's bits (a 1-row
 # product differs from the same row of a larger one), so blocks are
-# near-equal and never shorter than ROWS // 2.
+# near-equal and never shorter than ROWS // 2. Such blocks keep the bits of
+# one product only for a wide enough right operand: scans with OpenBLAS
+# 0.3.31 (Haswell kernels) found other bits at some widths of 1-24 columns
+# in float32 and 1-28 in float64, e.g. (2178, 288) @ (288, 3), and none
+# from 29 to 129. Preset convolutions multiply 32 or more columns; a dense
+# layer runs one product up to a batch of ROWS.
 ROWS = 2048
 
 
+def _chunks(n, rows):
+    """Slices that split ``n`` items of ``rows`` rows each into near-equal
+    chunks of whole items, each of at most ``ROWS`` rows (one item where an
+    item alone has more): no chunk is short, for the reason given at
+    ``ROWS``."""
+    chunks = -(-n // max(1, ROWS // rows))
+    step = -(-n // chunks) if chunks else 1
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
 def _matmul(a, b, out=None):
-    """``np.matmul(a, b, out=out)`` for 2-D operands, bit for bit, run over
-    near-equal blocks of at most ``ROWS`` rows of ``a``."""
+    """``np.matmul(a, b, out=out)`` for 2-D operands, run over near-equal
+    blocks of at most ``ROWS`` rows of ``a``: bit for bit when ``b`` is
+    wide enough (see ``ROWS``)."""
     m = a.shape[0]
     if m <= ROWS:
         return np.matmul(a, b, out=out)
     if out is None:
         out = np.empty((m, b.shape[1]), dtype=np.result_type(a, b))
-    blocks = -(-m // ROWS)
-    step = -(-m // blocks)
-    for start in range(0, m, step):
-        np.matmul(a[start : start + step], b, out=out[start : start + step])
+    for rows in _chunks(m, 1):
+        np.matmul(a[rows], b, out=out[rows])
     return out
+
+
+def _column_sums(a):
+    """``a.sum(axis=0)`` of a 2-D array, bit for bit. Where rows are the
+    outer axis, ``sum`` adds them in order with one inner-loop call per
+    row, and einsum adds them in the same order in one loop. One column,
+    or a layout whose rows are the inner axis, puts the rows in numpy's
+    inner loop, which ``sum`` adds pairwise, so those keep ``sum``."""
+    if a.shape[1] == 1 or abs(a.strides[1]) >= abs(a.strides[0]):
+        return a.sum(axis=0)
+    return np.einsum("ij->j", a)
 
 
 def _he_uniform(rng, fan_in, shape, dtype):
@@ -125,7 +151,7 @@ class Dense(_Affine):
         if self._x is None:
             raise _no_state(self)
         self._weight_grad(self._x.T, grad)
-        self.db = grad.sum(axis=0)
+        self.db = _column_sums(grad)
         return _matmul(grad, self.w.T) if input_grad else None
 
 
@@ -136,27 +162,27 @@ class Conv2d(_Affine):
     entries ordered (row offset, col offset, channel). Forward copies the
     input into a padded buffer (zero-bordered for padding 1) and keeps it
     for backward. Both passes walk the batch in the same near-equal chunks
-    of whole samples, each of at most ``ROWS`` output pixels (one sample
-    where a sample alone has more), and ``_columns`` gathers each chunk's
-    columns from a strided sliding-window view of the padded input into
-    one chunk-sized workspace. Forward multiplies a chunk's columns by the
-    kernel and adds the bias while they are still in cache; backward
-    gathers them again and adds ``cols.T @ grad[chunk]`` into ``dw``. So
-    no pass builds a column matrix for the whole batch. Chunks are whole
-    samples and near-equal for the reason ``_matmul``'s blocks are: a
-    short product gets other bits. Only a batch that runs as one chunk is
-    sure to get the bits of one whole-batch product, though: over several
+    of whole samples that ``_chunks`` gives, each of at most ``ROWS``
+    output pixels, and ``_columns`` gathers each chunk's columns from a
+    strided sliding-window view of the padded input into one chunk-sized
+    workspace. Forward multiplies a chunk's columns by the kernel and adds
+    the bias while they are still in cache; backward gathers them again
+    and adds ``cols.T @ grad[chunk]`` into ``dw``. So no pass builds a
+    column matrix for the whole batch. Only a batch that runs as one chunk
+    is sure to get the bits of one whole-batch product, though: over several
     chunks ``dw`` sums in another order, and with few output channels a
     chunk's ``out`` may differ from the same rows of one product.
 
-    Forward writes the columns of a one-channel input patch-major, as
-    (3*3, rows), and multiplies through their transpose: row-major columns
-    of one channel are copied in runs of 3 elements (one kernel row),
-    patch-major ones in runs of a whole output row, several times faster
-    for a 28x28 input. BLAS packs both layouts into the same panels, so the
-    output keeps its bits (except with one output channel, a matrix-vector
-    product whose sum order follows the layout). Backward gathers
-    row-major columns, whose transpose is the product's left operand.
+    Both passes gather the columns of a one-channel input patch-major, as
+    (3*3, rows): row-major columns of one channel are copied in runs of 3
+    elements (one kernel row), patch-major ones in runs of a whole output
+    row, several times faster for a 28x28 input. Forward multiplies through
+    their transpose; backward's ``cols.T`` is then C-contiguous. The layout
+    can change a product's bits. Scans with OpenBLAS 0.3.31 found other
+    bits in forward only with one output channel (a matrix-vector
+    product), and in ``dw`` at some widths of up to 12 output channels,
+    and 24 in float32. At the 32 output channels of ``mnist_small``'s first
+    layer both layouts give the same bits in both dtypes.
 
     The input gradient multiplies by the kernel once per kernel offset,
     ``grad @ w[offset].T``, into one (N*oh*ow, in_channels) buffer, and
@@ -190,7 +216,7 @@ class Conv2d(_Affine):
         self._in_shape = None
         self._trained = False
 
-    def _columns(self, n, patch_major=False):
+    def _columns(self, n, patch_major):
         """Yield ``(row, cols)`` per chunk of the first ``n`` padded samples:
         the chunk's first output row and its (rows, 3*3*in_channels) columns,
         gathered into the workspace, which the next chunk overwrites."""
@@ -198,10 +224,8 @@ class Conv2d(_Affine):
         windows = sliding_window_view(self._padded[:n], (k, k), axis=(1, 2))
         _, oh, ow, c = windows.shape[:4]
         pixels = oh * ow
-        chunks = -(-n // max(1, ROWS // pixels))
-        step = -(-n // chunks) if chunks else 1
-        for start in range(0, n, step):
-            chunk = windows[start : start + step]
+        for samples in _chunks(n, pixels):
+            chunk = windows[samples]
             m = len(chunk) * pixels
             cols = self._cols[: m * k * k * c]
             if patch_major:
@@ -209,12 +233,12 @@ class Conv2d(_Affine):
                 # rows, used through the transpose.
                 patches = cols.reshape(k, k, len(chunk), oh, ow)
                 patches[...] = chunk[:, :, :, 0].transpose(3, 4, 0, 1, 2)
-                yield start * pixels, patches.reshape(k * k, m).T
+                yield samples.start * pixels, patches.reshape(k * k, m).T
             else:
                 # (n, oh, ow, c, k, k) window view -> (n, oh, ow, k, k, c): one
                 # copy into (row offset, col offset, channel) columns.
                 cols.reshape(len(chunk), oh, ow, k, k, c)[...] = chunk.transpose(0, 1, 2, 4, 5, 3)
-                yield start * pixels, cols.reshape(m, k * k * c)
+                yield samples.start * pixels, cols.reshape(m, k * k * c)
 
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
@@ -251,13 +275,13 @@ class Conv2d(_Affine):
         _, h, w, c = self._in_shape
         p, k, m = self.padding, self.KSIZE, n * oh * ow
         g2 = grad.reshape(m, self.out_channels)
-        for row, cols in self._columns(n):
+        for row, cols in self._columns(n, patch_major=c == 1):
             part = g2[row : row + len(cols)]
             if row:  # later chunks add to the first chunk's product
                 self.dw += _matmul(cols.T, part)
             else:
                 self._weight_grad(cols.T, part)
-        self.db = g2.sum(axis=0)
+        self.db = _column_sums(g2)
         if not input_grad:
             return None
         dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=grad.dtype)
@@ -311,7 +335,10 @@ class MaxPool2x2(Layer):
     it is strictly greater than the running maximum, so ties and +-0 keep
     the first. Later offsets have larger indices, so the move is a
     ``maximum`` with ``k * (view > out)``; masked stores are several
-    times slower. A window whose maximum is NaN gets index 4, which
+    times slower. Forward makes these passes chunk by chunk, over the
+    near-equal chunks of whole samples of at most ``ROWS`` output pixels
+    that ``_chunks`` gives, so a chunk's output, index and scratch stay in
+    cache across them. A window whose maximum is NaN gets index 4, which
     matches no offset, so it routes nothing, as ``x == max`` never holds
     for NaN. Backward views the input gradient as (n, h/2, 2, w/2, 2, c)
     windows and writes it with one select on ``first == offset``
@@ -330,21 +357,27 @@ class MaxPool2x2(Layer):
             raise ValueError(f"input {h}x{w} too small for 2x2 pooling")
         self._in_shape = x.shape
         self._first = None  # free the last training forward's index first
-        out = x[:, 0 : 2 * h2 : 2, 0 : 2 * w2 : 2, :].copy()
+        out = np.empty((n, h2, w2, c), dtype=x.dtype)
         if train:
             first = np.zeros(out.shape, dtype=np.uint8)
-            moved = np.empty(out.shape, dtype=np.uint8)
-        for k, (dy, dx) in enumerate(self._OFFSETS[1:], start=1):
-            view = x[:, dy : 2 * h2 : 2, dx : 2 * w2 : 2, :]
+            scratch = np.empty_like(first[: max(1, ROWS // (h2 * w2))])  # one chunk
+        for samples in _chunks(n, h2 * w2):
+            xs, outs = x[samples], out[samples]
+            outs[...] = xs[:, 0 : 2 * h2 : 2, 0 : 2 * w2 : 2, :]
             if train:
-                np.greater(view, out, out=moved.view(np.bool_))
-                moved *= k
-                np.maximum(first, moved, out=first)
-            np.maximum(out, view, out=out)
+                firsts, moved = first[samples], scratch[: len(outs)]
+            for k, (dy, dx) in enumerate(self._OFFSETS[1:], start=1):
+                view = xs[:, dy : 2 * h2 : 2, dx : 2 * w2 : 2, :]
+                if train:
+                    np.greater(view, outs, out=moved.view(np.bool_))
+                    moved *= k
+                    np.maximum(firsts, moved, out=firsts)
+                np.maximum(outs, view, out=outs)
+            if train:
+                np.isnan(outs, out=moved.view(np.bool_))
+                moved *= len(self._OFFSETS)
+                np.maximum(firsts, moved, out=firsts)
         if train:
-            np.isnan(out, out=moved.view(np.bool_))
-            moved *= len(self._OFFSETS)
-            np.maximum(first, moved, out=first)
             self._first = first
         return out
 

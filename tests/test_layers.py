@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import discrimnet as dn
 from conftest import finite_difference, rel_error
 from discrimnet import layers
-from discrimnet.layers import ROWS, _matmul
+from discrimnet.layers import ROWS, _column_sums, _matmul
 
 
 def layer_input_gradient_check(layer, x, train=False, tol=1e-4, h=1e-5):
@@ -206,7 +206,10 @@ def _reference_cols(x, padding):
 def reference_conv(x, w, b, padding, grad):
     """Concatenated im2col, one product per pass and a strided col2im.
 
-    Returns (out, dw, db, dx) for the upstream gradient ``grad``."""
+    Returns (out, dw, db, dx) for the upstream gradient ``grad``. With one
+    input channel ``dw`` multiplies C-contiguous patch-major columns, the
+    layout ``Conv2d`` gathers there: for a few output channels BLAS sums
+    that product in another order than the transposed row-major one."""
     n, h, wd, c = x.shape
     cols, oh, ow = _reference_cols(x, padding)
     out = (cols @ w + b).reshape(n, oh, ow, -1)
@@ -216,7 +219,8 @@ def reference_conv(x, w, b, padding, grad):
     for block, (i, j) in enumerate((i, j) for i in range(3) for j in range(3)):
         dxp[:, i : i + oh, j : j + ow, :] += dcols[:, :, :, block * c : (block + 1) * c]
     dx = dxp[:, padding : padding + h, padding : padding + wd, :]
-    return out, cols.T @ g2, g2.sum(axis=0), dx
+    dw = (np.ascontiguousarray(cols.T) if c == 1 else cols.T) @ g2
+    return out, dw, g2.sum(axis=0), dx
 
 
 def post_relu_input(rng, shape, dtype):
@@ -300,6 +304,57 @@ def test_maxpool_routes_nothing_from_nan_windows(dtype):
     grad = signed_gradient(rng, out.shape, dtype)
     assert np.isnan(out).sum() >= 3 and np.isinf(out).any()
     assert_bitwise_equal(pool.backward(grad), reference_pool_backward(x, out, grad))
+
+
+def reference_pool_forward(x):
+    """MaxPool2x2's forward in one pass over the whole batch: the output
+    and the uint8 index of each window's first maximum (4 for NaN)."""
+    h2, w2 = x.shape[1] // 2, x.shape[2] // 2
+    out = x[:, 0 : 2 * h2 : 2, 0 : 2 * w2 : 2, :].copy()
+    first = np.zeros(out.shape, dtype=np.uint8)
+    moved = np.empty(out.shape, dtype=np.uint8)
+    for k, (dy, dx) in enumerate(((0, 1), (1, 0), (1, 1)), start=1):
+        view = x[:, dy : 2 * h2 : 2, dx : 2 * w2 : 2, :]
+        np.greater(view, out, out=moved.view(np.bool_))
+        moved *= k
+        np.maximum(first, moved, out=first)
+        np.maximum(out, view, out=out)
+    np.isnan(out, out=moved.view(np.bool_))
+    moved *= 4
+    np.maximum(first, moved, out=first)
+    return out, first
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(23, 28, 28, 4), (23, 29, 27, 3), (100, 15, 15, 2),
+                                   (3, 101, 91, 1)])
+def test_maxpool_sample_chunks_match_one_pass_reference(dtype, shape):
+    # Forward runs near-equal chunks of whole samples of at most ROWS
+    # output pixels: 8, 8 and 7 samples at 14x14 and 14x13 outputs, 34, 34
+    # and 32 at 7x7, and one sample per chunk at 50x45. Ties, +-0.0, NaN
+    # and +-inf windows sit in every chunk, the last one included.
+    rng = dn.seeded_rng(56)
+    x = (np.round(rng.normal(size=shape) * 2.0) / 2.0).astype(dtype)
+    flat = x.reshape(-1)
+    picks = rng.permutation(flat.size)[:60]
+    flat[picks[:20]] = -0.0
+    flat[picks[20:30]] = np.nan
+    flat[picks[30:40]] = np.inf
+    flat[picks[40:50]] = -np.inf
+    for s in (0, len(x) // 2, len(x) - 1):
+        x[s, 0:2, 0:2, 0] = [[np.inf, np.nan], [np.inf, -np.inf]]
+        x[s, 2:4, 0:2, 0] = [[-0.0, 0.0], [0.0, -0.0]]
+        x[s, 4:6, 0:2, 0] = [[1.5, 1.5], [1.5, 1.5]]
+        x[s, 6:8, 0:2, 0] = [[-np.inf, -np.inf], [-np.inf, -np.inf]]
+    want_out, want_first = reference_pool_forward(x)
+    pool = dn.MaxPool2x2()
+    assert len(layers._chunks(len(x), want_out.shape[1] * want_out.shape[2])) >= 3
+    assert_bitwise_equal(pool.forward(x), want_out)
+    assert pool._first is None
+    assert_bitwise_equal(pool.forward(x, train=True), want_out)
+    assert_bitwise_equal(pool._first, want_first)
+    grad = signed_gradient(rng, want_out.shape, dtype)
+    assert_bitwise_equal(pool.backward(grad), reference_pool_backward(x, want_out, grad))
 
 
 @pytest.mark.parametrize("make, shape", [
@@ -552,6 +607,25 @@ def test_conv_forward_chunks_are_whole_near_equal_samples(monkeypatch):
         assert max(samples) - min(samples) < len(samples)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [100, 37])
+def test_one_channel_conv_dw_layouts_agree_at_the_preset_shape(dtype, n):
+    # conv0 of mnist_small gathers patch-major columns for its weight
+    # gradient. At its 32 output channels BLAS sums them, chunk by chunk,
+    # as it sums the transposed row-major columns, so the layout leaves
+    # training's bits alone. CI runs this at 1 and 2 BLAS threads.
+    rng = dn.seeded_rng(57)
+    conv = dn.Conv2d(1, 32, padding=1, rng=rng, dtype=dtype)
+    out = conv.forward(post_relu_input(rng, (n, 28, 28, 1), dtype), train=True)
+    g2 = signed_gradient(rng, out.shape, dtype).reshape(-1, 32)
+    conv.backward(g2.reshape(out.shape), input_grad=False)
+    want = None
+    for row, cols in conv._columns(n, patch_major=False):
+        part = cols.T @ g2[row : row + len(cols)]
+        want = part if want is None else want + part
+    assert_bitwise_equal(conv.dw, want)
+
+
 def held_bytes(layer):
     """Bytes of the arrays a layer holds besides its parameters and their gradients."""
     own = {id(a) for _, a in layer.parameters() + layer.parameter_grads()}
@@ -659,6 +733,37 @@ def test_matmul_blocks_are_near_equal_and_never_short(monkeypatch):
         if m > ROWS:
             assert min(rows) >= ROWS // 2 and max(rows) <= ROWS
             assert max(rows) - min(rows) < len(rows)
+
+
+@st.composite
+def column_sum_inputs(draw):
+    """A 1-5000 by 1-512 array of zero-heavy data with negative zeros,
+    C- or F-ordered, or a strided or reversed view into a larger one."""
+    rows, cols = draw(st.integers(1, 5000)), draw(st.integers(1, 512))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    layout = draw(st.sampled_from(["C", "F", "rows-strided", "cols-strided", "reversed"]))
+    rng = dn.seeded_rng(draw(st.integers(0, 2**16)))
+    row_step, col_step = {"rows-strided": (2, 1), "cols-strided": (1, 3)}.get(layout, (1, 1))
+    a = rng.normal(size=(rows * row_step, cols * col_step))
+    a[rng.uniform(0.0, 1.0, a.shape) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    a[rng.uniform(0.0, 1.0, a.shape) < 0.05] = -0.0
+    a = a.astype(dtype)[::row_step, ::col_step]
+    if layout == "F":
+        a = np.asfortranarray(a)
+    elif layout == "reversed":
+        a = a[::-1, ::-1]
+    return a
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(a=column_sum_inputs())
+@example(a=dn.seeded_rng(58).normal(size=(10000, 1))[::2])  # one strided column
+@example(a=np.asfortranarray(dn.seeded_rng(59).normal(size=(5000, 7)).astype(np.float32)))
+def test_column_sums_match_sum_over_rows(a):
+    # einsum must add the rows in the order sum(axis=0) does, in every
+    # numpy the package supports. The examples are layouts where einsum
+    # gets other bits, so _column_sums must keep sum for them.
+    assert_bitwise_equal(_column_sums(a), a.sum(axis=0))
 
 
 # --- flatten ---------------------------------------------------------------------
