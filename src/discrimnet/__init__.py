@@ -17,12 +17,7 @@ from .losses import (
 )
 from .network import Network, build_architecture
 from .optim import SGD, lr_at_epoch
-from .streaming import (
-    CenterBank,
-    NeuronClassStats,
-    masked_weighted_mean_direct,
-    weighted_moments_direct,
-)
+from .streaming import CenterBank, NeuronClassStats
 from .tensor import (
     CheckpointError,
     NonFiniteError,

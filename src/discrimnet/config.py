@@ -80,10 +80,10 @@ class RunConfig:
             raise ConfigError("lr_drop_factor and lr_drop_period must be positive")
         if self.hidden_width < 1 or self.fc_width < 1:
             raise ConfigError("hidden_width and fc_width must be positive")
+        if self.dataset == "synth" and (self.synth_size < 1 or self.synth_per_class < 1):
+            raise ConfigError("synth_size and synth_per_class must be positive")
         if self.dataset == "synth" and not 2 <= self.synth_classes <= self.synth_size**2:
             raise ConfigError("synth_classes must lie between 2 and synth_size**2")
-        if self.dataset == "synth" and self.synth_per_class < 1:
-            raise ConfigError("synth_per_class must be positive")
         if self.train_subset < 0 or self.test_subset < 0:
             raise ConfigError("subset sizes must be non-negative")
         for name in ("weight_decay", "lambda_discriminant", "lambda_adaptive_discriminant",

@@ -216,10 +216,11 @@ class Conv2d(_Affine):
         self._in_shape = None
         self._trained = False
 
-    def _columns(self, n, patch_major):
+    def _columns(self, n):
         """Yield ``(row, cols)`` per chunk of the first ``n`` padded samples:
         the chunk's first output row and its (rows, 3*3*in_channels) columns,
-        gathered into the workspace, which the next chunk overwrites."""
+        gathered into the workspace, which the next chunk overwrites. A
+        one-channel input's columns are gathered patch-major."""
         k = self.KSIZE
         windows = sliding_window_view(self._padded[:n], (k, k), axis=(1, 2))
         _, oh, ow, c = windows.shape[:4]
@@ -228,7 +229,7 @@ class Conv2d(_Affine):
             chunk = windows[samples]
             m = len(chunk) * pixels
             cols = self._cols[: m * k * k * c]
-            if patch_major:
+            if c == 1:
                 # (k*k, m) patch-major columns: one copy of whole output
                 # rows, used through the transpose.
                 patches = cols.reshape(k, k, len(chunk), oh, ow)
@@ -262,7 +263,7 @@ class Conv2d(_Affine):
         self._trained = train
         self._padded[:n, p : p + h, p : p + w, :] = x
         out = np.empty((n * oh * ow, self.out_channels), dtype=np.result_type(x, self.w))
-        for row, cols in self._columns(n, patch_major=c == 1):
+        for row, cols in self._columns(n):
             part = out[row : row + len(cols)]
             _matmul(cols, self.w, out=part)
             part += self.b
@@ -275,7 +276,7 @@ class Conv2d(_Affine):
         _, h, w, c = self._in_shape
         p, k, m = self.padding, self.KSIZE, n * oh * ow
         g2 = grad.reshape(m, self.out_channels)
-        for row, cols in self._columns(n, patch_major=c == 1):
+        for row, cols in self._columns(n):
             part = g2[row : row + len(cols)]
             if row:  # later chunks add to the first chunk's product
                 self.dw += _matmul(cols.T, part)

@@ -9,16 +9,17 @@ reports per-tap-point gradients for backpropagation.
 Gradient conventions: the batch discriminant criterion is differentiated
 exactly, through its batch means and variances. The adaptive losses
 treat their running statistics as constants (stop-gradient); each
-sample's gradient uses the pre-update means it was folded in against and
-the post-batch variances. Running statistics and centroids are never
-trained by backprop; they move only by their own update rules.
+sample's gradient uses the deviations its own fold returns, taken from
+the pre-update means it was folded in against, and the post-batch
+variances. Running statistics and centroids are never trained by
+backprop; they move only by their own update rules.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .streaming import CenterBank, NeuronClassStats, class_ids, class_targets
+from .streaming import CenterBank, NeuronClassStats, check_finite, class_ids, class_targets
 from .tensor import NonFiniteError
 
 # Floor of the discriminant losses' total-variance denominators.
@@ -91,7 +92,7 @@ def discriminant_criterion(z, labels):
         )
     mu_total = z.mean(axis=0)
     dev = t * (z - mu) + (1.0 - t) * (z - mu_hat)           # N x K
-    var_within = (t * (z - mu) ** 2 + (1.0 - t) * (z - mu_hat) ** 2).mean(axis=0)
+    var_within = (dev**2).mean(axis=0)
     var_total = ((z - mu_total) ** 2).mean(axis=0)
     # The mean terms drop out of the derivative: sum(t*(z - mu)) == 0 by
     # construction, so only the explicit deviations remain.
@@ -117,26 +118,22 @@ def adaptive_discriminant(z, labels, stats):
     Every sample in the batch advances the accumulators once, in row
     order, with its integer class id from ``labels``. The loss is the
     post-batch ratio sum; the gradient treats all statistics as
-    constants, pairing each sample with the means that were current when
-    it was folded in. Mutates ``stats``; returns (loss, dz).
+    constants, pairing each sample with the deviations its fold returns.
+    A non-finite batch raises before any sample is folded in. Mutates
+    ``stats``; returns (loss, dz).
     """
     z = _as2d(z, "logits")
     n, k = z.shape
     if k != stats.num_classes:
         raise ValueError(f"stats track {stats.num_classes} classes, batch has {k}")
-    t = class_targets(labels, k, n)
-    mu_pre = np.empty_like(z)
-    mu_hat_pre = np.empty_like(z)
-    mu_total_pre = np.empty_like(z)
+    labels = class_ids(labels, k, n)
+    check_finite(z)
+    dev = np.empty_like(z)
+    centered = np.empty_like(z)
     for i in range(n):
-        mu_pre[i] = stats.mu
-        mu_hat_pre[i] = stats.mu_hat
-        mu_total_pre[i] = stats.mu_total
-        stats.update(z[i], labels[i])
+        dev[i], centered[i] = stats.update(z[i], labels[i])
     a = stats.alpha
-    dev = t * (z - mu_pre) + (1.0 - t) * (z - mu_hat_pre)
-    return _ratio_loss(stats.var_within, stats.var_total, dev, z - mu_total_pre,
-                       2.0 * a * (1.0 - a))
+    return _ratio_loss(stats.var_within, stats.var_total, dev, centered, 2.0 * a * (1.0 - a))
 
 
 def center_loss(x, labels, bank):
@@ -149,9 +146,7 @@ def center_loss(x, labels, bank):
     centers = bank.centers
     if centers.shape[1] != d:
         raise ValueError(f"centers shape {centers.shape} does not match {d} dims")
-    t = class_targets(labels, centers.shape[0], n)
-    assigned = t @ centers                       # per-row class centroid
-    diff = x - assigned
+    diff = x - centers[class_ids(labels, centers.shape[0], n)]
     loss = float((diff**2).sum() / n)
     dx = (2.0 / n) * diff
     return loss, dx
@@ -162,11 +157,13 @@ def adaptive_center_loss(x, labels, bank):
 
     Each sample first folds itself into the centroid of its integer
     class id, in row order; the loss and gradient are then taken against
-    the post-batch centroids, which are treated as constants. Mutates
+    the post-batch centroids, which are treated as constants. A
+    non-finite batch raises before any sample is folded in. Mutates
     ``bank``; returns (loss, dx).
     """
     x = _as2d(x, "features")
     labels = class_ids(labels, bank.num_classes, x.shape[0])
+    check_finite(x)
     for i in range(x.shape[0]):
         bank.update_sample(x[i], labels[i])
     return center_loss(x, labels, bank)

@@ -12,8 +12,8 @@ one update folds in one sample:
 Taking the deviation from the pre-update mean is what makes the variance
 equal the moment form E[z^2] - E[z]^2 of the same weighted stream.
 
-Direct-summation closed forms of the same quantities live at the bottom
-of the module; they exist for tests and are never used in training.
+The package holds no closed-form oracle of these quantities; the tests
+keep their own direct summations to check the recurrences against.
 """
 
 import functools
@@ -31,9 +31,9 @@ def _check_alpha(alpha):
     return alpha
 
 
-def _check_finite(z, what="input"):
+def check_finite(z):
     if not np.all(np.isfinite(z)):
-        raise NonFiniteError(f"non-finite {what} fed to a forgetting accumulator")
+        raise NonFiniteError("non-finite input fed to a forgetting accumulator")
 
 
 def class_ids(labels, num_classes, n=None):
@@ -93,20 +93,24 @@ class NeuronClassStats:
         """Advance all accumulators by one labeled sample.
 
         z_row: K logits for one sample; label: its integer class id.
+        Returns (dev, centered), the sample's deviations from the pre-update
+        means: the target-class mean on the label's neuron and the
+        non-target mean elsewhere, and the total mean.
         """
         z = np.asarray(z_row, dtype=np.float64)
         if z.shape != (self.num_classes,):
             raise ValueError(f"expected a row of {self.num_classes} logits, got {z.shape}")
         t = class_targets(label, self.num_classes)
         t_hat = 1.0 - t                # non-target gate
-        _check_finite(z)
+        check_finite(z)
         a = self.alpha
         aa = a * (1.0 - a)
-        dev_w = t * (z - self.mu) ** 2 + t_hat * (z - self.mu_hat) ** 2
+        dev = t * (z - self.mu) + t_hat * (z - self.mu_hat)
+        centered = z - self.mu_total
         self.var_within *= a
-        self.var_within += aa * dev_w
+        self.var_within += aa * dev**2
         self.var_total *= a
-        self.var_total += aa * (z - self.mu_total) ** 2
+        self.var_total += aa * centered**2
         self.mu *= a
         self.mu += (1.0 - a) * t * z
         self.mu_hat *= a
@@ -114,6 +118,7 @@ class NeuronClassStats:
         self.mu_total *= a
         self.mu_total += (1.0 - a) * z
         self.steps += 1
+        return dev, centered
 
     def state_arrays(self):
         return {
@@ -152,7 +157,7 @@ class CenterBank:
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.dim,):
             raise ValueError(f"expected a vector of dimension {self.dim}, got {x.shape}")
-        _check_finite(x)
+        check_finite(x)
         return x
 
     def update_sample(self, x, class_id):
@@ -172,7 +177,7 @@ class CenterBank:
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValueError(f"features must be N x {self.dim}, got {x.shape}")
         t = class_targets(labels, self.num_classes, x.shape[0])
-        _check_finite(x)
+        check_finite(x)
         counts = t.sum(axis=0)                                   # members per class
         sums = t.T @ x                                           # K x D
         delta = (counts[:, None] * self.centers - sums) / (1.0 + counts)[:, None]
@@ -182,44 +187,3 @@ class CenterBank:
     def state_arrays(self):
         return {"centers": self.centers, "steps": self.steps}
 
-
-# ---------------------------------------------------------------------------
-# Direct-summation reference forms (test oracles, never used in training).
-# ---------------------------------------------------------------------------
-
-def weighted_moments_direct(history, alpha):
-    """Brute-force weighted mean and variance of a finite history.
-
-    Weights are a**(N-i) for the i-th of N samples, normalized by the
-    infinite geometric sum 1/(1-a) (the zero-prior convention), so
-    E = (1-a) * sum(a**(N-i) * r_i) and V = E[r^2] - E[r]^2.
-    Returns (mean, variance).
-    """
-    alpha = _check_alpha(alpha)
-    r = np.asarray(list(history), dtype=np.float64)
-    _check_finite(r, "history")
-    n = r.size
-    if n == 0:
-        return 0.0, 0.0
-    w = alpha ** np.arange(n - 1, -1, -1, dtype=np.float64)
-    e1 = (1.0 - alpha) * float(np.dot(w, r))
-    e2 = (1.0 - alpha) * float(np.dot(w, r * r))
-    return e1, e2 - e1 * e1
-
-
-def masked_weighted_mean_direct(history, alpha):
-    """Brute-force gated weighted mean over (z, t) pairs.
-
-    Computes (1-a) * sum(a**(N-i) * t_i * z_i); gated-out samples
-    contribute nothing but still occupy a position in the decay window.
-    """
-    alpha = _check_alpha(alpha)
-    pairs = list(history)
-    if not pairs:
-        return 0.0
-    z = np.asarray([p[0] for p in pairs], dtype=np.float64)
-    t = np.asarray([p[1] for p in pairs], dtype=np.float64)
-    _check_finite(z, "history")
-    n = z.size
-    w = alpha ** np.arange(n - 1, -1, -1, dtype=np.float64)
-    return (1.0 - alpha) * float(np.dot(w, t * z))

@@ -36,6 +36,39 @@ def rel_error(a, b):
     return float(np.abs(a - b).max(initial=0.0) / scale)
 
 
+def weighted_moments_direct(history, alpha):
+    """Brute-force weighted mean and variance of a finite history.
+
+    Weights are a**(N-i) for the i-th of N samples, normalized by the
+    infinite geometric sum 1/(1-a) (the zero-prior convention), so
+    E = (1-a) * sum(a**(N-i) * r_i) and V = E[r^2] - E[r]^2.
+    Returns (mean, variance).
+    """
+    r = np.asarray(list(history), dtype=np.float64)
+    n = r.size
+    if n == 0:
+        return 0.0, 0.0
+    w = alpha ** np.arange(n - 1, -1, -1, dtype=np.float64)
+    e1 = (1.0 - alpha) * float(np.dot(w, r))
+    e2 = (1.0 - alpha) * float(np.dot(w, r * r))
+    return e1, e2 - e1 * e1
+
+
+def masked_weighted_mean_direct(history, alpha):
+    """Brute-force gated weighted mean over (z, t) pairs.
+
+    Computes (1-a) * sum(a**(N-i) * t_i * z_i); gated-out samples
+    contribute nothing but still occupy a position in the decay window.
+    """
+    pairs = list(history)
+    if not pairs:
+        return 0.0
+    z = np.asarray([p[0] for p in pairs], dtype=np.float64)
+    t = np.asarray([p[1] for p in pairs], dtype=np.float64)
+    w = alpha ** np.arange(z.size - 1, -1, -1, dtype=np.float64)
+    return (1.0 - alpha) * float(np.dot(w, t * z))
+
+
 def traced_peak(fn):
     """Run fn under tracemalloc; return (peak, held) in bytes above entry.
 

@@ -17,7 +17,13 @@ import discrimnet as dn
 from discrimnet.cli import main as cli_main
 from discrimnet.config import apply_preset
 from discrimnet.train import load_run_datasets
-from conftest import finite_difference, rel_error, separation_ratio_from_histogram
+from conftest import (
+    finite_difference,
+    masked_weighted_mean_direct,
+    rel_error,
+    separation_ratio_from_histogram,
+    weighted_moments_direct,
+)
 
 
 def criterion(number, name):
@@ -62,9 +68,9 @@ def test_1_streaming_oracle_equivalence():
         for value, gate in zip(z, t):
             stats.update([value, 0.0], int(1 - gate))
 
-        e_direct, v_direct = dn.weighted_moments_direct(z, alpha)
-        m_direct = dn.masked_weighted_mean_direct(zip(z, t), alpha)
-        m_hat_direct = dn.masked_weighted_mean_direct(zip(z, 1 - t), alpha)
+        e_direct, v_direct = weighted_moments_direct(z, alpha)
+        m_direct = masked_weighted_mean_direct(zip(z, t), alpha)
+        m_hat_direct = masked_weighted_mean_direct(zip(z, 1 - t), alpha)
 
         mu = mu_hat = 0.0
         devs = []
@@ -94,7 +100,7 @@ def test_1_streaming_oracle_equivalence():
             bank.update_sample(row, k)
         for k in range(3):
             for d in range(2):
-                c_direct = dn.masked_weighted_mean_direct(
+                c_direct = masked_weighted_mean_direct(
                     ((value, 1.0) for value in x[labels == k, d]), alpha
                 )
                 assert close(bank.centers[k, d], c_direct), "adaptive center"

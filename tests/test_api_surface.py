@@ -17,9 +17,6 @@ import discrimnet
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(discrimnet.__file__))
 
-# The closed-form oracles of streaming.py exist for the tests.
-TEST_ONLY = {"weighted_moments_direct", "masked_weighted_mean_direct"}
-
 
 def parse(filename):
     with open(os.path.join(PACKAGE_DIR, filename), encoding="utf-8") as f:
@@ -48,12 +45,11 @@ def loaded_names(tree):
 
 def test_every_export_is_used_inside_the_package():
     exported = exported_names()
-    assert TEST_ONLY <= exported, f"exempt but not exported: {sorted(TEST_ONLY - exported)}"
     used = set()
     for filename in sorted(os.listdir(PACKAGE_DIR)):
         if filename.endswith(".py") and filename != "__init__.py":
             used.update(loaded_names(parse(filename)))
-    unused = sorted(exported - used - TEST_ONLY)
+    unused = sorted(exported - used)
     assert not unused, f"exported but never used inside the package: {unused}"
 
 
@@ -76,6 +72,5 @@ def test_every_definition_is_used_inside_the_package():
     # A definition counts as used only where its name is loaded outside its own body.
     unused = sorted(
         {node.name for node in defined if used[node.name] == loaded_names(node)[node.name]}
-        - TEST_ONLY
     )
     assert not unused, f"defined but never used inside the package: {unused}"

@@ -580,6 +580,7 @@ def test_cli_rejects_retired_keys_off_their_fixed_values(tmp_path, capsys, line)
     {"momentum": -0.5},
     {"momentum": 1.0},
     {"weight_decay": -0.01},
+    {"synth_size": -4},  # (-4)**2 would pass the class-count check
 ])
 def test_cli_rejects_invalid_values_with_exit_2(tmp_path, override):
     cfg = synth_config(tmp_path, name="bad", **{"synth_size": 4, "epochs": 1, **override})

@@ -13,7 +13,8 @@ BAD_OVERRIDES = [
     {"lr_drop_period": 0}, {"lr_drop_period": -1}, {"lr_drop_factor": 0.0},
     {"lr_drop_factor": -1.0}, {"synth_per_class": 0}, {"synth_classes": 1}, {"batch_size": 0},
     {"lambda_discriminant": -0.01}, {"lambda_center": 0.01, "lambda_adaptive_center": 0.01},
-    {"synth_size": 6}, {"synth_size": 0}, {"synth_size": 8, "arch": "comparison"},
+    {"synth_size": 6}, {"synth_size": 0}, {"synth_size": -4},
+    {"synth_size": 8, "arch": "comparison"},
     {"momentum": -0.5}, {"momentum": 1.0}, {"weight_decay": -0.01},
 ]
 

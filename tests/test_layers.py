@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose, assert_array_equal
 
 import discrimnet as dn
@@ -619,9 +620,13 @@ def test_one_channel_conv_dw_layouts_agree_at_the_preset_shape(dtype, n):
     out = conv.forward(post_relu_input(rng, (n, 28, 28, 1), dtype), train=True)
     g2 = signed_gradient(rng, out.shape, dtype).reshape(-1, 32)
     conv.backward(g2.reshape(out.shape), input_grad=False)
+    # Row-major columns, (n, pixels, 9), summed over the chunks backward walks.
+    windows = sliding_window_view(conv._padded[:n], (3, 3), axis=(1, 2))
+    cols = np.ascontiguousarray(windows[:, :, :, 0]).reshape(n, 28 * 28, 9)
+    g3 = g2.reshape(n, 28 * 28, 32)
     want = None
-    for row, cols in conv._columns(n, patch_major=False):
-        part = cols.T @ g2[row : row + len(cols)]
+    for samples in layers._chunks(n, 28 * 28):
+        part = cols[samples].reshape(-1, 9).T @ g3[samples].reshape(-1, 32)
         want = part if want is None else want + part
     assert_bitwise_equal(conv.dw, want)
 

@@ -369,6 +369,46 @@ def test_adaptive_center_gradient_matches_frozen_center_fd():
     assert np.any(before != bank.centers)
 
 
+def test_center_loss_equals_the_one_hot_formula_bitwise():
+    # center_loss gathers each row's centroid; the one-hot product picks
+    # the same numbers, since every other term it adds is an exact zero.
+    rng = dn.seeded_rng(16)
+    for _ in range(20):
+        k, d, n = (int(v) for v in rng.integers(1, 12, 3))
+        bank = make_bank(rng.normal(size=(k, d)) * 3.0)
+        x = rng.normal(size=(n, d)) * 3.0
+        labels = rng.integers(0, k, n)
+        diff = x - onehot(labels, k) @ bank.centers
+        loss, dx = dn.center_loss(x, labels, bank)
+        assert loss == float((diff**2).sum() / n)
+        assert_array_equal(dx, (2.0 / n) * diff)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_batch_leaves_the_forgetting_state_untouched(bad):
+    # The last row is the bad one, so a check per fold would raise only
+    # after the rows before it had moved the state.
+    rng = dn.seeded_rng(17)
+    stats = dn.NeuronClassStats(3, 0.9)
+    bank = dn.CenterBank(3, 4, alpha=0.9)
+    for _ in range(5):
+        label = int(rng.integers(0, 3))
+        stats.update(rng.normal(size=3), label)
+        bank.update_sample(rng.normal(size=4), label)
+    labels = rng.integers(0, 3, 4)
+    z = rng.normal(size=(4, 3))
+    z[-1, 1] = bad
+    x = rng.normal(size=(4, 4))
+    x[-1, 2] = bad
+    for loss, batch, state in ((dn.adaptive_discriminant, z, stats),
+                               (dn.adaptive_center_loss, x, bank)):
+        before = copy.deepcopy(state.state_arrays())
+        with pytest.raises(dn.NonFiniteError):
+            loss(batch, labels, state)
+        for name, value in state.state_arrays().items():
+            assert_array_equal(value, before[name], err_msg=name)
+
+
 def test_batch_loss_permutation_equivariance():
     rng = dn.seeded_rng(15)
     z, t = random_instance(rng, 9, 3)

@@ -1,9 +1,11 @@
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 import discrimnet as dn
-from discrimnet.streaming import masked_weighted_mean_direct, weighted_moments_direct
+from conftest import masked_weighted_mean_direct, weighted_moments_direct
 
 ALPHAS = (0.5, 0.9, 0.99)
 
@@ -182,6 +184,24 @@ def test_matching_mean_stream_decays_by_alpha_exactly():
             stats.update([stats.mu_hat[0], 0.0], 1)
         assert stats.var_within[0] == alpha * before
         expect_target = not expect_target
+
+
+def test_update_returns_the_deviations_from_the_pre_update_means():
+    # dev is z minus the target-class mean on the label's neuron and minus
+    # the non-target mean elsewhere; centered is z minus the total mean.
+    rng = dn.seeded_rng(19)
+    stats = dn.NeuronClassStats(4, 0.9)
+    for step in range(80):
+        z = rng.uniform(-10, 10, 4)
+        label = int(rng.integers(0, 4))
+        pre = copy.deepcopy(stats)
+        dev, centered = stats.update(z, label)
+        if step < 20:
+            continue  # the means are still close to their zero prior
+        want = z - pre.mu_hat
+        want[label] = z[label] - pre.mu[label]
+        assert_array_equal(dev, want)
+        assert_array_equal(centered, z - pre.mu_total)
 
 
 def test_neuron_stats_all_share_one_alpha_and_validate_rows():
