@@ -12,7 +12,6 @@ from .losses import (
     center_loss,
     combined_objective,
     discriminant_criterion,
-    softmax,
     softmax_cross_entropy,
 )
 from .network import Network, build_architecture

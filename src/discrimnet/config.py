@@ -10,6 +10,7 @@ the loss configuration.
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 
 from .data import MAX_ROTATION_DEG, MAX_SHIFT_FRAC, SCALE_RANGE
@@ -59,6 +60,11 @@ class RunConfig:
     augment: bool = False
 
     def validate(self):
+        for name, default in _DEFAULTS.items():
+            value = getattr(self, name)
+            if not _has_type_of(value, default):
+                raise ConfigError(f"{name} must be of type {type(default).__name__}, "
+                                  f"got {value!r}")
         for name in _FLOAT_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -97,6 +103,19 @@ class RunConfig:
         if self.lambda_center > 0 and self.lambda_adaptive_center > 0:
             raise ConfigError("enable only one of lambda_center / lambda_adaptive_center")
         return self
+
+
+def _has_type_of(value, default):
+    """Whether value may fill a field whose default is ``default``: an int
+    field takes integers, a float field any real number, and a bool is
+    never taken for a number, nor a number for a bool."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(value) is type(default)
+    if isinstance(default, int):
+        return isinstance(value, numbers.Integral)
+    if isinstance(default, float):
+        return isinstance(value, numbers.Real)
+    return isinstance(value, str)
 
 
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}

@@ -3,8 +3,9 @@
 Five losses: softmax cross-entropy, the per-neuron discriminant
 criterion (batch statistics), center loss (minibatch centers), and the
 adaptive variants of the latter two driven by exponential-forgetting
-accumulators. ``combined_objective`` assembles any weighted mix and
-reports per-tap-point gradients for backpropagation.
+accumulators. ``combined_objective`` assembles the weighted mix that an
+``AuxState``'s own copy of the run config picks, and reports
+per-tap-point gradients for backpropagation.
 
 Gradient conventions: the batch discriminant criterion is differentiated
 exactly, through its batch means and variances. The adaptive losses
@@ -15,7 +16,7 @@ variances. Running statistics and centroids are never trained by
 backprop; they move only by their own update rules.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,14 +34,6 @@ def _as2d(x, name):
     return x
 
 
-def softmax(z):
-    """Row-wise softmax, computed with max subtraction so it cannot overflow."""
-    z = _as2d(z, "logits")
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def softmax_cross_entropy(z, labels):
     """Mean cross-entropy of softmax(z) against integer class ids.
 
@@ -50,10 +43,12 @@ def softmax_cross_entropy(z, labels):
     z = _as2d(z, "logits")
     n, k = z.shape
     t = class_targets(labels, k, n)
-    shifted = z - z.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = z - z.max(axis=1, keepdims=True)    # max subtraction: exp cannot overflow
+    e = np.exp(shifted)
+    row_sums = e.sum(axis=1, keepdims=True)
+    log_probs = shifted - np.log(row_sums)
     loss = -float((t * log_probs).sum()) / n
-    dz = (softmax(z) - t) / n
+    dz = (e / row_sums - t) / n
     return loss, dz
 
 
@@ -201,22 +196,23 @@ class LossReport:
 
 
 class AuxState:
-    """Mutable accumulators owned by one training run.
+    """One training run's objective settings and mutable accumulators.
 
-    Built from the run's validated RunConfig: the per-neuron forgetting
-    statistics when ``lambda_adaptive_discriminant`` is on, the centroid
+    Keeps a validated private copy of the run's RunConfig as ``cfg``, and
+    from it the per-neuron forgetting statistics when
+    ``lambda_adaptive_discriminant`` is on, a ``hidden_width``-wide centroid
     bank (``alpha``, ``beta``) when either center weight is on.
     ``combined_objective`` is their only writer.
     """
 
-    def __init__(self, cfg, num_classes, feature_dim):
-        cfg.validate()
+    def __init__(self, cfg, num_classes):
+        self.cfg = cfg = replace(cfg).validate()
         self.neuron_stats = None
         self.center_bank = None
         if cfg.lambda_adaptive_discriminant > 0:
             self.neuron_stats = NeuronClassStats(num_classes, cfg.alpha)
         if cfg.lambda_center > 0 or cfg.lambda_adaptive_center > 0:
-            self.center_bank = CenterBank(num_classes, feature_dim, cfg.alpha, cfg.beta)
+            self.center_bank = CenterBank(num_classes, cfg.hidden_width, cfg.alpha, cfg.beta)
 
     def state_arrays(self):
         """Live arrays of the enabled accumulators, by checkpoint name."""
@@ -227,20 +223,20 @@ class AuxState:
         return arrays
 
 
-def combined_objective(cfg, taps, labels, state=None):
+def combined_objective(state, taps, labels):
     """Evaluate the full training objective at the network's tap points.
 
-    cfg is the run's RunConfig; a ``lambda_*`` weight of zero disables its
-    loss. Cross-entropy and the discriminant losses read the ``logits``
-    tap, the center losses read ``hidden_preact``. labels are the
-    batch's integer class ids. Every enabled loss with state advances
+    Every weight comes from ``state.cfg``; a ``lambda_*`` weight of zero
+    disables its loss. Cross-entropy and the discriminant losses read the
+    ``logits`` tap, the center losses read ``hidden_preact``. labels are
+    the batch's integer class ids. Every enabled loss with state advances
     it in ``state``: the adaptive losses fold each sample in before they
     are evaluated, and the minibatch center rule moves the centroids
     after the center loss has read them. Returns a LossReport
     whose gradients are, per tap point, the weighted sum of the enabled
     component gradients (in the tap's own dtype).
     """
-    cfg.validate()
+    cfg = state.cfg
     z_raw = taps["logits"]
     z = np.asarray(z_raw, dtype=np.float64)
 
@@ -262,8 +258,6 @@ def combined_objective(cfg, taps, labels, state=None):
         total += cfg.lambda_discriminant * ld
 
     if cfg.lambda_adaptive_discriminant > 0:
-        if state is None or state.neuron_stats is None:
-            raise ValueError("adaptive discriminant loss needs AuxState.neuron_stats")
         lad, dz = adaptive_discriminant(z, labels, state.neuron_stats)
         components["adaptive_discriminant"] = lad
         dz_total = dz_total + cfg.lambda_adaptive_discriminant * dz
@@ -273,8 +267,6 @@ def combined_objective(cfg, taps, labels, state=None):
     if cfg.lambda_center > 0 or cfg.lambda_adaptive_center > 0:
         x_raw = taps["hidden_preact"]
         x = np.asarray(x_raw, dtype=np.float64)
-        if state is None or state.center_bank is None:
-            raise ValueError("center losses need AuxState.center_bank")
         if cfg.lambda_center > 0:
             lc, dx = center_loss(x, labels, state.center_bank)
             components["center"] = lc

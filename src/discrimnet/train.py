@@ -50,9 +50,12 @@ def resolve_data_dir(cfg):
 def load_run_datasets(cfg):
     """Resolve the train/test datasets for a config, including subsetting.
 
-    Subset selection is a pure function of the config, so checkpoints can
-    be re-evaluated on exactly the data they were trained on.
+    The data stream draws the synth split, then the train and test
+    subsets, for either dataset. Subset selection is a pure function of
+    the config, so checkpoints can be re-evaluated on exactly the data
+    they were trained on.
     """
+    rng = seeded_rng(cfg.seed, _DATA_STREAM)
     if cfg.dataset == "synth":
         full = synth_blobs(
             cfg.synth_classes, cfg.synth_size, cfg.synth_per_class,
@@ -60,7 +63,7 @@ def load_run_datasets(cfg):
         )
         n = len(full)
         split = max(1, int(n * 0.8))
-        order = seeded_rng(cfg.seed, _DATA_STREAM).permutation(n)
+        order = rng.permutation(n)
         train = full.subset(order[:split])
         test = full.subset(order[split:])
         test.split = "test"
@@ -73,11 +76,10 @@ def load_run_datasets(cfg):
                 f"{root}: train images are {train.images.shape[1:]}, "
                 f"test images {test.images.shape[1:]}"
             )
-        rng = seeded_rng(cfg.seed, _DATA_STREAM)
-        if cfg.train_subset:
-            train = train.subset(rng.permutation(len(train))[: cfg.train_subset])
-        if cfg.test_subset:
-            test = test.subset(rng.permutation(len(test))[: cfg.test_subset])
+    if cfg.train_subset:
+        train = train.subset(rng.permutation(len(train))[: cfg.train_subset])
+    if cfg.test_subset:
+        test = test.subset(rng.permutation(len(test))[: cfg.test_subset])
     return train, test
 
 
@@ -115,7 +117,7 @@ def run_training(cfg: RunConfig, progress=False):
         )
     except ValueError as e:  # the input size does not fit the architecture
         raise ConfigError(str(e)) from e
-    aux = AuxState(cfg, num_classes, cfg.hidden_width)
+    aux = AuxState(cfg, num_classes)
     opt = SGD(net.parameters(), momentum=cfg.momentum, weight_decay=cfg.weight_decay)
 
     run_dir = cfg.out_dir
@@ -144,7 +146,7 @@ def run_training(cfg: RunConfig, progress=False):
                     x = augment_batch(x, model_rng).astype(net.dtype, copy=False)
                 y = train.labels[batch]
                 taps = net.forward(x, train=True)
-                report = combined_objective(cfg, taps, y, state=aux)
+                report = combined_objective(aux, taps, y)
                 steps_f.write(report.csv_row(step) + "\n")
                 ce_sum += report.components["cross_entropy"] * len(batch)
                 correct += int((taps["logits"].argmax(axis=1) == y).sum())
@@ -200,6 +202,6 @@ def load_checkpoint(path):
             f"checkpoint config has hidden_width {cfg.hidden_width}, "
             f"but its network was built with {width}"
         )
-    aux = AuxState(cfg, net.arch_params["num_classes"], width)
+    aux = AuxState(cfg, net.arch_params["num_classes"])
     restore_arrays(aux.state_arrays(), arrays, prefix="aux.")
     return net, cfg, aux

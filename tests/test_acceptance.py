@@ -203,10 +203,11 @@ def test_3_full_network_gradient_check():
         lambda_adaptive_discriminant=lam_ad,
         lambda_adaptive_center=lam_ac,
         alpha=0.9,
+        hidden_width=8,
     )
     net = dn.build_architecture(
         "mnist_small", input_shape=(8, 8, 1), num_classes=3, rng=dn.seeded_rng(30),
-        conv_channels=(2, 2), fc1_width=16, hidden_width=8,
+        conv_channels=(2, 2), fc1_width=16, hidden_width=cfg.hidden_width,
     )
     rng = dn.seeded_rng(31)
     x = rng.normal(size=(4, 8, 8, 1))
@@ -214,14 +215,14 @@ def test_3_full_network_gradient_check():
     t = onehot(labels, 3)
 
     # warm the accumulators so denominators are healthy
-    state = dn.AuxState(cfg, num_classes=3, feature_dim=8)
+    state = dn.AuxState(cfg, num_classes=3)
     taps0 = net.forward(rng.normal(size=(6, 8, 8, 1)), train=True)
-    dn.combined_objective(cfg, taps0, rng.integers(0, 3, 6), state=state)
+    dn.combined_objective(state, taps0, rng.integers(0, 3, 6))
 
     # analytic pass: advance a copy of the state, capture frozen statistics
     state_for_grad = copy.deepcopy(state)
     taps = net.forward(x, train=True)
-    report = dn.combined_objective(cfg, taps, labels, state=state_for_grad)
+    report = dn.combined_objective(state_for_grad, taps, labels)
     net.backward(report.gradients)
     analytic = {k: v.copy() for k, v in net.gradients().items()}
 

@@ -212,9 +212,9 @@ def test_logged_train_metrics_are_epoch_running_means(tmp_path, monkeypatch):
     # epoch's own steps: recompute them from every batch's logits and labels.
     seen, objective = [], train_mod.combined_objective
 
-    def spy(cfg, taps, labels, state=None):
+    def spy(state, taps, labels):
         seen.append((np.array(taps["logits"], dtype=np.float64), np.array(labels)))
-        return objective(cfg, taps, labels, state=state)
+        return objective(state, taps, labels)
 
     monkeypatch.setattr(train_mod, "combined_objective", spy)
     cfg = synth_config(tmp_path, epochs=3, batch_size=25)
@@ -250,6 +250,22 @@ def test_each_epoch_evaluates_only_the_test_split(tmp_path, monkeypatch):
     cfg = synth_config(tmp_path, epochs=3)
     dn.run_training(cfg)
     assert splits == ["test"] * cfg.epochs
+
+
+def test_subsets_apply_to_synth_data(tmp_path):
+    full_train, full_test = load_run_datasets(synth_config(tmp_path))
+    cfg = synth_config(tmp_path, train_subset=10, test_subset=5)
+    train, test = load_run_datasets(cfg)
+    assert (len(train), len(test)) == (10, 5)
+    assert test.split == "test"
+    again = load_run_datasets(cfg)
+    for split, full, repeat in ((train, full_train, again[0]), (test, full_test, again[1])):
+        np.testing.assert_array_equal(split.images, repeat.images)
+        np.testing.assert_array_equal(split.labels, repeat.labels)
+        # every subset row is a row of its full split
+        rows = full.images.reshape(len(full), -1)
+        for image in split.images.reshape(len(split), -1):
+            assert (rows == image).all(axis=1).any()
 
 
 def test_untrained_model_is_at_chance_level():
@@ -400,10 +416,18 @@ def test_cli_readers_check_the_data_override_against_the_network(tmp_path, capsy
     (lambda m: m["config"].update(hidden_width=7, lambda_adaptive_center=0.0), "hidden_width"),
     (lambda m: m["config"].update(epsilon=0.5), "epsilon"),
     (lambda m: m["config"].update(augment_rotation_deg=-10.0), "augment_rotation_deg"),
+    # stored values of the wrong type
+    (lambda m: m["config"].update(batch_size=2.5), "batch_size"),
+    (lambda m: m["config"].update(synth_per_class=2.5), "synth_per_class"),
+    (lambda m: m["config"].update(train_subset=1.5), "train_subset"),
+    (lambda m: m["config"].update(epochs="3"), "epochs"),
+    (lambda m: m["config"].update(augment=1), "augment"),
 ], ids=["unknown-config-key", "invalid-config-value", "unknown-arch-param", "unknown-arch",
         "no-config", "arch-params-not-a-mapping", "input-shape-not-a-sequence",
         "hidden-width-mismatch-with-center-loss", "hidden-width-mismatch-without-center-loss",
-        "retired-key-off-its-value", "retired-augment-bound-off-its-value"])
+        "retired-key-off-its-value", "retired-augment-bound-off-its-value",
+        "float-batch-size", "float-synth-per-class", "float-train-subset", "string-epochs",
+        "int-augment"])
 def test_cli_rejects_malformed_checkpoint_manifest(synth_run, tmp_path, edit, named):
     _, run_dir = synth_run
     manifest, arrays = dn.load_bundle(os.path.join(run_dir, "final.ckpt"))

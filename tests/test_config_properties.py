@@ -1,5 +1,7 @@
-"""Property test: any synth config either trains or is rejected with exit 2."""
+"""Property tests: a valid synth config trains, and each bad override is
+rejected with exit 2."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,7 +10,7 @@ from test_config_cli import synth_config, write_config
 
 
 WEIGHTS = st.sampled_from([0.0, 0.001, 0.01])
-# Each makes the config invalid, or its input too small for the architecture.
+# Each makes any config invalid, or its input too small for the architecture.
 BAD_OVERRIDES = [
     {"lr_drop_period": 0}, {"lr_drop_period": -1}, {"lr_drop_factor": 0.0},
     {"lr_drop_factor": -1.0}, {"synth_per_class": 0}, {"synth_classes": 1}, {"batch_size": 0},
@@ -21,7 +23,7 @@ BAD_OVERRIDES = [
 
 @st.composite
 def synth_overrides(draw):
-    """A trainable synth config, sometimes broken by one or two bad overrides."""
+    """Overrides that make a trainable synth config."""
     classes = draw(st.integers(2, 5))
     per_class = draw(st.integers(1, 12))
     train_rows = max(1, int(classes * per_class * 0.8))
@@ -46,14 +48,25 @@ def synth_overrides(draw):
     }
     if center:
         overrides[center] = draw(WEIGHTS)
-    for bad in draw(st.lists(st.sampled_from(BAD_OVERRIDES), max_size=2)):
-        overrides.update(bad)
     return overrides
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(overrides=synth_overrides())
-def test_cli_train_either_trains_or_rejects_the_config(tmp_path_factory, overrides):
+def train_exit_code(tmp_path_factory, overrides):
     tmp_path = tmp_path_factory.mktemp("prop")
     cfg_path = write_config(synth_config(tmp_path, **overrides), tmp_path / "cfg.txt")
-    assert main(["train", "--config", cfg_path, "--quiet"]) in (0, 2)
+    return main(["train", "--config", cfg_path, "--quiet"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(overrides=synth_overrides())
+def test_cli_train_trains_every_valid_config(tmp_path_factory, overrides):
+    assert train_exit_code(tmp_path_factory, overrides) == 0
+
+
+# Each bad override is drawn on its own, so one that validate rejects
+# cannot hide another that would crash training.
+@pytest.mark.parametrize("bad", BAD_OVERRIDES, ids=repr)
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(overrides=synth_overrides())
+def test_cli_train_rejects_each_bad_override(tmp_path_factory, bad, overrides):
+    assert train_exit_code(tmp_path_factory, {**overrides, **bad}) == 2

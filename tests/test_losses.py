@@ -20,28 +20,37 @@ def random_instance(rng, n, k):
     return z, labels
 
 
-# --- softmax ----------------------------------------------------------------
+# --- softmax cross-entropy ----------------------------------------------------
 
-def test_softmax_symmetry():
-    assert_allclose(dn.softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]])
+def cross_entropy_probabilities(z, labels):
+    """softmax(z), read back from the cross-entropy gradient (p - onehot) / n."""
+    _, dz = dn.softmax_cross_entropy(z, labels)
+    return len(labels) * dz + onehot(labels, dz.shape[1])
 
 
-def test_softmax_huge_logits_do_not_overflow():
-    y = dn.softmax(np.array([[1000.0, 0.0]]))
-    assert np.all(np.isfinite(y))
+def test_cross_entropy_probabilities_symmetry():
+    assert_allclose(cross_entropy_probabilities(np.array([[0.0, 0.0]]), np.array([0])),
+                    [[0.5, 0.5]])
+
+
+def test_cross_entropy_huge_logits_do_not_overflow():
+    z, labels = np.array([[1000.0, 0.0]]), np.array([0])
+    loss, _ = dn.softmax_cross_entropy(z, labels)
+    y = cross_entropy_probabilities(z, labels)
+    assert np.isfinite(loss) and np.all(np.isfinite(y))
     assert y[0, 0] == pytest.approx(1.0)
     assert y[0, 1] == pytest.approx(0.0, abs=1e-300)
 
 
-def test_softmax_shift_invariance_and_row_sums():
+def test_cross_entropy_shift_invariance_and_row_sums():
     rng = dn.seeded_rng(2)
     z = rng.normal(size=(16, 5)) * 3.0
+    labels = rng.integers(0, 5, 16)
     c = 7.3
-    assert np.abs(dn.softmax(z + c) - dn.softmax(z)).max() < 1e-12
-    assert np.abs(dn.softmax(z).sum(axis=1) - 1.0).max() < 1e-12
+    p = cross_entropy_probabilities(z, labels)
+    assert np.abs(cross_entropy_probabilities(z + c, labels) - p).max() < 1e-12
+    assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
 
-
-# --- softmax cross-entropy ----------------------------------------------------
 
 def test_cross_entropy_uniform_fixture():
     loss, dz = dn.softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([0]))
@@ -98,7 +107,8 @@ def test_cross_entropy_rejects_bad_labels():
     lambda y: dn.center_loss(np.zeros((2, 4)), y, dn.CenterBank(3, 4)),
     lambda y: dn.adaptive_center_loss(np.zeros((2, 4)), y, dn.CenterBank(3, 4)),
     lambda y: dn.CenterBank(3, 4).update_minibatch(np.zeros((2, 4)), y),
-    lambda y: dn.combined_objective(dn.RunConfig(), {"logits": np.zeros((2, 3))}, y),
+    lambda y: dn.combined_objective(dn.AuxState(dn.RunConfig(), 3),
+                                    {"logits": np.zeros((2, 3))}, y),
 ], ids=["discriminant", "adaptive_discriminant", "center", "adaptive_center",
         "update_minibatch", "combined"])
 def test_losses_and_accumulators_reject_labels_that_are_not_class_ids(call, case):
@@ -429,8 +439,7 @@ def test_batch_loss_permutation_equivariance():
 def test_combined_all_weights_zero_is_pure_cross_entropy():
     rng = dn.seeded_rng(16)
     z, t = random_instance(rng, 5, 3)
-    cfg = dn.RunConfig()
-    report = dn.combined_objective(cfg, {"logits": z}, t, state=None)
+    report = dn.combined_objective(dn.AuxState(dn.RunConfig(), 3), {"logits": z}, t)
     ls, dz = dn.softmax_cross_entropy(z, t)
     assert report.total == ls
     assert_array_equal(report.gradients["logits"], dz)
@@ -446,9 +455,10 @@ def test_combined_published_mnist_setting_and_component_sum():
         lambda_adaptive_discriminant=0.001,
         lambda_adaptive_center=1.0,
         alpha=0.99,
+        hidden_width=d,
     )
-    state = dn.AuxState(cfg, num_classes=k, feature_dim=d)
-    report = dn.combined_objective(cfg, {"logits": z, "hidden_preact": x}, t, state=state)
+    state = dn.AuxState(cfg, num_classes=k)
+    report = dn.combined_objective(state, {"logits": z, "hidden_preact": x}, t)
     recomputed = (
         report.components["cross_entropy"]
         + 0.001 * report.components["adaptive_discriminant"]
@@ -464,26 +474,25 @@ def test_combined_gradients_are_weighted_sums():
     z, t = random_instance(rng, n, k)
     lam = 0.25
     cfg = dn.RunConfig(lambda_discriminant=lam)
-    report = dn.combined_objective(cfg, {"logits": z}, t, state=None)
+    report = dn.combined_objective(dn.AuxState(cfg, k), {"logits": z}, t)
     _, dz_ce = dn.softmax_cross_entropy(z, t)
     _, dz_d = dn.discriminant_criterion(z, t)
     assert_allclose(report.gradients["logits"], dz_ce + lam * dz_d, rtol=1e-14)
 
 
 def test_combined_unresolved_tap_point():
-    cfg = dn.RunConfig(lambda_center=1.0)
-    state = dn.AuxState(cfg, num_classes=2, feature_dim=3)
+    state = dn.AuxState(dn.RunConfig(lambda_center=1.0, hidden_width=3), num_classes=2)
     z = np.zeros((2, 2))
     t = np.array([0, 1])
     with pytest.raises(KeyError):
-        dn.combined_objective(cfg, {"logits": z}, t, state=state)
+        dn.combined_objective(state, {"logits": z}, t)
 
 
 def test_combined_detects_non_finite_components():
     # NaN logits give a NaN cross-entropy, which the objective names.
     z = np.array([[np.nan, 0.0], [1.0, 0.0]])
     with pytest.raises(dn.NonFiniteError, match="cross_entropy"):
-        dn.combined_objective(dn.RunConfig(), {"logits": z}, np.array([0, 1]))
+        dn.combined_objective(dn.AuxState(dn.RunConfig(), 2), {"logits": z}, np.array([0, 1]))
 
 
 def test_loss_report_csv_row():
@@ -517,17 +526,44 @@ def test_objective_config_validation():
         with pytest.raises(dn.ConfigError):
             dn.RunConfig(**bad).validate()
     with pytest.raises(dn.ConfigError):
-        dn.AuxState(dn.RunConfig(lambda_center=1.0, lambda_adaptive_center=1.0), 2, 3)
+        dn.AuxState(dn.RunConfig(lambda_center=1.0, lambda_adaptive_center=1.0), 2)
     with pytest.raises(dn.ConfigError):
-        dn.combined_objective(dn.RunConfig(alpha=1.5), {"logits": np.zeros((2, 2))},
-                              np.array([0, 1]))
+        dn.AuxState(dn.RunConfig(alpha=1.5), 2)
+
+
+def test_aux_state_keeps_its_own_copy_of_the_config():
+    # Editing the caller's config after building the state moves neither
+    # the weights the next step uses nor the accumulators it advances.
+    rng = dn.seeded_rng(19)
+    n, k, d = 6, 3, 4
+    z, t = random_instance(rng, n, k)
+    taps = {"logits": z, "hidden_preact": rng.normal(size=(n, d))}
+    settings = dict(lambda_discriminant=0.1, lambda_adaptive_discriminant=0.01,
+                    lambda_center=0.5, alpha=0.9, beta=0.5, hidden_width=d)
+    cfg = dn.RunConfig(**settings)
+    state = dn.AuxState(cfg, k)
+    reference = dn.AuxState(dn.RunConfig(**settings), k)
+    cfg.lambda_discriminant, cfg.lambda_adaptive_discriminant = 0.0, 1.0
+    cfg.lambda_center, cfg.lambda_adaptive_center = 0.0, 2.0
+    cfg.alpha, cfg.beta, cfg.hidden_width = 0.5, 1.0, d + 1
+    report = dn.combined_objective(state, taps, t)
+    expected = dn.combined_objective(reference, taps, t)
+    assert state.cfg == dn.RunConfig(**settings)
+    assert report.total == expected.total
+    assert report.components == expected.components
+    for tap in ("logits", "hidden_preact"):
+        assert_array_equal(report.gradients[tap], expected.gradients[tap])
+    arrays = state.state_arrays()
+    assert arrays.keys() == reference.state_arrays().keys()
+    for name, value in reference.state_arrays().items():
+        assert_array_equal(arrays[name], value, err_msg=name)
 
 
 def test_combined_report_flags_absent_classes():
     z = np.array([[1.0, 0.0, 2.0], [0.5, 1.0, -1.0], [2.0, 0.3, 0.1]])
     t = np.array([0, 0, 1])  # class 2 absent
     cfg = dn.RunConfig(lambda_discriminant=0.1)
-    report = dn.combined_objective(cfg, {"logits": z}, t, state=None)
+    report = dn.combined_objective(dn.AuxState(cfg, 3), {"logits": z}, t)
     assert any("class 2" in note for note in report.notes)
 
 
@@ -535,7 +571,7 @@ def test_combined_skips_batch_discriminant_for_one_sample():
     z = np.array([[1.0, 0.0, 2.0]])
     t = np.array([1])
     cfg = dn.RunConfig(lambda_discriminant=0.1)
-    report = dn.combined_objective(cfg, {"logits": z}, t, state=None)
+    report = dn.combined_objective(dn.AuxState(cfg, 3), {"logits": z}, t)
     assert "discriminant" not in report.components
     assert any("batch of 1" in note for note in report.notes)
     _, dz_ce = dn.softmax_cross_entropy(z, t)

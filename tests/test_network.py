@@ -481,9 +481,8 @@ def test_state_arrays_stay_live_through_training_steps():
     # the trained values: every owner updates its arrays in place.
     net = dn.build_architecture("comparison", input_shape=(32, 32, 3), num_classes=4,
                                 rng=dn.seeded_rng(12), fc_width=8, hidden_width=4)
-    combined = dn.apply_preset("mnist-combined")
-    center = dn.apply_preset("mnist-center")
-    auxes = [dn.AuxState(cfg, 4, 4) for cfg in (combined, center)]
+    auxes = [dn.AuxState(dn.apply_preset(name, dn.RunConfig(hidden_width=4)), 4)
+             for name in ("mnist-combined", "mnist-center")]
     opt = dn.SGD(net.parameters())
     owners = {"net": net, "combined": auxes[0], "center": auxes[1], "optim": opt}
     live = {f"{owner}.{name}": arr for owner, obj in owners.items()
@@ -493,8 +492,7 @@ def test_state_arrays_stay_live_through_training_steps():
     t = np.array([0, 1, 2, 3, 0, 1])
     for _ in range(2):
         taps = net.forward(rng.normal(size=(6, 32, 32, 3)), train=True)
-        reports = [dn.combined_objective(cfg, taps, t, state=aux)
-                   for cfg, aux in zip((combined, center), auxes)]
+        reports = [dn.combined_objective(aux, taps, t) for aux in auxes]
         net.backward(reports[0].gradients)
         opt.step(net.gradients(), 0.01)
     after = {f"{owner}.{name}": arr for owner, obj in owners.items()
