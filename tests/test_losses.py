@@ -468,16 +468,72 @@ def test_combined_published_mnist_setting_and_component_sum():
     assert report.gradients["hidden_preact"].shape == x.shape
 
 
-def test_combined_gradients_are_weighted_sums():
+def assert_same_bits(actual, expected, name):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape), name
+    assert actual.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize("n", [7, 1])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("center", [None, "center", "adaptive_center"])
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("batch", [False, True])
+def test_combined_gradients_are_weighted_sums(batch, adaptive, center, dtype, n):
+    # Bit for bit: the public losses added left to right in the documented
+    # order, cross-entropy, discriminant, adaptive discriminant, center.
     rng = dn.seeded_rng(18)
-    n, k = 7, 3
-    z, t = random_instance(rng, n, k)
-    lam = 0.25
-    cfg = dn.RunConfig(lambda_discriminant=lam)
-    report = dn.combined_objective(dn.AuxState(cfg, k), {"logits": z}, t)
-    _, dz_ce = dn.softmax_cross_entropy(z, t)
-    _, dz_d = dn.discriminant_criterion(z, t)
-    assert_allclose(report.gradients["logits"], dz_ce + lam * dz_d, rtol=1e-14)
+    k, d = 3, 4
+    weights = {"discriminant": 0.3 * batch, "adaptive_discriminant": 0.7 * adaptive,
+               "center": 0.11 * (center == "center"),
+               "adaptive_center": 0.13 * (center == "adaptive_center")}
+    cfg = dn.RunConfig(hidden_width=d, alpha=0.9, beta=0.6,
+                       **{f"lambda_{name}": w for name, w in weights.items()})
+    state = dn.AuxState(cfg, k)
+    for _ in range(5):  # warm the accumulators away from their zero start
+        label = int(rng.integers(0, k))
+        if state.neuron_stats is not None:
+            state.neuron_stats.update(rng.normal(size=k) * 2.0, label)
+        if state.center_bank is not None:
+            state.center_bank.update_sample(rng.normal(size=d) * 2.0, label)
+    expected = copy.deepcopy(state)
+    z, labels = random_instance(rng, n, k)
+    z = z.astype(dtype)
+    x = (rng.normal(size=(n, d)) * 2.0).astype(dtype)
+    taps = {"logits": z, "hidden_preact": x} if center else {"logits": z}
+
+    report = dn.combined_objective(state, taps, labels)
+
+    z64, x64 = z.astype(np.float64), x.astype(np.float64)
+    total, dz = dn.softmax_cross_entropy(z64, labels)
+    dx = None
+    if batch and n > 1:
+        loss, grad = dn.discriminant_criterion(z64, labels)
+        total += weights["discriminant"] * loss
+        dz = dz + weights["discriminant"] * grad
+    if adaptive:
+        loss, grad = dn.adaptive_discriminant(z64, labels, expected.neuron_stats)
+        total += weights["adaptive_discriminant"] * loss
+        dz = dz + weights["adaptive_discriminant"] * grad
+    if center == "center":
+        loss, grad = dn.center_loss(x64, labels, expected.center_bank)
+        expected.center_bank.update_minibatch(x64, labels)
+    elif center == "adaptive_center":
+        loss, grad = dn.adaptive_center_loss(x64, labels, expected.center_bank)
+    if center:
+        total += weights[center] * loss
+        dx = weights[center] * grad
+
+    assert_same_bits(report.total, np.float64(total), "total")
+    assert_same_bits(report.gradients["logits"], dz.astype(dtype), "logits")
+    if center:
+        assert_same_bits(report.gradients["hidden_preact"], dx.astype(dtype), "hidden_preact")
+    else:
+        assert "hidden_preact" not in report.gradients
+    after, want = state.state_arrays(), expected.state_arrays()
+    assert after.keys() == want.keys()
+    for name in want:
+        assert_same_bits(after[name], want[name], name)
 
 
 def test_combined_unresolved_tap_point():
