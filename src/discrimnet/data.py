@@ -87,6 +87,9 @@ def load_idx(images_path, labels_path, split="train"):
         )
     if raw_labels.size == 0:
         raise IdxFormatError(f"{labels_path}: no samples")
+    rows, cols = raw_images.shape[1:]
+    if rows == 0 or cols == 0:
+        raise IdxFormatError(f"{images_path}: images of {rows}x{cols} pixels")
     if raw_labels.max() >= 10:
         raise IdxFormatError(f"{labels_path}: label {raw_labels.max()} out of range [0, 10)")
     images = raw_images.astype(np.float64)[..., None] / 255.0

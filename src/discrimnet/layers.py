@@ -106,6 +106,8 @@ def _column_sums(a):
 
 
 def _he_uniform(rng, fan_in, shape, dtype):
+    if min(shape) < 1:  # Dense and Conv2d: an empty layer has no fan-in to scale by
+        raise ValueError(f"layer sizes must be positive, got weight shape {shape}")
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, shape).astype(dtype)
 

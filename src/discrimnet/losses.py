@@ -175,6 +175,11 @@ _CSV_KEYS = {
 }
 
 
+def component_cells(components):
+    """The ``CSV_COLUMNS[2:]`` cells of a component map; absent ones are None."""
+    return [components.get(_CSV_KEYS[col]) for col in CSV_COLUMNS[2:]]
+
+
 def csv_line(cells):
     """One CSV line of ``repr`` cells; a None cell stays empty."""
     return ",".join("" if v is None else repr(v) for v in cells)
@@ -191,8 +196,7 @@ class LossReport:
 
     def csv_row(self, step):
         """Render the step as a CSV row; absent components stay empty."""
-        cells = [self.components.get(_CSV_KEYS[col]) for col in CSV_COLUMNS[2:]]
-        return csv_line([step, self.total] + cells)
+        return csv_line([step, self.total] + component_cells(self.components))
 
 
 class AuxState:
@@ -232,60 +236,47 @@ def combined_objective(state, taps, labels):
     the batch's integer class ids. Every enabled loss with state advances
     it in ``state``: the adaptive losses fold each sample in before they
     are evaluated, and the minibatch center rule moves the centroids
-    after the center loss has read them. Returns a LossReport
-    whose gradients are, per tap point, the weighted sum of the enabled
-    component gradients (in the tap's own dtype).
+    after the center loss has read them. ``total`` is the cross-entropy
+    plus each enabled ``weight * component``, added in a fixed order:
+    discriminant, adaptive discriminant, then center or adaptive center.
+    Returns a LossReport whose gradients are, per tap point, the weighted
+    sum of the enabled component gradients in that order, in the tap's dtype.
     """
     cfg = state.cfg
-    z_raw = taps["logits"]
-    z = np.asarray(z_raw, dtype=np.float64)
-
-    components = {}
+    z = np.asarray(taps["logits"], dtype=np.float64)
+    total, dz = softmax_cross_entropy(z, labels)
+    components = {"cross_entropy": total}
+    sums = {"logits": dz}
     notes = []
-    ls, dz_ce = softmax_cross_entropy(z, labels)
-    components["cross_entropy"] = ls
-    dz_total = dz_ce
-    total = ls
-
+    terms = []  # (component, weight, tap, (loss, gradient)), in the order they are added
     if cfg.lambda_discriminant > 0 and z.shape[0] < 2:
         # Batch statistics need two samples; a trailing batch of one skips them.
         notes.append("discriminant criterion skipped: batch of 1")
     elif cfg.lambda_discriminant > 0:
-        ld, dz = discriminant_criterion(z, labels)
-        components["discriminant"] = ld
+        terms.append(("discriminant", cfg.lambda_discriminant, "logits",
+                      discriminant_criterion(z, labels)))
         notes.extend(absent_class_sides(labels, z.shape[1]))
-        dz_total = dz_total + cfg.lambda_discriminant * dz
-        total += cfg.lambda_discriminant * ld
-
     if cfg.lambda_adaptive_discriminant > 0:
-        lad, dz = adaptive_discriminant(z, labels, state.neuron_stats)
-        components["adaptive_discriminant"] = lad
-        dz_total = dz_total + cfg.lambda_adaptive_discriminant * dz
-        total += cfg.lambda_adaptive_discriminant * lad
-
-    dx_total = None
+        terms.append(("adaptive_discriminant", cfg.lambda_adaptive_discriminant, "logits",
+                      adaptive_discriminant(z, labels, state.neuron_stats)))
     if cfg.lambda_center > 0 or cfg.lambda_adaptive_center > 0:
-        x_raw = taps["hidden_preact"]
-        x = np.asarray(x_raw, dtype=np.float64)
+        x = np.asarray(taps["hidden_preact"], dtype=np.float64)
         if cfg.lambda_center > 0:
-            lc, dx = center_loss(x, labels, state.center_bank)
-            components["center"] = lc
-            dx_total = cfg.lambda_center * dx
-            total += cfg.lambda_center * lc
+            terms.append(("center", cfg.lambda_center, "hidden_preact",
+                          center_loss(x, labels, state.center_bank)))
         else:
-            lac, dx = adaptive_center_loss(x, labels, state.center_bank)
-            components["adaptive_center"] = lac
-            dx_total = cfg.lambda_adaptive_center * dx
-            total += cfg.lambda_adaptive_center * lac
-
+            terms.append(("adaptive_center", cfg.lambda_adaptive_center, "hidden_preact",
+                          adaptive_center_loss(x, labels, state.center_bank)))
+    for name, weight, tap, (loss, grad) in terms:
+        components[name] = loss
+        total += weight * loss
+        sums[tap] = sums[tap] + weight * grad if tap in sums else weight * grad
     for name, value in components.items():
         if not np.isfinite(value):
             raise NonFiniteError(f"loss component {name!r} is non-finite ({value})")
     if cfg.lambda_center > 0:
         state.center_bank.update_minibatch(x, labels)
 
-    gradients = {"logits": dz_total.astype(np.asarray(z_raw).dtype, copy=False)}
-    if dx_total is not None:
-        gradients["hidden_preact"] = dx_total.astype(np.asarray(x_raw).dtype, copy=False)
+    gradients = {tap: g.astype(np.asarray(taps[tap]).dtype, copy=False) for tap, g in sums.items()}
     return LossReport(total=float(total), components=components,
                       gradients=gradients, notes=notes)

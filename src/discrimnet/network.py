@@ -157,7 +157,8 @@ class Network:
 
 
 def _check_pool_chain(h, w, pools):
-    if h % (2**pools) or w % (2**pools):
+    side = 2**pools
+    if min(h, w) < side or h % side or w % side:
         raise ValueError(
             f"input {h}x{w} is incompatible with the pooling chain "
             f"({pools} halvings)"

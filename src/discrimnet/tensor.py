@@ -50,6 +50,15 @@ def _write_tensor_record(f, arr):
     f.write(arr.tobytes())  # row-major, whatever the array's own layout
 
 
+def _check_left(f, size, n, what):
+    """Refuse a declared length longer than the rest of the file, before
+    read() would allocate it."""
+    if n > size - f.tell():
+        raise CheckpointError(
+            f"truncated file: {what} declares {n} bytes, {size - f.tell()} are left"
+        )
+
+
 def _read_exact(f, n, what):
     buf = f.read(n)
     if len(buf) != n:
@@ -66,10 +75,7 @@ def _read_tensor_record(f, size):
         struct.unpack("<I", _read_exact(f, 4, "dims"))[0] for _ in range(rank)
     )
     nbytes = 8 * math.prod(shape)
-    if nbytes > size - f.tell():  # checked first: a huge shape must not reach read()
-        raise CheckpointError(
-            f"truncated file: a record declares {nbytes} bytes, {size - f.tell()} are left"
-        )
+    _check_left(f, size, nbytes, "a record")
     payload = _read_exact(f, nbytes, "payload")
     arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
     return arr
@@ -97,10 +103,12 @@ def save_bundle(path, manifest, arrays):
 def load_bundle(path):
     """Read a bundle back as (manifest dict, name -> float64 array)."""
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         magic = _read_exact(f, 8, "bundle magic")
         if magic != BUNDLE_MAGIC:
             raise CheckpointError(f"bad bundle magic {magic!r}")
         (blob_len,) = struct.unpack("<I", _read_exact(f, 4, "manifest length"))
+        _check_left(f, size, blob_len, "the manifest")
         try:
             manifest = json.loads(_read_exact(f, blob_len, "manifest"))
         except ValueError as e:
@@ -110,7 +118,6 @@ def load_bundle(path):
         entries = manifest.get("entries", [])
         if not (isinstance(entries, list) and all(isinstance(e, str) for e in entries)):
             raise CheckpointError("manifest entries are not a list of names")
-        size = os.fstat(f.fileno()).st_size
         arrays = {name: _read_tensor_record(f, size) for name in entries}
     return manifest, arrays
 

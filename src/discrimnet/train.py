@@ -11,15 +11,13 @@ import dataclasses
 import os
 import time
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, config_from_stored, save_config_file
 from .data import IdxFormatError, augment_batch, load_idx_dir, synth_blobs
 from .losses import (
-    _CSV_KEYS,
     CSV_COLUMNS,
     AuxState,
     combined_objective,
+    component_cells,
     csv_line,
     softmax_cross_entropy,
 )
@@ -83,11 +81,6 @@ def load_run_datasets(cfg):
     return train, test
 
 
-def _batch_ranges(n, batch_size):
-    for start in range(0, n, batch_size):
-        yield np.arange(start, min(start + batch_size, n))
-
-
 def evaluate(net, dataset, batch_size=100):
     """Mean cross-entropy and top-1 accuracy of a network on a dataset."""
     z = net.predict(dataset.images, batch_size)["logits"]
@@ -139,8 +132,8 @@ def run_training(cfg: RunConfig, progress=False):
             order = model_rng.permutation(len(train))
             sums, counts = {}, {}
             ce_sum, correct = 0.0, 0
-            for rows in _batch_ranges(len(train), cfg.batch_size):
-                batch = order[rows]
+            for start in range(0, len(train), cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
                 x = train.images[batch]
                 if cfg.augment:
                     x = augment_batch(x, model_rng).astype(net.dtype, copy=False)
@@ -159,9 +152,7 @@ def run_training(cfg: RunConfig, progress=False):
             train_loss, train_acc = ce_sum / len(train), correct / len(train)
             test_loss, test_acc = evaluate(net, test, cfg.batch_size)
             means = {name: sums[name] / counts[name] for name in sums}
-            row = [epoch, lr, train_loss, train_acc, test_loss, test_acc] + [
-                means.get(_CSV_KEYS[col]) for col in CSV_COLUMNS[2:]
-            ]
+            row = [epoch, lr, train_loss, train_acc, test_loss, test_acc] + component_cells(means)
             epochs_f.write(csv_line(row) + "\n")
             if best is None or test_acc > best[1]:
                 best = (epoch, test_acc)

@@ -6,7 +6,7 @@ so must every function, class and method the package defines (dunder
 methods aside), outside its own body: a method that only forwards to a
 namesake, or only calls itself, is not used. A name that only the tests
 call is code the engine never runs; helpers the tests need live in the
-tests.
+tests. No module of the package imports another one's ``_private`` name.
 """
 
 import ast
@@ -74,3 +74,16 @@ def test_every_definition_is_used_inside_the_package():
         {node.name for node in defined if used[node.name] == loaded_names(node)[node.name]}
     )
     assert not unused, f"defined but never used inside the package: {unused}"
+
+
+def test_no_module_imports_another_modules_private_name():
+    private = sorted(
+        f"{filename}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for filename in os.listdir(PACKAGE_DIR)
+        if filename.endswith(".py")
+        for node in ast.walk(parse(filename))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert not private, f"private names imported across modules: {private}"

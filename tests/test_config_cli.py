@@ -422,12 +422,16 @@ def test_cli_readers_check_the_data_override_against_the_network(tmp_path, capsy
     (lambda m: m["config"].update(train_subset=1.5), "train_subset"),
     (lambda m: m["config"].update(epochs="3"), "epochs"),
     (lambda m: m["config"].update(augment=1), "augment"),
+    # zero-sized layers
+    (lambda m: m["arch_params"].update(fc1_width=0), "arch_params"),
+    (lambda m: m["arch_params"].update(conv_channels=[0, 0]), "arch_params"),
+    (lambda m: m["arch_params"].update(input_shape=[0, 0, 1]), "arch_params"),
 ], ids=["unknown-config-key", "invalid-config-value", "unknown-arch-param", "unknown-arch",
         "no-config", "arch-params-not-a-mapping", "input-shape-not-a-sequence",
         "hidden-width-mismatch-with-center-loss", "hidden-width-mismatch-without-center-loss",
         "retired-key-off-its-value", "retired-augment-bound-off-its-value",
         "float-batch-size", "float-synth-per-class", "float-train-subset", "string-epochs",
-        "int-augment"])
+        "int-augment", "zero-fc1-width", "zero-conv-channels", "zero-input-shape"])
 def test_cli_rejects_malformed_checkpoint_manifest(synth_run, tmp_path, edit, named):
     _, run_dir = synth_run
     manifest, arrays = dn.load_bundle(os.path.join(run_dir, "final.ckpt"))
@@ -515,6 +519,9 @@ CLI_INPUT_ERRORS = {
     "idx-empty-test-split": (lambda p: _mnist4_train(p, test=(np.zeros((0, 4, 4)), [])), 1),
     "idx-test-images-of-another-size": (lambda p: _mnist4_train(
         p, test=(np.zeros((20, 8, 8)), np.arange(20) % 10)), 1),
+    "idx-images-without-pixels": (lambda p: _mnist4_train(
+        p, train=(np.zeros((20, 0, 0)), np.arange(20) % 10),
+        test=(np.zeros((20, 0, 0)), np.arange(20) % 10)), 1),
     "bundle-manifest-is-an-array": (lambda p: _bundle_eval(p, "[1, 2]"), 1),
     "bundle-entries-not-a-list": (lambda p: _bundle_eval(p, '{"entries": 5}'), 1),
     "bundle-record-larger-than-the-file": (lambda p: _bundle_eval(

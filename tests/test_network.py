@@ -87,6 +87,13 @@ def test_pooling_chain_validation():
         dn.build_architecture("comparison", input_shape=(28, 28, 3), rng=dn.seeded_rng(0))
     with pytest.raises(ValueError):
         dn.build_architecture("no_such_arch", input_shape=(28, 28, 1), rng=dn.seeded_rng(0))
+    # Zero sizes: sides below 2**pools pass the divisibility test (0 % 4 == 0),
+    # and an empty layer has a zero fan-in.
+    for sizes in ({"input_shape": (0, 0, 1)}, {"input_shape": (2, 2, 1)},
+                  {"input_shape": (8, 8, 0)}, {"conv_channels": (0, 0)}, {"fc1_width": 0},
+                  {"hidden_width": 0}, {"num_classes": 0}):
+        with pytest.raises(ValueError, match="pooling chain|layer sizes must be positive"):
+            dn.build_architecture("mnist_small", **{"input_shape": (8, 8, 1), **sizes})
 
 
 def test_forward_is_deterministic_bitwise():

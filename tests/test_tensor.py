@@ -43,6 +43,14 @@ def test_truncated_tensor_file_errors(tmp_path):
         dn.load_bundle(path)
 
 
+def test_manifest_longer_than_the_file_is_refused_before_reading(tmp_path):
+    # read() would allocate the declared ~4 GiB up front.
+    path = tmp_path / "b.bin"
+    path.write_bytes(b"DTRB0001" + struct.pack("<I", 0xFFFFFFF0) + b"{}")
+    with pytest.raises(dn.CheckpointError, match="manifest declares 4294967280 bytes, 2 are left"):
+        dn.load_bundle(path)
+
+
 def test_bundle_round_trip_and_truncation(tmp_path):
     path = tmp_path / "b.bin"
     arrays = {"a": np.arange(4.0), "b": np.ones((2, 2))}
