@@ -36,7 +36,6 @@ class RunConfig:
     # model
     arch: str = "mnist_small"
     hidden_width: int = 100
-    fc_width: int = 1024
     # objective
     lambda_discriminant: float = 0.0
     lambda_adaptive_discriminant: float = 0.0
@@ -84,8 +83,8 @@ class RunConfig:
             raise ConfigError("momentum must lie in [0, 1)")
         if self.lr_drop_factor <= 0 or self.lr_drop_period < 1:
             raise ConfigError("lr_drop_factor and lr_drop_period must be positive")
-        if self.hidden_width < 1 or self.fc_width < 1:
-            raise ConfigError("hidden_width and fc_width must be positive")
+        if self.hidden_width < 1:
+            raise ConfigError("hidden_width must be positive")
         if self.dataset == "synth" and (self.synth_size < 1 or self.synth_per_class < 1):
             raise ConfigError("synth_size and synth_per_class must be positive")
         if self.dataset == "synth" and not 2 <= self.synth_classes <= self.synth_size**2:
@@ -122,9 +121,10 @@ _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 _FLOAT_FIELDS = tuple(name for name, value in _DEFAULTS.items() if isinstance(value, float))
 
 # Former RunConfig fields, now fixed: the losses' variance floor, the
-# cross-entropy reduction (always the batch mean), and the augmentation
-# bounds in data.py. Config files and checkpoints written while they were
-# fields list them, so each still loads, but only at its fixed value.
+# cross-entropy reduction (always the batch mean), the augmentation
+# bounds in data.py, and the width of the comparison network's first
+# fully connected layer. Config files and checkpoints written while they
+# were fields list them, so each still loads, but only at its fixed value.
 _RETIRED = {
     "epsilon": VAR_FLOOR,
     "ce_reduction": "mean",
@@ -132,6 +132,7 @@ _RETIRED = {
     "augment_translate_frac": MAX_SHIFT_FRAC,
     "augment_scale_low": SCALE_RANGE[0],
     "augment_scale_high": SCALE_RANGE[1],
+    "fc_width": 1024,
 }
 
 
@@ -192,13 +193,16 @@ def load_config_file(path, base=None):
 
 
 def config_to_text(cfg):
-    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in dataclasses.fields(RunConfig)]
+    """Config-file text that reads back as ``cfg``. A setting with a ``#``, a
+    line break or surrounding whitespace would not, so it raises ConfigError."""
+    lines = []
+    for name, value in dataclasses.asdict(cfg).items():
+        text = str(value)
+        if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+            raise ConfigError(f"{name} {value!r} would not read back from a config file; "
+                              "drop its '#', line breaks and surrounding whitespace")
+        lines.append(f"{name} = {text}")
     return "\n".join(lines) + "\n"
-
-
-def save_config_file(cfg, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(config_to_text(cfg))
 
 
 # Published hyperparameter tuples. The preliminary MNIST protocol:

@@ -99,26 +99,19 @@ class Network:
         return out
 
     def parameters(self):
-        items = []
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.parameters():
-                items.append((f"layers.{i}.{name}", arr))
-        return items
+        return [(f"layers.{i}.{name}", arr)
+                for i, layer in enumerate(self.layers) for name, arr in layer.parameters()]
 
     def gradients(self):
-        grads = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.parameter_grads():
-                grads[f"layers.{i}.{name}"] = arr
-        return grads
+        return {f"layers.{i}.{name}": arr
+                for i, layer in enumerate(self.layers) for name, arr in layer.parameter_grads()}
 
     def state_arrays(self):
         """Live checkpointed arrays by name: the parameters, then each
         layer's persistent state as ``layers.{i}.state.{name}``."""
         arrays = dict(self.parameters())
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.state():
-                arrays[f"layers.{i}.state.{name}"] = arr
+        arrays.update((f"layers.{i}.state.{name}", arr)
+                      for i, layer in enumerate(self.layers) for name, arr in layer.state())
         return arrays
 
     def save(self, path, extra_manifest=None, extra_arrays=None):
@@ -149,11 +142,20 @@ class Network:
             raise CheckpointError("not a checkpoint bundle")
         try:
             params = dict(manifest.get("arch_params", {}))
+            for key, fixed in _RETIRED.items():
+                value = params.pop(key, fixed)
+                if value != fixed:
+                    raise ValueError(f"{key} is retired; it must be {fixed!r}, got {value!r}")
             net = build_architecture(manifest.get("arch"), **params)
-        except (TypeError, ValueError) as e:  # an unknown arch or arch_params entry
+        except (TypeError, ValueError) as e:  # unknown arch or entry; retired entry off its value
             raise CheckpointError(f"checkpoint carries an invalid arch or arch_params: {e}") from e
         restore_arrays(net.state_arrays(), arrays)
         return net, manifest, arrays
+
+
+# Former build_architecture parameters, fixed at the widths every run built.
+# Older checkpoints list them in arch_params; each loads only at that value.
+_RETIRED = {"conv_channels": [32, 64], "fc1_width": 256, "fc_width": 1024, "dropout_keep": 0.5}
 
 
 def _check_pool_chain(h, w, pools):
@@ -171,17 +173,15 @@ def build_architecture(
     num_classes=10,
     rng=None,
     hidden_width=100,
-    fc_width=1024,
-    conv_channels=None,
-    fc1_width=256,
-    dropout_keep=0.5,
     dtype="float64",
 ):
     """Construct one of the two stock classification networks.
 
-    "mnist_small": two conv/pool stages then three fully connected
-    layers. "comparison": nine conv stages with batchnorm, three pools,
-    then three fully connected layers with dropout. Both expose the
+    "mnist_small": conv/pool stages of 32 and 64 channels, then dense
+    layers of 256, ``hidden_width`` and ``num_classes`` units. "comparison":
+    nine conv stages with batchnorm, three pools, then dense layers of
+    1024, ``hidden_width`` and ``num_classes`` units, each of the first
+    two followed by dropout at keep probability 0.5. Both expose the
     ``hidden_preact`` tap (width ``hidden_width``) feeding the final
     classifier, and the ``logits`` tap at the output. Parameters and
     activations are ``dtype``, float32 or float64. Weights, and the
@@ -194,28 +194,19 @@ def build_architecture(
     if dt.name not in DTYPES:
         raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
     h, w, c = (int(d) for d in input_shape)
-    arch_params = {
-        "input_shape": (h, w, c),
-        "num_classes": int(num_classes),
-        "hidden_width": int(hidden_width),
-        "dtype": dt.name,
-    }
     if arch == "mnist_small":
-        cc = tuple(conv_channels) if conv_channels else (32, 64)
         _check_pool_chain(h, w, 2)
-        arch_params.update({"conv_channels": cc, "fc1_width": int(fc1_width)})
-        flat = (h // 4) * (w // 4) * cc[1]
         layers = [
-            Conv2d(c, cc[0], padding=1, rng=rng, dtype=dt),
+            Conv2d(c, 32, padding=1, rng=rng, dtype=dt),
             ReLU(),
             MaxPool2x2(),
-            Conv2d(cc[0], cc[1], padding=1, rng=rng, dtype=dt),
+            Conv2d(32, 64, padding=1, rng=rng, dtype=dt),
             ReLU(),
             MaxPool2x2(),
             Flatten(),
-            Dense(flat, fc1_width, rng, dt),
+            Dense((h // 4) * (w // 4) * 64, 256, rng, dt),
             ReLU(),
-            Dense(fc1_width, hidden_width, rng, dt),
+            Dense(256, hidden_width, rng, dt),
             ReLU(),
             Dense(hidden_width, num_classes, rng, dt),
         ]
@@ -228,7 +219,6 @@ def build_architecture(
                 f"input {h}x{w} is incompatible with the pooling chain "
                 f"(unpadded convolutions leave {side_h}x{side_w})"
             )
-        arch_params.update({"fc_width": int(fc_width), "dropout_keep": float(dropout_keep)})
         flat = (side_h // 2) * (side_w // 2) * 128
         layers = []
 
@@ -251,12 +241,12 @@ def build_architecture(
         layers.append(Flatten())
         layers.extend(
             [
-                Dense(flat, fc_width, rng, dt),
+                Dense(flat, 1024, rng, dt),
                 ReLU(),
-                Dropout(dropout_keep, rng),
-                Dense(fc_width, hidden_width, rng, dt),
+                Dropout(0.5, rng),
+                Dense(1024, hidden_width, rng, dt),
                 ReLU(),
-                Dropout(dropout_keep, rng),
+                Dropout(0.5, rng),
                 Dense(hidden_width, num_classes, rng, dt),
             ]
         )
@@ -264,4 +254,6 @@ def build_architecture(
         taps = {"hidden_preact": hidden_idx, "logits": len(layers) - 1}
     else:
         raise ValueError(f"unknown architecture {arch!r}")
+    arch_params = {"input_shape": (h, w, c), "num_classes": int(num_classes),
+                   "hidden_width": int(hidden_width), "dtype": dt.name}
     return Network(layers, taps, arch=arch, arch_params=arch_params, dtype=dt)

@@ -41,6 +41,8 @@ def class_ids(labels, num_classes, n=None):
     or one int when n is None. Anything else raises ValueError."""
     if n is None:
         try:
+            if isinstance(labels, bool):  # operator.index takes True for 1
+                raise TypeError
             ids = lo = hi = operator.index(labels)
         except TypeError:
             raise ValueError(f"a class id must be an integer, got {labels!r}") from None

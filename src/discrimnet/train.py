@@ -11,7 +11,7 @@ import dataclasses
 import os
 import time
 
-from .config import ConfigError, RunConfig, config_from_stored, save_config_file
+from .config import ConfigError, RunConfig, config_from_stored, config_to_text
 from .data import IdxFormatError, augment_batch, load_idx_dir, synth_blobs
 from .losses import (
     CSV_COLUMNS,
@@ -99,6 +99,7 @@ def run_training(cfg: RunConfig, progress=False):
     ``test_acc`` come from a full eval-mode pass after the epoch.
     """
     cfg.validate()
+    config_text = config_to_text(cfg)
     train, test = load_run_datasets(cfg)
     num_classes = train.num_classes
     model_rng = seeded_rng(cfg.seed, _MODEL_STREAM)
@@ -106,7 +107,7 @@ def run_training(cfg: RunConfig, progress=False):
     try:
         net = build_architecture(
             cfg.arch, input_shape=(h, w, c), num_classes=num_classes, rng=model_rng,
-            hidden_width=cfg.hidden_width, fc_width=cfg.fc_width, dtype=cfg.dtype,
+            hidden_width=cfg.hidden_width, dtype=cfg.dtype,
         )
     except ValueError as e:  # the input size does not fit the architecture
         raise ConfigError(str(e)) from e
@@ -115,7 +116,8 @@ def run_training(cfg: RunConfig, progress=False):
 
     run_dir = cfg.out_dir
     os.makedirs(run_dir, exist_ok=True)
-    save_config_file(cfg, os.path.join(run_dir, "config.txt"))
+    with open(os.path.join(run_dir, "config.txt"), "w", encoding="utf-8") as f:
+        f.write(config_text)
 
     # One copy of the train images in the network's dtype, so training
     # batches and augment_batch run in it.

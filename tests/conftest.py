@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import discrimnet as dn
+
 
 def finite_difference(f, x, h=1e-5):
     """Central-difference gradient of scalar f at x, elementwise."""
@@ -21,6 +23,54 @@ def finite_difference(f, x, h=1e-5):
         flat[i] = orig
         gflat[i] = (fp - fm) / (2.0 * h)
     return grad
+
+
+def small_chain(spec, input_shape, rng, taps=None, dtype="float64"):
+    """A ``dn.Network`` of the layers ``spec`` lists, each sized to the
+    output of the one before it on (n,) + ``input_shape`` batches.
+
+    Entries: ``("conv", channels, padding)``, ``("dense", width)``,
+    ``("dropout", keep)``, ``"relu"``, ``"pool"``, ``"flatten"`` and
+    ``"bn"``. Weights and dropout masks draw from ``rng`` in chain order,
+    as ``build_architecture`` draws them. ``taps`` defaults to a
+    ``logits`` tap at the last layer.
+    """
+    shape, dt = tuple(input_shape), np.dtype(dtype)
+    layers = []
+    for entry in spec:
+        kind, *args = (entry,) if isinstance(entry, str) else entry
+        if kind == "conv":
+            channels, padding = args
+            layers.append(dn.Conv2d(shape[-1], channels, padding, rng, dt))
+            grow = 2 * padding - 2  # a 3x3 kernel
+            shape = (shape[0] + grow, shape[1] + grow, channels)
+        elif kind == "dense":
+            layers.append(dn.Dense(shape[-1], args[0], rng, dt))
+            shape = (args[0],)
+        elif kind == "pool":
+            layers.append(dn.MaxPool2x2())
+            shape = (shape[0] // 2, shape[1] // 2, shape[2])
+        elif kind == "flatten":
+            layers.append(dn.Flatten())
+            shape = (int(np.prod(shape)),)
+        elif kind == "bn":
+            layers.append(dn.BatchNorm(shape[-1], dt))
+        elif kind == "relu":
+            layers.append(dn.ReLU())
+        elif kind == "dropout":
+            layers.append(dn.Dropout(args[0], rng))
+        else:
+            raise ValueError(f"unknown layer kind {kind!r}")
+    return dn.Network(layers, taps or {"logits": len(layers) - 1}, dtype=dtype)
+
+
+def narrow_mnist_small(seed=0, channels=2, fc1=10, hidden=8, classes=3, dtype="float64"):
+    """The ``mnist_small`` chain and taps at 8x8 input and narrower widths
+    than the stock 32/64 channels and 256-wide fc1."""
+    spec = [("conv", channels, 1), "relu", "pool", ("conv", channels, 1), "relu", "pool",
+            "flatten", ("dense", fc1), "relu", ("dense", hidden), "relu", ("dense", classes)]
+    taps = {"hidden_preact": 9, "logits": 11}
+    return small_chain(spec, (8, 8, 1), dn.seeded_rng(seed), taps, dtype)
 
 
 def rel_error(a, b):

@@ -20,6 +20,7 @@ from discrimnet.train import load_run_datasets
 from conftest import (
     finite_difference,
     masked_weighted_mean_direct,
+    narrow_mnist_small,
     rel_error,
     separation_ratio_from_histogram,
     weighted_moments_direct,
@@ -205,10 +206,7 @@ def test_3_full_network_gradient_check():
         alpha=0.9,
         hidden_width=8,
     )
-    net = dn.build_architecture(
-        "mnist_small", input_shape=(8, 8, 1), num_classes=3, rng=dn.seeded_rng(30),
-        conv_channels=(2, 2), fc1_width=16, hidden_width=cfg.hidden_width,
-    )
+    net = narrow_mnist_small(seed=30, fc1=16, hidden=cfg.hidden_width)
     rng = dn.seeded_rng(31)
     x = rng.normal(size=(4, 8, 8, 1))
     labels = rng.integers(0, 3, 4)

@@ -21,7 +21,12 @@ from discrimnet.config import (
 )
 from discrimnet.train import load_run_datasets
 from discrimnet.tensor import BUNDLE_MAGIC, TENSOR_MAGIC
-from conftest import separation_ratio_from_histogram, write_idx_dir, write_idx_split
+from conftest import (
+    narrow_mnist_small,
+    separation_ratio_from_histogram,
+    write_idx_dir,
+    write_idx_split,
+)
 
 
 def synth_config(tmp_path, name="run", **overrides):
@@ -155,7 +160,7 @@ def test_every_preset_builds_its_network():
         size, classes = (cfg.synth_size, cfg.synth_classes) if cfg.dataset == "synth" else (28, 10)
         net = dn.build_architecture(
             cfg.arch, input_shape=(size, size, 1), num_classes=classes,
-            hidden_width=cfg.hidden_width, fc_width=cfg.fc_width, dtype="float32",
+            hidden_width=cfg.hidden_width, dtype="float32",
         )
         logits = net.forward(np.zeros((2, size, size, 1), np.float32), train=True)["logits"]
         assert logits.shape == (2, DATASET_CLASSES[name.split("-")[0]]), name
@@ -270,10 +275,7 @@ def test_subsets_apply_to_synth_data(tmp_path):
 
 def test_untrained_model_is_at_chance_level():
     ds = dn.synth_blobs(4, 8, 100, 6.0, dn.seeded_rng(3))
-    net = dn.build_architecture(
-        "mnist_small", input_shape=(8, 8, 1), num_classes=4, rng=dn.seeded_rng(5),
-        conv_channels=(4, 4), fc1_width=16, hidden_width=8,
-    )
+    net = narrow_mnist_small(seed=5, channels=4, fc1=16, classes=4)
     _, acc = dn.evaluate(net, ds, 50)
     assert abs(acc - 0.25) < 0.05 or acc < 0.4  # near 1/K for a fresh net
 
@@ -426,12 +428,18 @@ def test_cli_readers_check_the_data_override_against_the_network(tmp_path, capsy
     (lambda m: m["arch_params"].update(fc1_width=0), "arch_params"),
     (lambda m: m["arch_params"].update(conv_channels=[0, 0]), "arch_params"),
     (lambda m: m["arch_params"].update(input_shape=[0, 0, 1]), "arch_params"),
+    # retired build parameters off the widths every run built
+    (lambda m: m["arch_params"].update(dropout_keep=0.3), "arch_params"),
+    (lambda m: m["arch_params"].update(fc_width=8), "arch_params"),
+    (lambda m: m["config"].update(fc_width=8), "fc_width"),
 ], ids=["unknown-config-key", "invalid-config-value", "unknown-arch-param", "unknown-arch",
         "no-config", "arch-params-not-a-mapping", "input-shape-not-a-sequence",
         "hidden-width-mismatch-with-center-loss", "hidden-width-mismatch-without-center-loss",
         "retired-key-off-its-value", "retired-augment-bound-off-its-value",
         "float-batch-size", "float-synth-per-class", "float-train-subset", "string-epochs",
-        "int-augment", "zero-fc1-width", "zero-conv-channels", "zero-input-shape"])
+        "int-augment", "zero-fc1-width", "zero-conv-channels", "zero-input-shape",
+        "retired-dropout-keep-off-its-value", "retired-arch-fc-width-off-its-value",
+        "retired-config-fc-width-off-its-value"])
 def test_cli_rejects_malformed_checkpoint_manifest(synth_run, tmp_path, edit, named):
     _, run_dir = synth_run
     manifest, arrays = dn.load_bundle(os.path.join(run_dir, "final.ckpt"))
@@ -474,7 +482,7 @@ def test_cli_rejects_malformed_checkpoint_state(synth_run, tmp_path, capsys):
 
 def test_cli_rejects_malformed_batchnorm_state(tmp_path, capsys):
     cfg = synth_config(tmp_path, name="cmp", arch="comparison", synth_size=32, synth_classes=2,
-                       synth_per_class=4, epochs=1, fc_width=8, hidden_width=8, dtype="float32")
+                       synth_per_class=4, epochs=1, hidden_width=8, dtype="float32")
     run_dir = dn.run_training(cfg)
     ckpt = os.path.join(run_dir, "final.ckpt")
     for name in ("layers.1.state.running_mean", "layers.1.state.batches_seen"):
@@ -559,12 +567,17 @@ augment_rotation_deg = 10.0
 augment_translate_frac = 0.1
 augment_scale_low = 0.9
 augment_scale_high = 1.1
+fc_width = 1024
 """
 
 
 def test_retired_keys_load_at_their_fixed_values(synth_run, tmp_path, capsys):
     cfg, run_dir = synth_run
     assert parse_config_text(config_to_text(cfg) + RETIRED_LINES) == cfg
+    path = tmp_path / "old.txt"
+    path.write_text(config_to_text(synth_config(tmp_path, epochs=1)) + RETIRED_LINES)
+    assert main(["train", "--config", str(path), "--quiet"]) == 0
+    capsys.readouterr()
     ckpt = os.path.join(run_dir, "final.ckpt")
     assert main(["eval", "--ckpt", ckpt]) == 0
     want = capsys.readouterr().out
@@ -572,6 +585,11 @@ def test_retired_keys_load_at_their_fixed_values(synth_run, tmp_path, capsys):
     manifest["config"].update(
         epsilon=1e-8, ce_reduction="mean", augment_rotation_deg=10.0,
         augment_translate_frac=0.1, augment_scale_low=0.9, augment_scale_high=1.1,
+        fc_width=1024,
+    )
+    # The build parameters checkpoints listed before the stock widths were fixed.
+    manifest["arch_params"].update(
+        conv_channels=[32, 64], fc1_width=256, fc_width=1024, dropout_keep=0.5,
     )
     old = str(tmp_path / "old.ckpt")
     dn.save_bundle(old, manifest, arrays)
@@ -582,6 +600,7 @@ def test_retired_keys_load_at_their_fixed_values(synth_run, tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "epsilon = 0.5", "ce_reduction = sum", "augment_rotation_deg = -10",
     "augment_translate_frac = -0.1", "augment_scale_low = 0", "augment_scale_high = nan",
+    "fc_width = 8",
 ])
 def test_cli_rejects_retired_keys_off_their_fixed_values(tmp_path, capsys, line):
     path = tmp_path / "cfg.txt"
@@ -590,6 +609,33 @@ def test_cli_rejects_retired_keys_off_their_fixed_values(tmp_path, capsys, line)
     assert main(["train", "--config", str(path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and line.split()[0] in err, err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("out_dir", "exp#1"), ("out_dir", "pad "), ("out_dir", "two\nlines"),
+    ("data_dir", " data"), ("data_dir", "data#2"), ("data_dir", "one\u2028more"),
+])
+def test_cli_refuses_a_path_config_txt_cannot_carry(synth_run, tmp_path, capsys, key, value):
+    # config.txt reads '#' as a comment, strips each value and splits
+    # lines, so such a path would read back as another one.
+    flag = {"out_dir": "--out", "data_dir": "--data-dir"}[key]
+    path = str(tmp_path / value) if key == "out_dir" else value
+    cfg_path = write_config(synth_config(tmp_path, epochs=1), tmp_path / "cfg.txt")
+    assert main(["train", "--config", cfg_path, "--quiet", flag, path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err, err
+    assert os.listdir(tmp_path) == ["cfg.txt"]  # no run directory was made
+    # A checkpoint that stores such a path still loads and evaluates.
+    _, run_dir = synth_run
+    ckpt = os.path.join(run_dir, "final.ckpt")
+    assert main(["eval", "--ckpt", ckpt]) == 0
+    want = capsys.readouterr().out
+    manifest, arrays = dn.load_bundle(ckpt)
+    manifest["config"][key] = path
+    stored = str(tmp_path / "stored.ckpt")
+    dn.save_bundle(stored, manifest, arrays)
+    assert main(["eval", "--ckpt", stored]) == 0
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize("override", [

@@ -122,7 +122,7 @@ def test_absent_class_sides_rejects_labels_that_are_not_class_ids(case):
         dn.losses.absent_class_sides(BAD_LABELS[case], 3)
 
 
-@pytest.mark.parametrize("label", [1.7, -1, 3, np.array([1]), "1"])
+@pytest.mark.parametrize("label", [1.7, -1, 3, np.array([1]), "1", True, False])
 def test_per_sample_updates_reject_a_label_that_is_not_one_class_id(label):
     stats, bank = dn.NeuronClassStats(3, 0.5), dn.CenterBank(3, 2)
     with pytest.raises(ValueError, match="class id"):

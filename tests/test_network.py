@@ -3,23 +3,18 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 import discrimnet as dn
-from conftest import finite_difference, rel_error, traced_peak
+from conftest import finite_difference, narrow_mnist_small, rel_error, small_chain, traced_peak
 
 
-def small_net(seed=0, hidden=8, classes=3, dtype="float64"):
-    return dn.build_architecture(
-        "mnist_small",
-        input_shape=(8, 8, 1),
-        num_classes=classes,
-        rng=dn.seeded_rng(seed),
-        conv_channels=(2, 2),
-        fc1_width=10,
-        hidden_width=hidden,
-        dtype=dtype,
-    )
+def stock_net(seed=0):
+    """The stock mnist_small at its own widths, on 8x8 input in 3 classes."""
+    return dn.build_architecture("mnist_small", input_shape=(8, 8, 1), num_classes=3,
+                                 rng=dn.seeded_rng(seed), hidden_width=8)
 
 
 def layer_shapes(net, x):
@@ -90,28 +85,27 @@ def test_pooling_chain_validation():
     # Zero sizes: sides below 2**pools pass the divisibility test (0 % 4 == 0),
     # and an empty layer has a zero fan-in.
     for sizes in ({"input_shape": (0, 0, 1)}, {"input_shape": (2, 2, 1)},
-                  {"input_shape": (8, 8, 0)}, {"conv_channels": (0, 0)}, {"fc1_width": 0},
-                  {"hidden_width": 0}, {"num_classes": 0}):
+                  {"input_shape": (8, 8, 0)}, {"hidden_width": 0}, {"num_classes": 0}):
         with pytest.raises(ValueError, match="pooling chain|layer sizes must be positive"):
             dn.build_architecture("mnist_small", **{"input_shape": (8, 8, 1), **sizes})
 
 
 def test_forward_is_deterministic_bitwise():
     x = dn.seeded_rng(40).normal(size=(4, 8, 8, 1))
-    a = small_net(seed=7).forward(x)["logits"]
-    b = small_net(seed=7).forward(x)["logits"]
+    a = stock_net(seed=7).forward(x)["logits"]
+    b = stock_net(seed=7).forward(x)["logits"]
     assert_array_equal(a, b)
 
 
 def test_different_seeds_differ():
     x = dn.seeded_rng(41).normal(size=(2, 8, 8, 1))
-    a = small_net(seed=1).forward(x)["logits"]
-    b = small_net(seed=2).forward(x)["logits"]
+    a = stock_net(seed=1).forward(x)["logits"]
+    b = stock_net(seed=2).forward(x)["logits"]
     assert np.any(a != b)
 
 
 def test_backward_fills_all_parameter_gradients():
-    net = small_net()
+    net = narrow_mnist_small()
     x = dn.seeded_rng(42).normal(size=(4, 8, 8, 1))
     taps = net.forward(x, train=True)
     net.backward({"logits": np.ones_like(taps["logits"])})
@@ -123,7 +117,7 @@ def test_backward_fills_all_parameter_gradients():
 
 
 def test_full_network_gradient_check_with_logits_loss():
-    net = small_net(seed=3)
+    net = narrow_mnist_small(seed=3)
     rng = dn.seeded_rng(43)
     x = rng.normal(size=(4, 8, 8, 1))
     t = rng.integers(0, 3, 4)
@@ -150,7 +144,7 @@ def test_full_network_gradient_check_with_logits_loss():
 def test_tap_gradient_injection_adds_to_backprop():
     # Injecting a gradient at hidden_preact must change earlier-layer
     # gradients but leave later layers' parameter gradients alone.
-    net = small_net(seed=5)
+    net = narrow_mnist_small(seed=5)
     x = dn.seeded_rng(44).normal(size=(4, 8, 8, 1))
     taps = net.forward(x, train=True)
     dz = np.ones_like(taps["logits"])
@@ -168,7 +162,7 @@ def test_tap_gradient_injection_adds_to_backprop():
 
 
 def test_backward_rejects_unknown_taps_and_requires_forward():
-    net = small_net()
+    net = narrow_mnist_small()
     with pytest.raises(RuntimeError):
         net.backward({"logits": np.zeros((1, 3))})
     net.forward(np.zeros((1, 8, 8, 1)), train=True)
@@ -177,7 +171,7 @@ def test_backward_rejects_unknown_taps_and_requires_forward():
 
 
 def test_backward_after_an_eval_forward_raises():
-    net = small_net()
+    net = narrow_mnist_small()
     x = dn.seeded_rng(52).normal(size=(2, 8, 8, 1))
     taps = net.forward(x, train=True)
     net.backward({"logits": np.ones_like(taps["logits"])})
@@ -187,7 +181,7 @@ def test_backward_after_an_eval_forward_raises():
 
 
 def test_checkpoint_round_trip(tmp_path):
-    net = small_net(seed=9)
+    net = stock_net(seed=9)
     x = dn.seeded_rng(45).normal(size=(2, 8, 8, 1))
     want = net.forward(x)["logits"]
     path = tmp_path / "net.ckpt"
@@ -200,7 +194,7 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_predict_concatenates_batches_in_the_network_dtype():
-    net = small_net(seed=3, dtype="float32")
+    net = narrow_mnist_small(seed=3, dtype="float32")
     x = dn.seeded_rng(47).normal(size=(7, 8, 8, 1))
     whole = net.forward(x)
     got = net.predict(x, 3)  # batches of 3, 3 and 1
@@ -234,7 +228,7 @@ def test_predict_holds_each_output_once():
     # each output twice (a peak of 2.13 times the returned bytes at numpy
     # 2.4); writing each batch into preallocated rows holds it once, plus
     # one batch of activations (1.16 times).
-    net = small_net(seed=4, hidden=256, classes=10)
+    net = narrow_mnist_small(seed=4, hidden=256, classes=10)
     x = dn.seeded_rng(53).normal(size=(2000, 8, 8, 1))
     got = {}
     peak, _ = traced_peak(lambda: got.update(net.predict(x, 40)))
@@ -356,7 +350,7 @@ def test_hidden_preact_tap_keeps_its_negative_entries(train):
     # hidden_preact (layer 9) feeds relu3, which works in place, so the
     # network must copy it first. Reference: each layer run on a copy of
     # the previous output.
-    net = small_net(seed=5)
+    net = narrow_mnist_small(seed=5)
     x = dn.seeded_rng(59).normal(size=(6, 8, 8, 1))
     want = []
     a = x.copy()
@@ -370,7 +364,7 @@ def test_hidden_preact_tap_keeps_its_negative_entries(train):
 
 
 def test_forward_keeps_only_tap_outputs():
-    net = small_net()
+    net = narrow_mnist_small()
     conv0 = net.layers[0]
     forward = conv0.forward
     refs = []
@@ -441,7 +435,7 @@ def test_second_backward_allocates_no_second_weight_gradient():
 
 
 def test_checkpoint_truncation_is_a_clean_error(tmp_path):
-    net = small_net()
+    net = stock_net()
     path = tmp_path / "net.ckpt"
     net.save(path)
     blob = path.read_bytes()
@@ -452,7 +446,7 @@ def test_checkpoint_truncation_is_a_clean_error(tmp_path):
 
 def test_checkpoint_preserves_batchnorm_state(tmp_path):
     net = dn.build_architecture("comparison", input_shape=(32, 32, 3), num_classes=4,
-                                rng=dn.seeded_rng(11), fc_width=32, hidden_width=8)
+                                rng=dn.seeded_rng(11), hidden_width=8)
     rng = dn.seeded_rng(46)
     for _ in range(2):
         net.forward(rng.normal(size=(2, 32, 32, 3)), train=True)
@@ -487,7 +481,7 @@ def test_state_arrays_stay_live_through_training_steps():
     # A checkpoint or resume that keeps the state_arrays() dicts must see
     # the trained values: every owner updates its arrays in place.
     net = dn.build_architecture("comparison", input_shape=(32, 32, 3), num_classes=4,
-                                rng=dn.seeded_rng(12), fc_width=8, hidden_width=4)
+                                rng=dn.seeded_rng(12), hidden_width=4)
     auxes = [dn.AuxState(dn.apply_preset(name, dn.RunConfig(hidden_width=4)), 4)
              for name in ("mnist-combined", "mnist-center")]
     opt = dn.SGD(net.parameters())
@@ -509,3 +503,175 @@ def test_state_arrays_stay_live_through_training_steps():
     assert not stale, f"{len(stale)} state arrays were replaced: {stale}"
     unmoved = sorted(name for name in live if np.array_equal(live[name], before[name]))
     assert not unmoved, f"state arrays that training left unchanged: {unmoved}"
+
+
+# --- randomized chains: the network's ownership and in-place rules ------------
+
+
+def reference_outputs(net, x, train):
+    """Each layer's output, with each layer run on its own copy of the
+    previous output, and the linear piece the chain is on: the sign of
+    every ReLU input and the first maximum of every pool window."""
+    outs, piece = [], []
+    a = np.asarray(x, dtype=net.dtype)
+    for layer in net.layers:
+        if isinstance(layer, dn.ReLU):
+            piece.append(a > 0)
+        elif isinstance(layer, dn.MaxPool2x2):
+            n, h, w, c = a.shape
+            h2, w2 = h // 2, w // 2
+            windows = a[:, : 2 * h2, : 2 * w2].reshape(n, h2, 2, w2, 2, c)
+            piece.append(windows.transpose(0, 1, 3, 5, 2, 4).reshape(n, h2, w2, c, 4).argmax(-1))
+        a = layer.forward(a.copy(), train=train)
+        outs.append(a)
+    return outs, piece
+
+
+def tap_functional(net, outs, weights):
+    return sum(float(np.vdot(weights[name], outs[idx])) for name, idx in net.taps.items())
+
+
+def assert_tap_gradients_match_finite_differences(net, x, rng, before_forward=lambda: None):
+    """Backward with random tap gradients against central differences of
+    the linear functional they define, along one random unit direction
+    per parameter array. ``before_forward`` runs before every forward."""
+    before_forward()
+    outs, piece = reference_outputs(net, x, train=True)
+    weights = {name: rng.normal(size=outs[idx].shape) for name, idx in net.taps.items()}
+    before_forward()
+    net.forward(x, train=True)
+    net.backward(weights)
+    grads = net.gradients()
+    eps = 1e-6
+    for name, param in net.parameters():
+        v = rng.normal(size=param.shape)
+        v /= np.linalg.norm(v)
+        orig = param.copy()
+        sides = []
+        for sign in (1.0, -1.0):
+            param[...] = orig + sign * eps * v
+            before_forward()
+            shifted, shifted_piece = reference_outputs(net, x, train=True)
+            # Both sides on the same linear piece: no ReLU input or pool
+            # maximum changes sides, so the difference quotient is exact
+            # up to rounding (and batchnorm's smooth curvature).
+            assume(all(np.array_equal(a, b) for a, b in zip(piece, shifted_piece)))
+            sides.append(tap_functional(net, shifted, weights))
+        param[...] = orig
+        fd = (sides[0] - sides[1]) / (2 * eps)
+        analytic = float(np.vdot(grads[name], v))
+        assert abs(fd - analytic) <= 1e-5 * np.linalg.norm(grads[name]) + 1e-7, name
+
+
+@st.composite
+def chains(draw):
+    """(spec, input shape, taps) of a small float64 chain: an image stage
+    with a conv and a pool, a flatten, then a dense stage ending in the
+    logits layer."""
+    side = draw(st.sampled_from([4, 6, 8]))
+    shape = (side, side, draw(st.integers(1, 2)))
+    kinds = draw(st.lists(st.sampled_from(["conv", "relu", "pool", "bn"]), min_size=1, max_size=4))
+    if "conv" not in kinds:
+        kinds.insert(draw(st.integers(0, len(kinds))), "conv")
+    if "pool" not in kinds:
+        kinds.append("pool")
+    spec = []
+    for kind in kinds:
+        if kind == "conv":
+            padding = draw(st.sampled_from([0, 1])) if side >= 3 else 1
+            spec.append(("conv", draw(st.integers(1, 3)), padding))
+            side += 2 * padding - 2
+        elif kind == "pool" and side >= 2:
+            spec.append("pool")
+            side //= 2
+        else:
+            spec.append("relu" if kind == "pool" else kind)
+    spec.append("flatten")
+    for kind in draw(st.lists(st.sampled_from(["dense", "relu", "bn"]), max_size=3)):
+        spec.append(("dense", draw(st.integers(1, 4))) if kind == "dense" else kind)
+    spec.append(("dense", draw(st.integers(1, 3))))
+    last = len(spec) - 1
+    tapped = set(draw(st.lists(st.integers(0, last - 1), max_size=3)))
+    if draw(st.booleans()):
+        first = draw(st.integers(0, last - 1))
+        tapped |= {first, first + 1}  # adjacent taps
+    taps = {f"tap{i}": i for i in sorted(tapped - {last})}
+    taps["logits"] = last
+    return spec, shape, taps
+
+
+# conv, relu, pool, flatten, dense: taps at the conv, which the in-place
+# ReLU reads next, and on the flatten and the logits, adjacent.
+FIXED_CHAIN = ([("conv", 2, 1), "relu", "pool", "flatten", ("dense", 3)], (4, 4, 1),
+               {"conv": 0, "flat": 3, "logits": 4})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(chain=chains(), seed=st.integers(0, 2**16))
+@example(chain=FIXED_CHAIN, seed=0)
+def test_random_chains_keep_the_ownership_and_in_place_rules(chain, seed):
+    spec, shape, taps = chain
+    rng = dn.seeded_rng(seed)
+    net = small_chain(spec, shape, rng, taps)
+    x = rng.normal(size=(4,) + shape)
+    kept_x = x.copy()
+    assert_tap_gradients_match_finite_differences(net, x, rng)
+
+    # The returned taps are the layers' own outputs, and neither they nor
+    # the caller's batch change through a backward and a second forward.
+    want, _ = reference_outputs(net, x, train=True)
+    got = net.forward(x, train=True)
+    for name, idx in taps.items():
+        assert_array_equal(got[name], want[idx])
+    kept = {name: f.copy() for name, f in got.items()}
+    net.backward({name: rng.normal(size=f.shape) for name, f in got.items()})
+    net.forward(x, train=True)
+    assert_array_equal(x, kept_x)
+    for name, f in got.items():
+        assert_array_equal(f, kept[name])
+
+    # Batches of b, b and a short one, each at least large enough that
+    # every conv and pool runs more than one chunk.
+    pixels = [out.shape[1] * out.shape[2] for layer, out in zip(net.layers, want)
+              if isinstance(layer, (dn.Conv2d, dn.MaxPool2x2))]
+    b = dn.layers.ROWS // min(pixels) + 1
+    images = rng.normal(size=(2 * b + b // 2 + 1,) + shape)
+    predicted = net.predict(images, b)
+    batches = [net.forward(images[i : i + b]) for i in range(0, len(images), b)]
+    for name, features in predicted.items():
+        want_bits = np.concatenate([batch[name] for batch in batches])
+        assert_array_equal(features.view(np.uint64), want_bits.view(np.uint64))
+
+    # An eval forward leaves no backward state, in the network or any layer.
+    with pytest.raises(RuntimeError, match="^backward needs a training forward"):
+        net.backward({name: np.ones_like(f) for name, f in got.items()})
+    for layer, out in zip(net.layers, want):
+        with pytest.raises(RuntimeError, match="needs a training forward"):
+            layer.backward(np.ones_like(out))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**16))
+def test_dropout_chain_gradients_with_a_reseeded_generator(seed):
+    # Every forward restores the generator's state, so each draws the
+    # same dropout mask and the finite differences see one function.
+    rng = dn.seeded_rng(seed)
+    net = small_chain([("dense", 6), "relu", ("dropout", 0.5), ("dense", 4), ("dropout", 0.7),
+                       ("dense", 3)], (5,), rng, {"dropped": 2, "logits": 5})
+    state = rng.bit_generator.state  # after the weights: only the masks draw from here
+
+    def reseed():
+        rng.bit_generator.state = state
+
+    x = dn.seeded_rng(seed + 1).normal(size=(7, 5))
+    kept_x = x.copy()
+    assert_tap_gradients_match_finite_differences(net, x, dn.seeded_rng(seed + 2), reseed)
+    assert_array_equal(x, kept_x)
+    dropped = net.forward(x, train=True)["dropped"]
+    eval_taps = net.forward(x, train=False)
+    want, _ = reference_outputs(net, x, train=False)
+    assert_array_equal(eval_taps["logits"], want[-1])
+    assert_array_equal(eval_taps["dropped"], want[1])  # eval dropout is the identity
+    assert not np.array_equal(dropped, eval_taps["dropped"])  # training dropout is not
+    with pytest.raises(RuntimeError, match="^backward needs a training forward"):
+        net.backward({name: np.ones_like(f) for name, f in eval_taps.items()})
