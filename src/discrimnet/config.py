@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .data import MAX_ROTATION_DEG, MAX_SHIFT_FRAC, SCALE_RANGE
 from .losses import VAR_FLOOR
 from .network import ARCHITECTURES, DTYPES
+from .optim import LR_DROP_FACTOR, MOMENTUM
 
 
 class ConfigError(ValueError):
@@ -42,12 +43,9 @@ class RunConfig:
     lambda_center: float = 0.0
     lambda_adaptive_center: float = 0.0
     alpha: float = 0.99
-    beta: float = 1.0
     # optimizer
     lr: float = 0.01
-    momentum: float = 0.9
     weight_decay: float = 0.01
-    lr_drop_factor: float = 10.0
     lr_drop_period: int = 50
     # training
     epochs: int = 100
@@ -79,10 +77,8 @@ class RunConfig:
             raise ConfigError("epochs and batch_size must be positive")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigError("momentum must lie in [0, 1)")
-        if self.lr_drop_factor <= 0 or self.lr_drop_period < 1:
-            raise ConfigError("lr_drop_factor and lr_drop_period must be positive")
+        if self.lr_drop_period < 1:
+            raise ConfigError("lr_drop_period must be positive")
         if self.hidden_width < 1:
             raise ConfigError("hidden_width must be positive")
         if self.dataset == "synth" and (self.synth_size < 1 or self.synth_per_class < 1):
@@ -97,8 +93,6 @@ class RunConfig:
                 raise ConfigError(f"{name} must be non-negative")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie strictly in (0, 1)")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError("beta must lie in [0, 1]")
         if self.lambda_center > 0 and self.lambda_adaptive_center > 0:
             raise ConfigError("enable only one of lambda_center / lambda_adaptive_center")
         return self
@@ -122,9 +116,11 @@ _FLOAT_FIELDS = tuple(name for name, value in _DEFAULTS.items() if isinstance(va
 
 # Former RunConfig fields, now fixed: the losses' variance floor, the
 # cross-entropy reduction (always the batch mean), the augmentation
-# bounds in data.py, and the width of the comparison network's first
-# fully connected layer. Config files and checkpoints written while they
-# were fields list them, so each still loads, but only at its fixed value.
+# bounds in data.py, the width of the comparison network's first fully
+# connected layer, SGD's momentum and learning-rate drop in optim.py, and
+# the minibatch center rule's update rate (each centroid takes its whole
+# damped delta). Config files and checkpoints written while they were
+# fields list them, so each still loads, but only at its fixed value.
 _RETIRED = {
     "epsilon": VAR_FLOOR,
     "ce_reduction": "mean",
@@ -133,6 +129,9 @@ _RETIRED = {
     "augment_scale_low": SCALE_RANGE[0],
     "augment_scale_high": SCALE_RANGE[1],
     "fc_width": 1024,
+    "momentum": MOMENTUM,
+    "lr_drop_factor": LR_DROP_FACTOR,
+    "beta": 1.0,
 }
 
 
@@ -220,12 +219,11 @@ _CENTER_DIM = 100
 
 _MNIST_BASE = {
     "dataset": "mnist", "arch": "mnist_small", "epochs": 100, "batch_size": 100,
-    "lr": 0.01, "momentum": 0.9, "weight_decay": 0.01,
-    "lr_drop_factor": 10.0, "lr_drop_period": 50,
+    "lr": 0.01, "weight_decay": 0.01, "lr_drop_period": 50,
 }
 _COMPARISON_BASE = {
     "arch": "comparison", "epochs": 500, "batch_size": 100,
-    "lr": 0.01, "momentum": 0.9, "lr_drop_factor": 10.0, "lr_drop_period": 100,
+    "lr": 0.01, "lr_drop_period": 100,
     "augment": True,
 }
 
@@ -242,7 +240,7 @@ PRESETS = {
     "mnist-adaptive-discriminant": {
         **_MNIST_BASE, "lambda_adaptive_discriminant": 0.01, "alpha": 0.99,
     },
-    "mnist-center": {**_MNIST_BASE, "lambda_center": 1.0 / _CENTER_DIM, "beta": 1.0},
+    "mnist-center": {**_MNIST_BASE, "lambda_center": 1.0 / _CENTER_DIM},
     "mnist-adaptive-center": {
         **_MNIST_BASE, "lambda_adaptive_center": 1.0 / _CENTER_DIM, "alpha": 0.99,
     },
@@ -261,7 +259,7 @@ PRESETS = {
     },
     "fashionmnist-center": {
         **_MNIST_BASE, "dataset": "fashion_mnist", "epochs": 500, "lr_drop_period": 100,
-        "lambda_center": 1.0 / _CENTER_DIM, "beta": 1.0,
+        "lambda_center": 1.0 / _CENTER_DIM,
     },
     "fashionmnist-combined": {
         **_MNIST_BASE, "dataset": "fashion_mnist", "epochs": 500, "lr_drop_period": 100,
@@ -277,7 +275,7 @@ PRESETS = {
     },
     "cifar10-center": {
         **_COMPARISON_BASE, **_synth(32, 10), "weight_decay": 0.01,
-        "lambda_center": 0.08 / _CENTER_DIM, "beta": 1.0,
+        "lambda_center": 0.08 / _CENTER_DIM,
     },
     "cifar10-combined": {
         **_COMPARISON_BASE, **_synth(32, 10), "weight_decay": 0.01,

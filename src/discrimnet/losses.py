@@ -205,7 +205,7 @@ class AuxState:
     Keeps a validated private copy of the run's RunConfig as ``cfg``, and
     from it the per-neuron forgetting statistics when
     ``lambda_adaptive_discriminant`` is on, a ``hidden_width``-wide centroid
-    bank (``alpha``, ``beta``) when either center weight is on.
+    bank (``alpha``) when either center weight is on.
     ``combined_objective`` is their only writer.
     """
 
@@ -216,7 +216,7 @@ class AuxState:
         if cfg.lambda_adaptive_discriminant > 0:
             self.neuron_stats = NeuronClassStats(num_classes, cfg.alpha)
         if cfg.lambda_center > 0 or cfg.lambda_adaptive_center > 0:
-            self.center_bank = CenterBank(num_classes, cfg.hidden_width, cfg.alpha, cfg.beta)
+            self.center_bank = CenterBank(num_classes, cfg.hidden_width, cfg.alpha)
 
     def state_arrays(self):
         """Live arrays of the enabled accumulators, by checkpoint name."""

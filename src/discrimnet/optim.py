@@ -5,21 +5,23 @@ import numpy as np
 from .tensor import NonFiniteError
 
 BLOCK = 1 << 15  # elements per update block: 256 KB of float64 scratch
+MOMENTUM = 0.9  # the published protocol's SGD momentum
+LR_DROP_FACTOR = 10.0  # each drop divides the learning rate tenfold
 
 
-def lr_at_epoch(epoch, base_lr, drop_factor, drop_period):
-    """Step schedule: base_lr divided by drop_factor every drop_period epochs."""
+def lr_at_epoch(epoch, base_lr, drop_period):
+    """Step schedule: base_lr divided by LR_DROP_FACTOR every drop_period epochs."""
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
-    if base_lr <= 0 or drop_factor <= 0 or drop_period < 1:
-        raise ValueError("base_lr, drop_factor and drop_period must be positive")
-    return base_lr / drop_factor ** (int(epoch) // int(drop_period))
+    if base_lr <= 0 or drop_period < 1:
+        raise ValueError("base_lr and drop_period must be positive")
+    return base_lr / LR_DROP_FACTOR ** (int(epoch) // int(drop_period))
 
 
 class SGD:
     """Momentum SGD with L2 weight decay folded into the gradient.
 
-    Per parameter: g' = g + weight_decay * w; v <- momentum * v + g';
+    Per parameter: g' = g + weight_decay * w; v <- MOMENTUM * v + g';
     w <- w - lr * v. Decay applies to weights and biases alike. Each
     (name, array) pair given gets a zeroed velocity in its own dtype;
     parameters must be C-contiguous, since they are updated through flat
@@ -36,12 +38,11 @@ class SGD:
     bit for bit.
     """
 
-    def __init__(self, params, momentum=0.9, weight_decay=0.01):
+    def __init__(self, params, weight_decay=0.01):
         self.params = list(params)
         for name, w in self.params:
             if not w.flags.c_contiguous:
                 raise ValueError(f"parameter {name} is not C-contiguous")
-        self.momentum = float(momentum)
         self.weight_decay = float(weight_decay)
         self.velocity = {name: np.zeros_like(w) for name, w in self.params}
         self._scratch = {w.dtype: np.empty(BLOCK, w.dtype) for _, w in self.params}
@@ -62,7 +63,7 @@ class SGD:
                 g_b = g_flat[start : start + BLOCK]
                 if not np.isfinite(g_b, out=self._finite[: g_b.size]).all():
                     raise NonFiniteError(f"non-finite gradient for parameter {name}; step aborted")
-        m, wd = self.momentum, self.weight_decay
+        m, wd = MOMENTUM, self.weight_decay
         for name, w in self.params:
             w_flat = w.reshape(-1)
             g_flat = grads[name].reshape(-1)

@@ -140,18 +140,14 @@ class CenterBank:
     the forgetting-mean recurrence c <- a*c + (1-a)*x.
     ``update_minibatch`` (center loss) moves every centroid once per
     batch by a damped delta rule,
-    c <- c - beta * sum(c - x_i over class members) / (1 + count).
+    c <- c - sum(c - x_i over class members) / (1 + count).
     Both move the centroids in place.
     """
 
-    def __init__(self, num_classes, dim, alpha=0.99, beta=1.0):
+    def __init__(self, num_classes, dim, alpha=0.99):
         self.num_classes = int(num_classes)
         self.dim = int(dim)
         self.alpha = _check_alpha(alpha)
-        beta = float(beta)
-        if not 0.0 <= beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {beta}")
-        self.beta = beta
         self.centers = np.zeros((self.num_classes, self.dim))
         self.steps = np.zeros(1)       # updates applied, as checkpoints store it
 
@@ -183,7 +179,7 @@ class CenterBank:
         counts = t.sum(axis=0)                                   # members per class
         sums = t.T @ x                                           # K x D
         delta = (counts[:, None] * self.centers - sums) / (1.0 + counts)[:, None]
-        self.centers -= self.beta * delta
+        self.centers -= delta
         self.steps += 1
 
     def state_arrays(self):

@@ -112,7 +112,7 @@ def run_training(cfg: RunConfig, progress=False):
     except ValueError as e:  # the input size does not fit the architecture
         raise ConfigError(str(e)) from e
     aux = AuxState(cfg, num_classes)
-    opt = SGD(net.parameters(), momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    opt = SGD(net.parameters(), weight_decay=cfg.weight_decay)
 
     run_dir = cfg.out_dir
     os.makedirs(run_dir, exist_ok=True)
@@ -130,7 +130,7 @@ def run_training(cfg: RunConfig, progress=False):
         steps_f.write(",".join(CSV_COLUMNS) + "\n")
         epochs_f.write(",".join(EPOCH_COLUMNS) + "\n")
         for epoch in range(cfg.epochs):
-            lr = lr_at_epoch(epoch, cfg.lr, cfg.lr_drop_factor, cfg.lr_drop_period)
+            lr = lr_at_epoch(epoch, cfg.lr, cfg.lr_drop_period)
             order = model_rng.permutation(len(train))
             sums, counts = {}, {}
             ce_sum, correct = 0.0, 0

@@ -141,7 +141,7 @@ def test_2_gradient_verification():
         assert rel_error(dz, fd) < 1e-4, "batch discriminant"
 
         centers = rng.normal(size=(k, d))
-        bank = dn.CenterBank(k, d, beta=1.0)
+        bank = dn.CenterBank(k, d)
         bank.centers = centers.copy()
         _, dx = dn.center_loss(x, labels, bank)
         fd = finite_difference(lambda v: dn.center_loss(v, labels, bank)[0], x)
@@ -280,7 +280,7 @@ def test_4_hand_computed_values():
     assert abs(loss - 2.0 / 11.0) < 1e-12
 
     # center loss 1.0 on the two-point fixture
-    bank = dn.CenterBank(1, 2, beta=1.0)
+    bank = dn.CenterBank(1, 2)
     bank.centers = np.array([[2.0, 0.0]])
     loss, dx = dn.center_loss(
         np.array([[1.0, 0.0], [3.0, 0.0]]), np.array([0, 0]), bank
@@ -289,7 +289,7 @@ def test_4_hand_computed_values():
     assert np.abs(dx - [[-1.0, 0.0], [1.0, 0.0]]).max() < 1e-12
 
     # minibatch center update lands on (0.5, 0.5)
-    bank = dn.CenterBank(2, 2, beta=1.0)
+    bank = dn.CenterBank(2, 2)
     bank.centers = np.array([[1.0, 1.0], [0.0, 0.0]])
     bank.update_minibatch([[0.0, 0.0]], [0])
     assert np.abs(bank.centers[0] - [0.5, 0.5]).max() < 1e-12

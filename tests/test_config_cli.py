@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import struct
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import discrimnet as dn
+import discrimnet.optim as optim
 import discrimnet.train as train_mod
 from discrimnet.cli import main
 from discrimnet.config import (
@@ -29,6 +31,9 @@ from conftest import (
 )
 
 
+_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+
+
 def synth_config(tmp_path, name="run", **overrides):
     cfg = RunConfig(
         dataset="synth",
@@ -44,6 +49,7 @@ def synth_config(tmp_path, name="run", **overrides):
         lambda_adaptive_center=0.01,
     )
     for key, value in overrides.items():
+        assert key in _FIELDS, f"{key} is not a RunConfig field"
         setattr(cfg, key, value)
     return cfg
 
@@ -107,8 +113,8 @@ def test_preset_published_tuples():
     assert combined.lambda_adaptive_center * 100 == 1.0
     assert combined.alpha == 0.99
     assert (combined.epochs, combined.batch_size) == (100, 100)
-    assert (combined.lr, combined.momentum, combined.weight_decay) == (0.01, 0.9, 0.01)
-    assert (combined.lr_drop_factor, combined.lr_drop_period) == (10.0, 50)
+    assert (combined.lr, combined.weight_decay, combined.lr_drop_period) == (0.01, 0.01, 50)
+    assert (optim.MOMENTUM, optim.LR_DROP_FACTOR) == (0.9, 10.0)
 
     acenter = apply_preset("mnist-adaptive-center")
     assert acenter.alpha == 0.99
@@ -121,7 +127,7 @@ def test_preset_published_tuples():
     assert disc.lambda_discriminant == 0.01
 
     center = apply_preset("mnist-center")
-    assert center.beta == 1.0 and center.lambda_center * 100 == 1.0
+    assert center.lambda_center * 100 == 1.0
 
     comparison = apply_preset("cifar100-combined")
     assert comparison.arch == "comparison"
@@ -432,6 +438,9 @@ def test_cli_readers_check_the_data_override_against_the_network(tmp_path, capsy
     (lambda m: m["arch_params"].update(dropout_keep=0.3), "arch_params"),
     (lambda m: m["arch_params"].update(fc_width=8), "arch_params"),
     (lambda m: m["config"].update(fc_width=8), "fc_width"),
+    (lambda m: m["config"].update(momentum=0.5), "momentum"),
+    (lambda m: m["config"].update(lr_drop_factor=2.0), "lr_drop_factor"),
+    (lambda m: m["config"].update(beta=0.5), "beta"),
 ], ids=["unknown-config-key", "invalid-config-value", "unknown-arch-param", "unknown-arch",
         "no-config", "arch-params-not-a-mapping", "input-shape-not-a-sequence",
         "hidden-width-mismatch-with-center-loss", "hidden-width-mismatch-without-center-loss",
@@ -439,7 +448,8 @@ def test_cli_readers_check_the_data_override_against_the_network(tmp_path, capsy
         "float-batch-size", "float-synth-per-class", "float-train-subset", "string-epochs",
         "int-augment", "zero-fc1-width", "zero-conv-channels", "zero-input-shape",
         "retired-dropout-keep-off-its-value", "retired-arch-fc-width-off-its-value",
-        "retired-config-fc-width-off-its-value"])
+        "retired-config-fc-width-off-its-value", "retired-momentum-off-its-value",
+        "retired-lr-drop-factor-off-its-value", "retired-beta-off-its-value"])
 def test_cli_rejects_malformed_checkpoint_manifest(synth_run, tmp_path, edit, named):
     _, run_dir = synth_run
     manifest, arrays = dn.load_bundle(os.path.join(run_dir, "final.ckpt"))
@@ -568,6 +578,9 @@ augment_translate_frac = 0.1
 augment_scale_low = 0.9
 augment_scale_high = 1.1
 fc_width = 1024
+momentum = 0.9
+lr_drop_factor = 10.0
+beta = 1.0
 """
 
 
@@ -585,7 +598,7 @@ def test_retired_keys_load_at_their_fixed_values(synth_run, tmp_path, capsys):
     manifest["config"].update(
         epsilon=1e-8, ce_reduction="mean", augment_rotation_deg=10.0,
         augment_translate_frac=0.1, augment_scale_low=0.9, augment_scale_high=1.1,
-        fc_width=1024,
+        fc_width=1024, momentum=0.9, lr_drop_factor=10.0, beta=1.0,
     )
     # The build parameters checkpoints listed before the stock widths were fixed.
     manifest["arch_params"].update(
@@ -600,7 +613,8 @@ def test_retired_keys_load_at_their_fixed_values(synth_run, tmp_path, capsys):
 @pytest.mark.parametrize("line", [
     "epsilon = 0.5", "ce_reduction = sum", "augment_rotation_deg = -10",
     "augment_translate_frac = -0.1", "augment_scale_low = 0", "augment_scale_high = nan",
-    "fc_width = 8",
+    "fc_width = 8", "momentum = nan", "momentum = -0.5", "momentum = 1.0",
+    "lr_drop_factor = 0.0", "lr_drop_factor = -1.0", "beta = -0.1", "beta = 2.0",
 ])
 def test_cli_rejects_retired_keys_off_their_fixed_values(tmp_path, capsys, line):
     path = tmp_path / "cfg.txt"
@@ -643,7 +657,6 @@ def test_cli_refuses_a_path_config_txt_cannot_carry(synth_run, tmp_path, capsys,
     {"synth_classes": 1},
     {"hidden_width": 0},
     {"lr_drop_period": 0},
-    {"lr_drop_factor": 0.0},
     {"synth_per_class": 0},
     {"lambda_center": 0.01},  # together with synth_config's adaptive center
     {"synth_size": 6},  # mnist_small halves the input twice
@@ -653,9 +666,6 @@ def test_cli_refuses_a_path_config_txt_cannot_carry(synth_run, tmp_path, capsys,
     {"lambda_adaptive_discriminant": float("nan")},
     {"lr": float("nan")},
     {"lr": float("inf")},
-    {"momentum": float("nan")},
-    {"momentum": -0.5},
-    {"momentum": 1.0},
     {"weight_decay": -0.01},
     {"synth_size": -4},  # (-4)**2 would pass the class-count check
 ])
@@ -741,7 +751,7 @@ def test_minibatch_center_trainer_path(tmp_path):
     cfg = synth_config(tmp_path, name="mbcenter", epochs=2,
                        lambda_adaptive_discriminant=0.0,
                        lambda_adaptive_center=0.0,
-                       lambda_center=0.01, beta=1.0)
+                       lambda_center=0.01)
     run_dir = dn.run_training(cfg)
     steps = open(os.path.join(run_dir, "steps.csv")).read().splitlines()
     header = steps[0].split(",")

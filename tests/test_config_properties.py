@@ -12,12 +12,12 @@ from test_config_cli import synth_config, write_config
 WEIGHTS = st.sampled_from([0.0, 0.001, 0.01])
 # Each makes any config invalid, or its input too small for the architecture.
 BAD_OVERRIDES = [
-    {"lr_drop_period": 0}, {"lr_drop_period": -1}, {"lr_drop_factor": 0.0},
-    {"lr_drop_factor": -1.0}, {"synth_per_class": 0}, {"synth_classes": 1}, {"batch_size": 0},
+    {"lr_drop_period": 0}, {"lr_drop_period": -1},
+    {"synth_per_class": 0}, {"synth_classes": 1}, {"batch_size": 0},
     {"lambda_discriminant": -0.01}, {"lambda_center": 0.01, "lambda_adaptive_center": 0.01},
     {"synth_size": 6}, {"synth_size": 0}, {"synth_size": -4},
     {"synth_size": 8, "arch": "comparison"},
-    {"momentum": -0.5}, {"momentum": 1.0}, {"weight_decay": -0.01},
+    {"weight_decay": -0.01},
 ]
 
 
@@ -39,7 +39,6 @@ def synth_overrides(draw):
         "epochs": draw(st.integers(1, 2)),
         "hidden_width": draw(st.integers(1, 3)),
         "lr_drop_period": draw(st.integers(1, 3)),
-        "lr_drop_factor": draw(st.sampled_from([10.0, 0.5, 1.0])),
         "lambda_discriminant": draw(WEIGHTS),
         "lambda_adaptive_discriminant": draw(WEIGHTS),
         "lambda_center": 0.0,

@@ -487,7 +487,7 @@ def test_combined_gradients_are_weighted_sums(batch, adaptive, center, dtype, n)
     weights = {"discriminant": 0.3 * batch, "adaptive_discriminant": 0.7 * adaptive,
                "center": 0.11 * (center == "center"),
                "adaptive_center": 0.13 * (center == "adaptive_center")}
-    cfg = dn.RunConfig(hidden_width=d, alpha=0.9, beta=0.6,
+    cfg = dn.RunConfig(hidden_width=d, alpha=0.9,
                        **{f"lambda_{name}": w for name, w in weights.items()})
     state = dn.AuxState(cfg, k)
     for _ in range(5):  # warm the accumulators away from their zero start
@@ -575,8 +575,6 @@ def test_objective_config_validation():
         {"lambda_adaptive_discriminant": -0.5},
         {"alpha": 0.0},
         {"alpha": 1.0},
-        {"beta": -0.1},
-        {"beta": 2.0},
         {"lambda_center": 1.0, "lambda_adaptive_center": 1.0},
     ):
         with pytest.raises(dn.ConfigError):
@@ -595,13 +593,13 @@ def test_aux_state_keeps_its_own_copy_of_the_config():
     z, t = random_instance(rng, n, k)
     taps = {"logits": z, "hidden_preact": rng.normal(size=(n, d))}
     settings = dict(lambda_discriminant=0.1, lambda_adaptive_discriminant=0.01,
-                    lambda_center=0.5, alpha=0.9, beta=0.5, hidden_width=d)
+                    lambda_center=0.5, alpha=0.9, hidden_width=d)
     cfg = dn.RunConfig(**settings)
     state = dn.AuxState(cfg, k)
     reference = dn.AuxState(dn.RunConfig(**settings), k)
     cfg.lambda_discriminant, cfg.lambda_adaptive_discriminant = 0.0, 1.0
     cfg.lambda_center, cfg.lambda_adaptive_center = 0.0, 2.0
-    cfg.alpha, cfg.beta, cfg.hidden_width = 0.5, 1.0, d + 1
+    cfg.alpha, cfg.hidden_width = 0.5, d + 1
     report = dn.combined_objective(state, taps, t)
     expected = dn.combined_objective(reference, taps, t)
     assert state.cfg == dn.RunConfig(**settings)

@@ -9,30 +9,32 @@ from discrimnet.optim import BLOCK
 def test_sgd_hand_fixture():
     # w=1, g=0, wd=0.01, lr=0.01 -> g'=0.01, v=0.01, w=0.9999
     w = np.array([1.0])
-    opt = dn.SGD([("w", w)], momentum=0.9, weight_decay=0.01)
+    opt = dn.SGD([("w", w)], weight_decay=0.01)
     opt.step({"w": np.array([0.0])}, lr=0.01)
     assert_allclose(opt.velocity["w"], [0.01], rtol=1e-15)
     assert_allclose(w, [0.9999], rtol=1e-15)
 
 
-def test_sgd_degenerates_to_plain_gradient_descent():
+def test_sgd_first_step_is_a_plain_gradient_step():
+    # From zero velocity, the first step without decay is w - lr * g.
     rng = dn.seeded_rng(50)
     w = rng.normal(size=6)
     g = rng.normal(size=6)
     want = w - 0.1 * g
-    opt = dn.SGD([("w", w)], momentum=0.0, weight_decay=0.0)
+    opt = dn.SGD([("w", w)], weight_decay=0.0)
     opt.step({"w": g}, lr=0.1)
     assert_array_equal(w, want)
+    assert_array_equal(opt.velocity["w"], g)
 
 
 def test_sgd_velocity_persists_with_zero_gradient():
     w = np.array([0.0])
-    opt = dn.SGD([("w", w)], momentum=0.5, weight_decay=0.0)
+    opt = dn.SGD([("w", w)], weight_decay=0.0)
     opt.velocity["w"][...] = 1.0
     opt.step({"w": np.array([0.0])}, lr=1.0)
-    assert_allclose(w, [-0.5])
+    assert_allclose(w, [-0.9])
     opt.step({"w": np.array([0.0])}, lr=1.0)
-    assert_allclose(w, [-0.75])
+    assert_allclose(w, [-1.71])
 
 
 def test_sgd_aborts_atomically_on_non_finite_gradient():
@@ -71,7 +73,7 @@ def test_sgd_shape_mismatch():
 def test_sgd_preserves_shapes_and_finiteness():
     rng = dn.seeded_rng(51)
     params = [(f"p{i}", rng.normal(size=(3, 4))) for i in range(4)]
-    opt = dn.SGD(params, momentum=0.9, weight_decay=0.01)
+    opt = dn.SGD(params, weight_decay=0.01)
     for _ in range(25):
         grads = {name: rng.normal(size=(3, 4)) for name, _ in params}
         opt.step(grads, lr=0.05)
@@ -90,7 +92,7 @@ def test_sgd_blocks_match_the_whole_array_formula(dtype, weight_decay):
     params = [(f"p{i}", rng.normal(size=shape).astype(dtype)) for i, shape in enumerate(shapes)]
     want = {name: w.copy() for name, w in params}
     velocity = {name: np.zeros_like(w) for name, w in params}
-    opt = dn.SGD(params, momentum=0.9, weight_decay=weight_decay)
+    opt = dn.SGD(params, weight_decay=weight_decay)
     for lr in (0.05, 0.05, 0.005):
         grads = {name: rng.normal(size=w.shape).astype(dtype) for name, w in params}
         opt.step(grads, lr=lr)
@@ -113,16 +115,16 @@ def test_sgd_rejects_a_parameter_it_cannot_update_in_place():
 
 
 def test_lr_schedule_published_values():
-    assert dn.lr_at_epoch(0, 0.01, 10.0, 50) == 0.01
-    assert dn.lr_at_epoch(49, 0.01, 10.0, 50) == 0.01
-    assert dn.lr_at_epoch(50, 0.01, 10.0, 50) == 0.001
-    assert dn.lr_at_epoch(100, 0.01, 10.0, 50) == pytest.approx(0.0001)
+    assert dn.lr_at_epoch(0, 0.01, 50) == 0.01
+    assert dn.lr_at_epoch(49, 0.01, 50) == 0.01
+    assert dn.lr_at_epoch(50, 0.01, 50) == 0.001
+    assert dn.lr_at_epoch(100, 0.01, 50) == pytest.approx(0.0001)
 
 
 def test_lr_schedule_is_non_increasing():
-    values = [dn.lr_at_epoch(e, 0.01, 10.0, 50) for e in range(400)]
+    values = [dn.lr_at_epoch(e, 0.01, 50) for e in range(400)]
     assert all(b <= a for a, b in zip(values, values[1:]))
-    for bad in ((-1, 0.01, 10.0, 50), (0, 0.0, 10.0, 50), (0, 0.01, 0.0, 50), (0, 0.01, 10.0, 0)):
+    for bad in ((-1, 0.01, 50), (0, 0.0, 50), (0, 0.01, 0)):
         with pytest.raises(ValueError):
             dn.lr_at_epoch(*bad)
 
@@ -131,12 +133,12 @@ def test_optimizer_state_round_trip(tmp_path):
     rng = dn.seeded_rng(52)
     for dtype in (np.float64, np.float32):
         w = rng.normal(size=5).astype(dtype)
-        opt = dn.SGD([("w", w)], momentum=0.9)
+        opt = dn.SGD([("w", w)])
         opt.step({"w": rng.normal(size=5).astype(dtype)}, lr=0.1)
         path = tmp_path / "opt.bin"
         dn.save_bundle(path, {}, opt.state_arrays())
         _, arrays = dn.load_bundle(path)
-        opt2 = dn.SGD([("w", np.zeros(5, dtype=dtype))], momentum=0.9)
+        opt2 = dn.SGD([("w", np.zeros(5, dtype=dtype))])
         dn.restore_arrays(opt2.state_arrays(), arrays)
         assert opt2.velocity["w"].dtype == dtype  # restored in the parameter's dtype
         assert_array_equal(opt2.velocity["w"], opt.velocity["w"])

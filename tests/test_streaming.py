@@ -244,14 +244,14 @@ def test_adaptive_center_sequence_matches_componentwise_closed_form():
 
 
 def test_minibatch_center_single_member():
-    bank = dn.CenterBank(2, 2, beta=1.0)
+    bank = dn.CenterBank(2, 2)
     bank.centers = np.array([[1.0, 1.0], [0.0, 0.0]])
     bank.update_minibatch([[0.0, 0.0]], [0])
     assert_array_equal(bank.centers[0], [0.5, 0.5])
 
 
 def test_minibatch_center_symmetric_pair_is_stationary():
-    bank = dn.CenterBank(1, 2, beta=1.0)
+    bank = dn.CenterBank(1, 2)
     bank.centers = np.array([[2.0, -1.0]])
     feats = [[3.0, -1.0], [1.0, -1.0]]  # symmetric about the center
     bank.update_minibatch(feats, [0, 0])
@@ -259,15 +259,13 @@ def test_minibatch_center_symmetric_pair_is_stationary():
 
 
 def test_minibatch_center_absent_class_unchanged():
-    bank = dn.CenterBank(2, 2, beta=0.7)
+    bank = dn.CenterBank(2, 2)
     bank.centers = np.array([[1.0, 2.0], [3.0, 4.0]])
     bank.update_minibatch([[5.0, 5.0]], [0])
     assert_array_equal(bank.centers[1], [3.0, 4.0])
 
 
 def test_bank_validation():
-    with pytest.raises(ValueError):
-        dn.CenterBank(2, 3, beta=1.5)
     with pytest.raises(ValueError):
         dn.CenterBank(2, 3, alpha=1.0)
     bank = dn.CenterBank(2, 3)
