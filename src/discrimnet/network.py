@@ -116,7 +116,12 @@ class Network:
 
     def save(self, path, extra_manifest=None, extra_arrays=None):
         """Write a checkpoint bundle: parameters, persistent layer state,
-        architecture identity, and any caller-supplied extras."""
+        architecture identity, and any caller-supplied extras. ``load``
+        rebuilds only the stock architectures, so saving any other network
+        raises ValueError and writes nothing."""
+        if self.arch not in ARCHITECTURES:
+            raise ValueError(f"cannot save arch {self.arch!r}: Network.load rebuilds only "
+                             f"{', '.join(ARCHITECTURES)}")
         arrays = self.state_arrays()
         if extra_arrays:
             arrays.update(extra_arrays)
@@ -146,6 +151,9 @@ class Network:
                 value = params.pop(key, fixed)
                 if value != fixed:
                     raise ValueError(f"{key} is retired; it must be {fixed!r}, got {value!r}")
+            unknown = sorted(set(params) - set(_ARCH_PARAMS))
+            if unknown:
+                raise ValueError(f"unknown entries {unknown}")
             net = build_architecture(manifest.get("arch"), **params)
         except (TypeError, ValueError) as e:  # unknown arch or entry; retired entry off its value
             raise CheckpointError(f"checkpoint carries an invalid arch or arch_params: {e}") from e
@@ -156,6 +164,8 @@ class Network:
 # Former build_architecture parameters, fixed at the widths every run built.
 # Older checkpoints list them in arch_params; each loads only at that value.
 _RETIRED = {"conv_channels": [32, 64], "fc1_width": 256, "fc_width": 1024, "dropout_keep": 0.5}
+# The arch_params entries build_architecture records, the only ones a load builds from.
+_ARCH_PARAMS = ("input_shape", "num_classes", "hidden_width", "dtype")
 
 
 def _check_pool_chain(h, w, pools):

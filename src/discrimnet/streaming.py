@@ -73,20 +73,29 @@ class NeuronClassStats:
     """Per-neuron forgetting statistics of a labeled scalar stream.
 
     For each of K output neurons this tracks, over the stream of
-    (logit row, class id) samples: the target-class mean, the
-    non-target mean, the total mean, and the within-class and total
-    variances, all under one shared forgetting factor. One ``update``
-    advances every accumulator exactly once, in place, computing
-    variance terms from pre-update means before any mean moves.
+    (logit row, class id) samples: the gated target and non-target
+    means, the total mean, and the within-class and total variances,
+    all under one shared forgetting factor. One ``update`` advances
+    every accumulator exactly once, in place, computing variance terms
+    from pre-update means before any mean moves.
+
+    The gated means are not class means. Every sample decays both, and
+    only samples of neuron k's own class (or only the others) add to
+    ``mu[k]`` (or ``mu_hat[k]``). So on a stationary stream where class
+    k has share p_k, ``mu[k]`` tends to p_k * E[z_k | y = k] and
+    ``mu_hat[k]`` to (1 - p_k) * E[z_k | y != k]: with 10 equally likely
+    classes and a target-class mean of 5, ``mu[k]`` sits near 0.5.
+    ``mu_total`` is a true forgetting mean of the whole stream, as are
+    ``CenterBank``'s per-sample centroids of each class's own samples.
     """
 
     def __init__(self, num_classes, alpha):
         self.num_classes = int(num_classes)
         self.alpha = _check_alpha(alpha)
         k = self.num_classes
-        self.mu = np.zeros(k)          # target-class mean per neuron
-        self.mu_hat = np.zeros(k)      # non-target mean per neuron
-        self.mu_total = np.zeros(k)    # total mean per neuron
+        self.mu = np.zeros(k)          # gated target mean: p_k * E[z_k | y = k] in the limit
+        self.mu_hat = np.zeros(k)      # gated non-target mean: (1 - p_k) * E[z_k | y != k]
+        self.mu_total = np.zeros(k)    # forgetting mean of each neuron over every sample
         self.var_within = np.zeros(k)
         self.var_total = np.zeros(k)
         self.steps = np.zeros(1)       # samples folded in, as checkpoints store it
@@ -137,7 +146,8 @@ class CenterBank:
     """Per-class centroid vectors and their two update rules.
 
     ``update_sample`` (adaptive center loss) moves one class centroid by
-    the forgetting-mean recurrence c <- a*c + (1-a)*x.
+    the forgetting-mean recurrence c <- a*c + (1-a)*x, so each centroid
+    is a true forgetting mean of its own class's samples.
     ``update_minibatch`` (center loss) moves every centroid once per
     batch by a damped delta rule,
     c <- c - sum(c - x_i over class members) / (1 + count).

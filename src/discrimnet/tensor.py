@@ -8,6 +8,7 @@ named array; records always store little-endian float64.
 ``restore_arrays`` is the one way they are read back into live arrays.
 """
 
+import contextlib
 import json
 import math
 import os
@@ -87,17 +88,28 @@ def save_bundle(path, manifest, arrays):
     Layout: magic DTRB0001, u32 manifest length, UTF-8 JSON manifest
     (with an "entries" list fixing record order), then one DTRN0001
     record per entry.
+
+    The bundle is written to ``<path>.<pid>.tmp`` beside ``path`` and then
+    renamed onto it, so a write that fails leaves any earlier file at
+    ``path`` as it was, and removes its temporary file.
     """
     entries = list(arrays)
     head = dict(manifest)
     head["entries"] = entries
     blob = json.dumps(head, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(BUNDLE_MAGIC)
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        for name in entries:
-            _write_tensor_record(f, np.asarray(arrays[name]))
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(BUNDLE_MAGIC)
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            for name in entries:
+                _write_tensor_record(f, np.asarray(arrays[name]))
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_bundle(path):

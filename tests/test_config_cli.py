@@ -420,6 +420,7 @@ def test_cli_readers_check_the_data_override_against_the_network(tmp_path, capsy
     (lambda m: m.pop("config"), "run config"),
     (lambda m: m.update(arch_params=5), "arch_params"),
     (lambda m: m["arch_params"].update(input_shape=7), "arch_params"),
+    (lambda m: m["arch_params"].update(rng=5), "arch_params"),
     (lambda m: m["config"].update(hidden_width=7), "hidden_width"),
     (lambda m: m["config"].update(hidden_width=7, lambda_adaptive_center=0.0), "hidden_width"),
     (lambda m: m["config"].update(epsilon=0.5), "epsilon"),
@@ -443,6 +444,7 @@ def test_cli_readers_check_the_data_override_against_the_network(tmp_path, capsy
     (lambda m: m["config"].update(beta=0.5), "beta"),
 ], ids=["unknown-config-key", "invalid-config-value", "unknown-arch-param", "unknown-arch",
         "no-config", "arch-params-not-a-mapping", "input-shape-not-a-sequence",
+        "rng-arch-param",
         "hidden-width-mismatch-with-center-loss", "hidden-width-mismatch-without-center-loss",
         "retired-key-off-its-value", "retired-augment-bound-off-its-value",
         "float-batch-size", "float-synth-per-class", "float-train-subset", "string-epochs",

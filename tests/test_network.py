@@ -193,6 +193,13 @@ def test_checkpoint_round_trip(tmp_path):
     assert_array_equal(got, want)
 
 
+def test_save_refuses_a_network_load_cannot_rebuild(tmp_path):
+    path = tmp_path / "net.ckpt"
+    with pytest.raises(ValueError, match="custom"):
+        narrow_mnist_small().save(path)
+    assert not path.exists()
+
+
 def test_predict_concatenates_batches_in_the_network_dtype():
     net = narrow_mnist_small(seed=3, dtype="float32")
     x = dn.seeded_rng(47).normal(size=(7, 8, 8, 1))

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -63,6 +64,16 @@ def test_bundle_round_trip_and_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-3])
     with pytest.raises(dn.CheckpointError):
         dn.load_bundle(path)
+
+
+def test_failed_save_keeps_the_previous_bundle(tmp_path):
+    path = tmp_path / "b.bin"
+    dn.save_bundle(path, {}, {"a": np.arange(4.0)})
+    before = path.read_bytes()
+    with pytest.raises(ValueError):  # the second array cannot become float64
+        dn.save_bundle(path, {}, {"a": np.ones(3), "b": np.array(["x"])})
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["b.bin"]  # no temporary file is left
 
 
 def test_rng_determinism():
