@@ -63,7 +63,7 @@ class SGD:
                 g_b = g_flat[start : start + BLOCK]
                 if not np.isfinite(g_b, out=self._finite[: g_b.size]).all():
                     raise NonFiniteError(f"non-finite gradient for parameter {name}; step aborted")
-        m, wd = MOMENTUM, self.weight_decay
+        wd = self.weight_decay
         for name, w in self.params:
             w_flat = w.reshape(-1)
             g_flat = grads[name].reshape(-1)
@@ -76,7 +76,7 @@ class SGD:
                 if wd:
                     np.multiply(w_b, wd, out=s)
                     s += g_b
-                v_b *= m
+                v_b *= MOMENTUM
                 v_b += s if wd else g_b
                 np.multiply(v_b, lr, out=s)
                 w_b -= s
