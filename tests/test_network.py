@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import weakref
 
@@ -88,6 +89,49 @@ def test_pooling_chain_validation():
                   {"input_shape": (8, 8, 0)}, {"hidden_width": 0}, {"num_classes": 0}):
         with pytest.raises(ValueError, match="pooling chain|layer sizes must be positive"):
             dn.build_architecture("mnist_small", **{"input_shape": (8, 8, 1), **sizes})
+
+
+# The stock networks' layer classes, in order.
+MNIST_SMALL = ([dn.Conv2d, dn.ReLU, dn.MaxPool2x2] * 2 + [dn.Flatten]
+               + [dn.Dense, dn.ReLU] * 2 + [dn.Dense])
+COMPARISON = (([dn.Conv2d, dn.BatchNorm, dn.ReLU] * 3 + [dn.MaxPool2x2]) * 3 + [dn.Flatten]
+              + [dn.Dense, dn.ReLU, dn.Dropout] * 2 + [dn.Dense])
+
+
+@pytest.mark.parametrize("arch, shape, classes, taps, digest", [
+    ("mnist_small", (28, 28, 1), MNIST_SMALL, {"hidden_preact": 9, "logits": 11},
+     "b403b8feb8dcee0a"),
+    ("comparison", (32, 32, 3), COMPARISON, {"hidden_preact": 34, "logits": 37},
+     "55821329ad934202"),
+    ("comparison", (36, 40, 3), COMPARISON, {"hidden_preact": 34, "logits": 37},
+     "5287705dc33a0b40"),
+])
+def test_stock_builders_keep_their_layers_draws_and_inputs(arch, shape, classes, taps, digest):
+    # Pins each stock network's layer list, taps and every parameter and
+    # state bit its seeded build draws, so a rewrite of the builders that
+    # moves a layer or a draw shows here.
+    net = dn.build_architecture(arch, input_shape=shape, num_classes=10, rng=dn.seeded_rng(0),
+                                hidden_width=8, dtype="float32")
+    assert [type(layer) for layer in net.layers] == classes
+    assert net.taps == taps
+    h = hashlib.sha256()
+    for name, arr in net.state_arrays().items():
+        h.update(name.encode("utf-8"))
+        h.update(arr.tobytes())
+    assert h.hexdigest()[:16] == digest
+
+    # The inputs the builders refuse, and one they accept.
+    refused = [("mnist_small", {"input_shape": (30, 28, 1)}),
+               ("comparison", {"input_shape": (28, 28, 3)}),
+               ("comparison", {"input_shape": (32, 28, 3)}),
+               ("no_such_arch", {})]
+    refused += [(name, {"input_shape": (0, 0, 3)}) for name in ("mnist_small", "comparison")]
+    refused += [(arch, {size: 0}) for size in ("hidden_width", "num_classes")]
+    for name, sizes in refused:
+        with pytest.raises(ValueError):
+            dn.build_architecture(name, **{"input_shape": shape, **sizes})
+    dn.build_architecture("comparison", input_shape=(36, 36, 3), num_classes=10,
+                          hidden_width=8, dtype="float32")  # its third pool gets an odd side
 
 
 def test_forward_is_deterministic_bitwise():
