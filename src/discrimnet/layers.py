@@ -491,15 +491,15 @@ class BatchNorm(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: active only in training mode, identity in eval.
+    """Inverted dropout at keep probability ``KEEP``: active only in
+    training mode, identity in eval.
 
     A training forward draws its keep mask from ``rng`` and keeps it,
-    scaled by 1/keep_prob, for backward."""
+    scaled by 1/KEEP, for backward."""
 
-    def __init__(self, keep_prob, rng):
-        if not 0.0 < keep_prob <= 1.0:
-            raise ValueError(f"keep probability must lie in (0, 1], got {keep_prob}")
-        self.keep_prob = float(keep_prob)
+    KEEP = 0.5
+
+    def __init__(self, rng):
         self._rng = rng
         self._mask = None
 
@@ -507,8 +507,8 @@ class Dropout(Layer):
         if not train:
             self._mask = None
             return x
-        keep = self._rng.uniform(0.0, 1.0, x.shape) < self.keep_prob
-        self._mask = keep.astype(x.dtype) / self.keep_prob
+        keep = self._rng.uniform(0.0, 1.0, x.shape) < self.KEEP
+        self._mask = keep.astype(x.dtype) / self.KEEP
         return x * self._mask
 
     def backward(self, grad, input_grad=True):

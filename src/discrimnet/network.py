@@ -8,6 +8,8 @@ declare ``hidden_preact``, the input of the ReLU that follows the
 second-to-last fully connected layer.
 """
 
+import operator
+
 import numpy as np
 
 from .layers import BatchNorm, Conv2d, Dense, Dropout, Flatten, MaxPool2x2, ReLU
@@ -154,18 +156,40 @@ class Network:
             unknown = sorted(set(params) - set(_ARCH_PARAMS))
             if unknown:
                 raise ValueError(f"unknown entries {unknown}")
+            sizes = [*params.get("input_shape", ()), params.get("num_classes", 1),
+                     params.get("hidden_width", 1)]
+            for size in sizes:  # the build's int() would take 4.7 as 4 and True as 1
+                if isinstance(size, bool):
+                    raise TypeError(f"size {size!r} is not an integer")
+                operator.index(size)  # TypeError for any other non-integer
             net = build_architecture(manifest.get("arch"), **params)
-        except (TypeError, ValueError) as e:  # unknown arch or entry; retired entry off its value
+        except (TypeError, ValueError) as e:  # bad arch, entry or size; retired entry off its value
             raise CheckpointError(f"checkpoint carries an invalid arch or arch_params: {e}") from e
         restore_arrays(net.state_arrays(), arrays)
+        for i, layer in enumerate(net.layers):
+            if isinstance(layer, BatchNorm):  # state that no run of training batches leaves
+                if layer.batches_seen[0] < 1:
+                    raise CheckpointError(f"entry layers.{i}.state.batches_seen is below 1")
+                if np.any(layer.running_var < 0):
+                    raise CheckpointError(f"entry layers.{i}.state.running_var is negative")
         return net, manifest, arrays
 
 
 # Former build_architecture parameters, fixed at the widths every run built.
 # Older checkpoints list them in arch_params; each loads only at that value.
-_RETIRED = {"conv_channels": [32, 64], "fc1_width": 256, "fc_width": 1024, "dropout_keep": 0.5}
+_RETIRED = {"conv_channels": [32, 64], "fc1_width": 256, "fc_width": 1024,
+            "dropout_keep": Dropout.KEEP}
 # The arch_params entries build_architecture records, the only ones a load builds from.
 _ARCH_PARAMS = ("input_shape", "num_classes", "hidden_width", "dtype")
+
+
+# comparison's conv stages: (out_channels, padding) of each 3x3 conv. The
+# last stage's three unpadded convs shrink each side of its input by 6.
+_COMPARISON_STAGES = (
+    ((128, 1), (128, 1), (128, 1)),
+    ((256, 1), (256, 1), (256, 1)),
+    ((512, 0), (256, 0), (128, 0)),
+)
 
 
 def _check_pool_chain(h, w, pools):
@@ -189,12 +213,13 @@ def build_architecture(
 
     "mnist_small": conv/pool stages of 32 and 64 channels, then dense
     layers of 256, ``hidden_width`` and ``num_classes`` units. "comparison":
-    nine conv stages with batchnorm, three pools, then dense layers of
-    1024, ``hidden_width`` and ``num_classes`` units, each of the first
-    two followed by dropout at keep probability 0.5. Both expose the
-    ``hidden_preact`` tap (width ``hidden_width``) feeding the final
-    classifier, and the ``logits`` tap at the output. Parameters and
-    activations are ``dtype``, float32 or float64. Weights, and the
+    the three conv stages of ``_COMPARISON_STAGES``, each conv followed by
+    batchnorm and each stage by a pool, then dense layers of 1024,
+    ``hidden_width`` and ``num_classes`` units, each of the first two
+    followed by dropout at keep probability ``Dropout.KEEP``. Both networks
+    tap ``hidden_preact`` at the output of the second-to-last Dense (width
+    ``hidden_width``) and ``logits`` at the output of the last. Parameters
+    and activations are ``dtype``, float32 or float64. Weights, and the
     dropout masks of "comparison", draw from ``rng``, a numpy Generator
     that defaults to ``seeded_rng(0)``.
     """
@@ -204,8 +229,10 @@ def build_architecture(
     if dt.name not in DTYPES:
         raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
     h, w, c = (int(d) for d in input_shape)
+    if arch not in ARCHITECTURES:
+        raise ValueError(f"unknown architecture {arch!r}")
+    _check_pool_chain(h, w, 2)
     if arch == "mnist_small":
-        _check_pool_chain(h, w, 2)
         layers = [
             Conv2d(c, 32, padding=1, rng=rng, dtype=dt),
             ReLU(),
@@ -220,50 +247,32 @@ def build_architecture(
             ReLU(),
             Dense(hidden_width, num_classes, rng, dt),
         ]
-        taps = {"hidden_preact": 9, "logits": 11}
-    elif arch == "comparison":
-        _check_pool_chain(h, w, 2)
+    else:
         side_h, side_w = h // 4 - 6, w // 4 - 6
         if side_h < 2 or side_w < 2:
             raise ValueError(
                 f"input {h}x{w} is incompatible with the pooling chain "
                 f"(unpadded convolutions leave {side_h}x{side_w})"
             )
-        flat = (side_h // 2) * (side_w // 2) * 128
-        layers = []
-
-        def conv_block(cin, cout, padding):
-            conv = Conv2d(cin, cout, padding=padding, rng=rng, dtype=dt)
-            layers.extend([conv, BatchNorm(cout, dtype=dt), ReLU()])
-
-        conv_block(c, 128, 1)
-        conv_block(128, 128, 1)
-        conv_block(128, 128, 1)
-        layers.append(MaxPool2x2())
-        conv_block(128, 256, 1)
-        conv_block(256, 256, 1)
-        conv_block(256, 256, 1)
-        layers.append(MaxPool2x2())
-        conv_block(256, 512, 0)
-        conv_block(512, 256, 0)
-        conv_block(256, 128, 0)
-        layers.append(MaxPool2x2())
-        layers.append(Flatten())
-        layers.extend(
-            [
-                Dense(flat, 1024, rng, dt),
-                ReLU(),
-                Dropout(0.5, rng),
-                Dense(1024, hidden_width, rng, dt),
-                ReLU(),
-                Dropout(0.5, rng),
-                Dense(hidden_width, num_classes, rng, dt),
-            ]
-        )
-        hidden_idx = len(layers) - 4  # the Dense feeding the last ReLU/Dropout pair
-        taps = {"hidden_preact": hidden_idx, "logits": len(layers) - 1}
-    else:
-        raise ValueError(f"unknown architecture {arch!r}")
+        layers, channels = [], c
+        for stage in _COMPARISON_STAGES:
+            for out_channels, padding in stage:
+                conv = Conv2d(channels, out_channels, padding=padding, rng=rng, dtype=dt)
+                layers.extend([conv, BatchNorm(out_channels, dtype=dt), ReLU()])
+                channels = out_channels
+            layers.append(MaxPool2x2())
+        layers += [
+            Flatten(),
+            Dense((side_h // 2) * (side_w // 2) * channels, 1024, rng, dt),
+            ReLU(),
+            Dropout(rng),
+            Dense(1024, hidden_width, rng, dt),
+            ReLU(),
+            Dropout(rng),
+            Dense(hidden_width, num_classes, rng, dt),
+        ]
+    dense = [i for i, layer in enumerate(layers) if isinstance(layer, Dense)]
+    taps = {"hidden_preact": dense[-2], "logits": dense[-1]}
     arch_params = {"input_shape": (h, w, c), "num_classes": int(num_classes),
                    "hidden_width": int(hidden_width), "dtype": dt.name}
     return Network(layers, taps, arch=arch, arch_params=arch_params, dtype=dt)

@@ -138,7 +138,8 @@ def restore_arrays(live, stored, prefix=""):
     """Copy stored checkpoint arrays into an owner's live arrays, in place.
 
     Each live entry ``name`` is read from ``stored[prefix + name]``, which
-    must exist, have the live shape and be finite; the copy takes the
+    must exist, have the live shape and stay finite in the live dtype
+    (1e39 is finite in float64 but not in float32); the copy takes the
     live dtype. Stored entries that no live entry names are ignored.
     """
     for name, arr in live.items():
@@ -148,6 +149,6 @@ def restore_arrays(live, stored, prefix=""):
         src = stored[key]
         if src.shape != arr.shape:
             raise CheckpointError(f"entry {key} has shape {src.shape}, expected {arr.shape}")
-        if not np.all(np.isfinite(src)):
-            raise CheckpointError(f"entry {key} holds non-finite values")
+        if not np.all(np.abs(src) <= np.finfo(arr.dtype).max):  # NaN fails too
+            raise CheckpointError(f"entry {key} holds values not finite in {arr.dtype}")
         arr[...] = src

@@ -30,10 +30,10 @@ def small_chain(spec, input_shape, rng, taps=None, dtype="float64"):
     output of the one before it on (n,) + ``input_shape`` batches.
 
     Entries: ``("conv", channels, padding)``, ``("dense", width)``,
-    ``("dropout", keep)``, ``"relu"``, ``"pool"``, ``"flatten"`` and
-    ``"bn"``. Weights and dropout masks draw from ``rng`` in chain order,
-    as ``build_architecture`` draws them. ``taps`` defaults to a
-    ``logits`` tap at the last layer.
+    ``"dropout"``, ``"relu"``, ``"pool"``, ``"flatten"`` and ``"bn"``.
+    Weights and dropout masks draw from ``rng`` in chain order, as
+    ``build_architecture`` draws them. ``taps`` defaults to a ``logits``
+    tap at the last layer.
     """
     shape, dt = tuple(input_shape), np.dtype(dtype)
     layers = []
@@ -58,7 +58,7 @@ def small_chain(spec, input_shape, rng, taps=None, dtype="float64"):
         elif kind == "relu":
             layers.append(dn.ReLU())
         elif kind == "dropout":
-            layers.append(dn.Dropout(args[0], rng))
+            layers.append(dn.Dropout(rng))
         else:
             raise ValueError(f"unknown layer kind {kind!r}")
     return dn.Network(layers, taps or {"logits": len(layers) - 1}, dtype=dtype)

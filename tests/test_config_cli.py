@@ -435,6 +435,11 @@ def test_cli_readers_check_the_data_override_against_the_network(tmp_path, capsy
     (lambda m: m["arch_params"].update(fc1_width=0), "arch_params"),
     (lambda m: m["arch_params"].update(conv_channels=[0, 0]), "arch_params"),
     (lambda m: m["arch_params"].update(input_shape=[0, 0, 1]), "arch_params"),
+    # sizes that are not integers, which a build through int() would truncate
+    (lambda m: m["arch_params"].update(input_shape=[8.9, 8, 1]), "arch_params"),
+    (lambda m: m["arch_params"].update(input_shape=[8, 8, True]), "arch_params"),
+    (lambda m: m["arch_params"].update(num_classes=3.0), "arch_params"),
+    (lambda m: m["arch_params"].update(hidden_width=100.7), "arch_params"),
     # retired build parameters off the widths every run built
     (lambda m: m["arch_params"].update(dropout_keep=0.3), "arch_params"),
     (lambda m: m["arch_params"].update(fc_width=8), "arch_params"),
@@ -449,6 +454,7 @@ def test_cli_readers_check_the_data_override_against_the_network(tmp_path, capsy
         "retired-key-off-its-value", "retired-augment-bound-off-its-value",
         "float-batch-size", "float-synth-per-class", "float-train-subset", "string-epochs",
         "int-augment", "zero-fc1-width", "zero-conv-channels", "zero-input-shape",
+        "float-input-shape", "bool-input-shape", "float-num-classes", "float-hidden-width",
         "retired-dropout-keep-off-its-value", "retired-arch-fc-width-off-its-value",
         "retired-config-fc-width-off-its-value", "retired-momentum-off-its-value",
         "retired-lr-drop-factor-off-its-value", "retired-beta-off-its-value"])
@@ -492,6 +498,21 @@ def test_cli_rejects_malformed_checkpoint_state(synth_run, tmp_path, capsys):
         _assert_eval_rejects(ckpt, name, capsys, tmp_path)
 
 
+def _assert_eval_rejects_value(ckpt_path, name, value, capsys, tmp_path):
+    """Eval exits 1 with one ``error:`` line naming the entry when its
+    first stored value is ``value``."""
+    manifest, arrays = dn.load_bundle(ckpt_path)
+    damaged = arrays[name].copy()
+    damaged.flat[0] = value
+    ckpt = str(tmp_path / "bad.ckpt")
+    dn.save_bundle(ckpt, manifest, {**arrays, name: damaged})
+    # In process, an exception escaping main (a traceback) fails the test.
+    assert main(["eval", "--ckpt", ckpt]) == 1, (name, value)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), (name, value, lines)
+    assert re.search(rf"\bentry {re.escape(name)}(\s|$)", lines[0]), (name, value, lines)
+
+
 def test_cli_rejects_malformed_batchnorm_state(tmp_path, capsys):
     cfg = synth_config(tmp_path, name="cmp", arch="comparison", synth_size=32, synth_classes=2,
                        synth_per_class=4, epochs=1, hidden_width=8, dtype="float32")
@@ -499,6 +520,9 @@ def test_cli_rejects_malformed_batchnorm_state(tmp_path, capsys):
     ckpt = os.path.join(run_dir, "final.ckpt")
     for name in ("layers.1.state.running_mean", "layers.1.state.batches_seen"):
         _assert_eval_rejects(ckpt, name, capsys, tmp_path)
+    # State that no run of training batches leaves: none seen, a negative variance.
+    _assert_eval_rejects_value(ckpt, "layers.1.state.batches_seen", 0.0, capsys, tmp_path)
+    _assert_eval_rejects_value(ckpt, "layers.1.state.running_var", -1.0, capsys, tmp_path)
 
 
 def _mnist4_train(tmp_path, train=(), test=()):
@@ -723,7 +747,7 @@ def test_checkpoint_restores_accumulator_state(synth_run):
     assert np.any(bank.centers != 0)
 
 
-def test_float32_checkpoint_owns_its_dtype(tmp_path):
+def test_float32_checkpoint_owns_its_dtype(tmp_path, capsys):
     run_dir = dn.run_training(synth_config(tmp_path, name="f32", epochs=1, dtype="float32"))
     ckpt = os.path.join(run_dir, "final.ckpt")
     net, manifest, _ = dn.Network.load(ckpt)
@@ -735,6 +759,8 @@ def test_float32_checkpoint_owns_its_dtype(tmp_path):
     fresh = dn.build_architecture("mnist_small", input_shape=(8, 8, 1), num_classes=3)
     assert fresh.dtype == np.float64  # loading changed no process-wide default
     assert all(arr.dtype == np.float64 for _, arr in fresh.parameters())
+    # 1e39 is finite in the bundle's float64 records, but float32 would load it as inf.
+    _assert_eval_rejects_value(ckpt, "layers.0.w", 1e39, capsys, tmp_path)
 
 
 def test_evaluation_never_augments(tmp_path):

@@ -362,7 +362,7 @@ def test_maxpool_sample_chunks_match_one_pass_reference(dtype, shape):
     (dn.ReLU, (2, 4, 4, 3)),
     (dn.MaxPool2x2, (2, 4, 4, 3)),
     (lambda: dn.BatchNorm(3), (2, 4, 4, 3)),
-    (lambda: dn.Dropout(0.5, dn.seeded_rng(48)), (2, 4, 4, 3)),
+    (lambda: dn.Dropout(dn.seeded_rng(48)), (2, 4, 4, 3)),
     (lambda: dn.Dense(6, 4, dn.seeded_rng(49)), (2, 6)),
     (lambda: dn.Conv2d(3, 4, padding=1, rng=dn.seeded_rng(49)), (2, 4, 4, 3)),
     (dn.Flatten, (2, 4, 4, 3)),
@@ -664,7 +664,7 @@ def test_conv_holds_its_padded_input_and_one_forward_chunk(cin, cout, side, chun
     (lambda rng: dn.ReLU(), (2, 4, 4, 3)),
     (lambda rng: dn.MaxPool2x2(), (2, 4, 4, 3)),
     (lambda rng: dn.Flatten(), (2, 4, 4, 3)),
-    (lambda rng: dn.Dropout(0.5, rng), (4, 6)),
+    (lambda rng: dn.Dropout(rng), (4, 6)),
 ], ids=["conv-pad1", "conv-pad0", "dense", "batchnorm-train", "relu", "maxpool", "flatten",
         "dropout"])
 def test_backward_without_input_grad_keeps_parameter_grads(make, shape):
@@ -829,14 +829,14 @@ def test_batchnorm_gradients_nhwc():
 # --- dropout -----------------------------------------------------------------------
 
 def test_dropout_eval_is_bitwise_identity():
-    drop = dn.Dropout(0.5, dn.seeded_rng(32))
+    drop = dn.Dropout(dn.seeded_rng(32))
     x = dn.seeded_rng(33).normal(size=(4, 6))
     out = drop.forward(x, train=False)
     assert out is x
 
 
 def test_dropout_training_masks_and_scales():
-    drop = dn.Dropout(0.5, dn.seeded_rng(34))
+    drop = dn.Dropout(dn.seeded_rng(34))
     x = np.ones((200, 50))
     out = drop.forward(x, train=True)
     kept = out != 0
@@ -845,8 +845,3 @@ def test_dropout_training_masks_and_scales():
     grads = drop.backward(np.ones_like(x))
     assert_array_equal(grads != 0, kept)
     assert_array_equal(grads, out)  # same mask and scale as forward
-
-
-def test_dropout_keep_prob_validation():
-    with pytest.raises(ValueError):
-        dn.Dropout(0.0, dn.seeded_rng(0))

@@ -707,8 +707,8 @@ def test_dropout_chain_gradients_with_a_reseeded_generator(seed):
     # Every forward restores the generator's state, so each draws the
     # same dropout mask and the finite differences see one function.
     rng = dn.seeded_rng(seed)
-    net = small_chain([("dense", 6), "relu", ("dropout", 0.5), ("dense", 4), ("dropout", 0.7),
-                       ("dense", 3)], (5,), rng, {"dropped": 2, "logits": 5})
+    net = small_chain([("dense", 6), "relu", "dropout", ("dense", 4), "dropout", ("dense", 3)],
+                      (5,), rng, {"dropped": 2, "logits": 5})
     state = rng.bit_generator.state  # after the weights: only the masks draw from here
 
     def reseed():

@@ -76,6 +76,15 @@ def test_failed_save_keeps_the_previous_bundle(tmp_path):
     assert os.listdir(tmp_path) == ["b.bin"]  # no temporary file is left
 
 
+def test_restore_arrays_checks_the_range_of_the_live_dtype():
+    live = {"w": np.ones(2, dtype=np.float32)}
+    with pytest.raises(dn.CheckpointError, match="entry w "):  # inf in float32
+        dn.restore_arrays(live, {"w": np.array([1e39, 2.0])})
+    assert_array_equal(live["w"], [1.0, 1.0])  # left untouched
+    dn.restore_arrays(live, {"w": np.array([3e38, -3e38])})
+    assert_array_equal(live["w"], np.array([3e38, -3e38], dtype=np.float32))
+
+
 def test_rng_determinism():
     a = dn.seeded_rng(42).normal(size=16)
     b = dn.seeded_rng(42).normal(size=16)
