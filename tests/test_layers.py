@@ -681,6 +681,53 @@ def test_backward_without_input_grad_keeps_parameter_grads(make, shape):
         assert_bitwise_equal(g, w)
 
 
+# Each layer class's named arrays, in the order SGD and the checkpoints
+# take them: (parameter name, attribute), (gradient name, attribute) and
+# (state name, attribute).
+NAMED_ARRAYS = [
+    (lambda rng: dn.Dense(6, 4, rng), (5, 6),
+     [("w", "w"), ("b", "b")], [("w", "dw"), ("b", "db")], []),
+    (lambda rng: dn.Conv2d(3, 4, padding=1, rng=rng), (2, 4, 4, 3),
+     [("w", "w"), ("b", "b")], [("w", "dw"), ("b", "db")], []),
+    (lambda rng: dn.BatchNorm(3), (2, 4, 4, 3),
+     [("gamma", "gamma"), ("beta", "beta")], [("gamma", "dgamma"), ("beta", "dbeta")],
+     [("running_mean", "running_mean"), ("running_var", "running_var"),
+      ("batches_seen", "batches_seen")]),
+    (lambda rng: dn.ReLU(), (2, 4, 4, 3), [], [], []),
+    (lambda rng: dn.MaxPool2x2(), (2, 4, 4, 3), [], [], []),
+    (lambda rng: dn.Flatten(), (2, 4, 4, 3), [], [], []),
+    (lambda rng: dn.Dropout(rng), (4, 6), [], [], []),
+]
+
+
+@pytest.mark.parametrize("make, shape, params, grads, state", NAMED_ARRAYS,
+                         ids=["dense", "conv", "batchnorm", "relu", "maxpool", "flatten",
+                              "dropout"])
+def test_layers_hand_out_their_live_arrays_by_name(make, shape, params, grads, state):
+    rng = dn.seeded_rng(46)
+    layer = make(rng)
+
+    def check(pairs, want):
+        assert [name for name, _ in pairs] == [name for name, _ in want]
+        for (_, arr), (_, attr) in zip(pairs, want):
+            assert arr is getattr(layer, attr)
+
+    check(layer.parameters(), params)
+    check(layer.parameter_grads(), grads)  # no gradient yet
+    check(layer.state(), state)
+    out = layer.forward(rng.normal(size=shape), train=True)
+    layer.backward(rng.normal(size=out.shape))
+    check(layer.parameters(), params)
+    check(layer.parameter_grads(), grads)
+    assert all(isinstance(arr, np.ndarray) for _, arr in layer.parameter_grads())
+    check(layer.state(), state)
+    # The cases cover every layer class the module defines.
+    classes = {cls for cls in vars(layers).values()
+               if isinstance(cls, type) and issubclass(cls, layers.Layer)
+               and cls is not layers.Layer and not cls.__name__.startswith("_")}
+    assert {type(case[0](rng)) for case in NAMED_ARRAYS} == classes
+
+
 # --- row-blocked products ----------------------------------------------------------
 # A product of a few rows gets other bits than the same rows of a larger
 # product (1 row for every engine shape, up to 37 rows for K=64, N=32), so
