@@ -22,11 +22,22 @@ one product when the right operand is wide enough, as every preset
 convolution's is (see ``ROWS``).
 """
 
+import numbers
+import operator
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
 class Layer:
+    """A layer names its arrays once: ``PARAMS`` its trainable parameters
+    and ``STATE`` the non-trainable arrays checkpoints keep, each an
+    attribute of that name. The gradient of parameter ``name`` is
+    attribute ``"d" + name``. The accessors hand out the live arrays as
+    (name, array) pairs, in declaration order."""
+
+    PARAMS = STATE = ()
+
     def forward(self, x, train=False):
         raise NotImplementedError
 
@@ -34,14 +45,24 @@ class Layer:
         raise NotImplementedError
 
     def parameters(self):
-        return []
+        return [(name, getattr(self, name)) for name in self.PARAMS]
 
     def parameter_grads(self):
-        return []
+        return [(name, getattr(self, "d" + name)) for name in self.PARAMS]
 
     def state(self):
-        """Live (name, array) pairs of non-trainable state that checkpoints keep."""
-        return []
+        return [(name, getattr(self, name)) for name in self.STATE]
+
+
+def check_size(value):
+    """A layer size as an int: TypeError for a bool (numpy's too) or any
+    other non-integer, such as 4.7 or ``np.float64(8.0)``, and ValueError
+    below 1."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"size {value!r} is not an integer")
+    if value < 1:
+        raise ValueError(f"layer sizes must be positive, got {value!r}")
+    return operator.index(value)
 
 
 def _select(mask, values, out=None):
@@ -106,8 +127,6 @@ def _column_sums(a):
 
 
 def _he_uniform(rng, fan_in, shape, dtype):
-    if min(shape) < 1:  # Dense and Conv2d: an empty layer has no fan-in to scale by
-        raise ValueError(f"layer sizes must be positive, got weight shape {shape}")
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, shape).astype(dtype)
 
@@ -115,6 +134,7 @@ def _he_uniform(rng, fan_in, shape, dtype):
 class _Affine(Layer):
     """A layer with weight ``w``, bias ``b`` and their gradients ``dw``, ``db``."""
 
+    PARAMS = ("w", "b")
     dw = db = None
 
     def _weight_grad(self, a, b):
@@ -124,19 +144,13 @@ class _Affine(Layer):
             self.dw = np.empty(self.w.shape, dtype=dtype)
         _matmul(a, b, out=self.dw)
 
-    def parameters(self):
-        return [("w", self.w), ("b", self.b)]
-
-    def parameter_grads(self):
-        return [("w", self.dw), ("b", self.db)]
-
 
 class Dense(_Affine):
     """Fully connected layer: y = x @ w + b."""
 
     def __init__(self, in_dim, out_dim, rng, dtype=np.float64):
-        self.in_dim = int(in_dim)
-        self.out_dim = int(out_dim)
+        self.in_dim = check_size(in_dim)
+        self.out_dim = check_size(out_dim)
         self.w = _he_uniform(rng, self.in_dim, (self.in_dim, self.out_dim), dtype)
         self.b = np.zeros(self.out_dim, dtype=dtype)
         self._x = None
@@ -207,8 +221,8 @@ class Conv2d(_Affine):
     def __init__(self, in_channels, out_channels, padding, rng, dtype=np.float64):
         if padding not in (0, 1):
             raise ValueError("padding must be 0 or 1")
-        self.in_channels = int(in_channels)
-        self.out_channels = int(out_channels)
+        self.in_channels = check_size(in_channels)
+        self.out_channels = check_size(out_channels)
         self.padding = int(padding)
         fan_in = self.KSIZE * self.KSIZE * self.in_channels
         self.w = _he_uniform(rng, fan_in, (fan_in, self.out_channels), dtype)
@@ -420,12 +434,14 @@ class BatchNorm(Layer):
     batches move the running statistics in place, by MOMENTUM, and keep
     the normalized input for backward."""
 
+    PARAMS = ("gamma", "beta")
+    STATE = ("running_mean", "running_var", "batches_seen")
     MOMENTUM = 0.1
     EPS = 1e-5
     _xhat = None
 
     def __init__(self, channels, dtype=np.float64):
-        self.channels = int(channels)
+        self.channels = check_size(channels)
         self.gamma = np.ones(self.channels, dtype=dtype)
         self.beta = np.zeros(self.channels, dtype=dtype)
         self.running_mean = np.zeros(self.channels, dtype=np.float64)
@@ -475,19 +491,6 @@ class BatchNorm(Layer):
         return (self._inv_std / m) * (
             m * dxhat - dxhat.sum(axis=axes) - xhat * (dxhat * xhat).sum(axis=axes)
         )
-
-    def parameters(self):
-        return [("gamma", self.gamma), ("beta", self.beta)]
-
-    def parameter_grads(self):
-        return [("gamma", self.dgamma), ("beta", self.dbeta)]
-
-    def state(self):
-        return [
-            ("running_mean", self.running_mean),
-            ("running_var", self.running_var),
-            ("batches_seen", self.batches_seen),
-        ]
 
 
 class Dropout(Layer):

@@ -8,11 +8,9 @@ declare ``hidden_preact``, the input of the ReLU that follows the
 second-to-last fully connected layer.
 """
 
-import operator
-
 import numpy as np
 
-from .layers import BatchNorm, Conv2d, Dense, Dropout, Flatten, MaxPool2x2, ReLU
+from .layers import BatchNorm, Conv2d, Dense, Dropout, Flatten, MaxPool2x2, ReLU, check_size
 from .tensor import CheckpointError, load_bundle, restore_arrays, save_bundle, seeded_rng
 
 ARCHITECTURES = ("mnist_small", "comparison")
@@ -156,12 +154,6 @@ class Network:
             unknown = sorted(set(params) - set(_ARCH_PARAMS))
             if unknown:
                 raise ValueError(f"unknown entries {unknown}")
-            sizes = [*params.get("input_shape", ()), params.get("num_classes", 1),
-                     params.get("hidden_width", 1)]
-            for size in sizes:  # the build's int() would take 4.7 as 4 and True as 1
-                if isinstance(size, bool):
-                    raise TypeError(f"size {size!r} is not an integer")
-                operator.index(size)  # TypeError for any other non-integer
             net = build_architecture(manifest.get("arch"), **params)
         except (TypeError, ValueError) as e:  # bad arch, entry or size; retired entry off its value
             raise CheckpointError(f"checkpoint carries an invalid arch or arch_params: {e}") from e
@@ -221,14 +213,17 @@ def build_architecture(
     ``hidden_width``) and ``logits`` at the output of the last. Parameters
     and activations are ``dtype``, float32 or float64. Weights, and the
     dropout masks of "comparison", draw from ``rng``, a numpy Generator
-    that defaults to ``seeded_rng(0)``.
+    that defaults to ``seeded_rng(0)``. Every size in ``input_shape``,
+    ``num_classes`` and ``hidden_width`` goes through ``check_size``, the
+    layers' one rule: an integer of at least 1, never a float or a bool.
     """
     if rng is None:
         rng = seeded_rng(0)
     dt = np.dtype(dtype)
     if dt.name not in DTYPES:
         raise ValueError(f"unsupported dtype {dtype!r}; use float32 or float64")
-    h, w, c = (int(d) for d in input_shape)
+    h, w, c = (check_size(d) for d in input_shape)
+    num_classes, hidden_width = check_size(num_classes), check_size(hidden_width)
     if arch not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {arch!r}")
     _check_pool_chain(h, w, 2)
@@ -273,6 +268,6 @@ def build_architecture(
         ]
     dense = [i for i, layer in enumerate(layers) if isinstance(layer, Dense)]
     taps = {"hidden_preact": dense[-2], "logits": dense[-1]}
-    arch_params = {"input_shape": (h, w, c), "num_classes": int(num_classes),
-                   "hidden_width": int(hidden_width), "dtype": dt.name}
+    arch_params = {"input_shape": (h, w, c), "num_classes": num_classes,
+                   "hidden_width": hidden_width, "dtype": dt.name}
     return Network(layers, taps, arch=arch, arch_params=arch_params, dtype=dt)
