@@ -728,6 +728,33 @@ def test_layers_hand_out_their_live_arrays_by_name(make, shape, params, grads, s
     assert {type(case[0](rng)) for case in NAMED_ARRAYS} == classes
 
 
+def test_check_size_takes_integers_of_at_least_one():
+    for value in (1, 28, np.int64(3), np.uint8(2)):
+        size = layers.check_size(value)
+        assert size == value and type(size) is int
+    for value in (True, np.bool_(False), 4.7, np.float64(8.0), "8", None):
+        with pytest.raises(TypeError, match="not an integer"):
+            layers.check_size(value)
+    for value in (0, -1, np.int64(0)):
+        with pytest.raises(ValueError, match="layer sizes must be positive"):
+            layers.check_size(value)
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda rng: dn.Dense(4.7, 3, rng), TypeError),
+    (lambda rng: dn.Dense(4, np.float64(3.0), rng), TypeError),
+    (lambda rng: dn.Conv2d(True, 4, 1, rng), TypeError),
+    (lambda rng: dn.Conv2d(1, 4.0, 1, rng), TypeError),
+    (lambda rng: dn.BatchNorm(2.5), TypeError),
+    (lambda rng: dn.BatchNorm(0), ValueError),  # built an empty layer
+], ids=["dense-float-in", "dense-numpy-float-out", "conv-bool-in", "conv-float-out",
+        "batchnorm-float", "batchnorm-zero"])
+def test_layer_constructors_refuse_sizes_check_size_refuses(make, error):
+    # int() took 4.7 as 4 and True as 1.
+    with pytest.raises(error):
+        make(dn.seeded_rng(0))
+
+
 # --- row-blocked products ----------------------------------------------------------
 # A product of a few rows gets other bits than the same rows of a larger
 # product (1 row for every engine shape, up to 37 rows for K=64, N=32), so

@@ -134,6 +134,36 @@ def test_stock_builders_keep_their_layers_draws_and_inputs(arch, shape, classes,
                           hidden_width=8, dtype="float32")  # its third pool gets an odd side
 
 
+@pytest.mark.parametrize("sizes", [
+    {"input_shape": (8.9, 8, 1)},
+    {"input_shape": (8, 8, np.bool_(True))},
+    {"hidden_width": 4.7},
+    {"num_classes": True},
+    {"num_classes": np.float64(3.0)},
+], ids=["float-side", "numpy-bool-channels", "float-width", "bool-classes",
+        "numpy-float-classes"])
+def test_build_architecture_refuses_non_integer_sizes(sizes):
+    # int() took 8.9 as 8 and 4.7 as 4, and built a network of other sizes.
+    with pytest.raises(TypeError, match="not an integer"):
+        dn.build_architecture("mnist_small", **{"input_shape": (8, 8, 1), "num_classes": 3,
+                                                "hidden_width": 4, **sizes})
+
+
+def test_numpy_integer_sizes_build_and_record_python_ints(tmp_path):
+    net = dn.build_architecture("mnist_small", input_shape=np.array([8, 8, 1]),
+                                num_classes=np.int64(3), hidden_width=np.int32(4))
+    want = {"input_shape": (8, 8, 1), "num_classes": 3, "hidden_width": 4, "dtype": "float64"}
+    assert net.arch_params == want
+    sizes = [*net.arch_params["input_shape"], net.arch_params["num_classes"],
+             net.arch_params["hidden_width"]]
+    assert all(type(size) is int for size in sizes)
+    path = str(tmp_path / "net.ckpt")
+    net.save(path)
+    loaded, manifest, _ = dn.Network.load(path)
+    assert manifest["arch_params"] == {**want, "input_shape": [8, 8, 1]}
+    assert loaded.arch_params == want
+
+
 def test_forward_is_deterministic_bitwise():
     x = dn.seeded_rng(40).normal(size=(4, 8, 8, 1))
     a = stock_net(seed=7).forward(x)["logits"]
