@@ -164,7 +164,7 @@ def main(argv=None):
     except NonFiniteError as e:
         print(f"non-finite loss: {e}", file=sys.stderr)
         return 3
-    except (CheckpointError, IdxFormatError, OSError) as e:
+    except (CheckpointError, IdxFormatError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -85,6 +85,8 @@ class RunConfig:
             raise ConfigError("synth_size and synth_per_class must be positive")
         if self.dataset == "synth" and not 2 <= self.synth_classes <= self.synth_size**2:
             raise ConfigError("synth_classes must lie between 2 and synth_size**2")
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
         if self.train_subset < 0 or self.test_subset < 0:
             raise ConfigError("subset sizes must be non-negative")
         for name in ("weight_decay", "lambda_discriminant", "lambda_adaptive_discriminant",

@@ -8,6 +8,7 @@ they see dropout and batchnorm in training mode); ``discrimnet eval
 --split train`` gives the end-of-run full-pass figure."""
 
 import dataclasses
+import math
 import os
 import time
 
@@ -23,7 +24,7 @@ from .losses import (
 )
 from .network import Network, build_architecture
 from .optim import SGD, lr_at_epoch
-from .tensor import CheckpointError, restore_arrays, seeded_rng
+from .tensor import CheckpointError, NonFiniteError, restore_arrays, seeded_rng
 
 EPOCH_COLUMNS = (
     "epoch", "lr", "train_loss", "train_acc", "test_loss", "test_acc",
@@ -82,9 +83,12 @@ def load_run_datasets(cfg):
 
 
 def evaluate(net, dataset, batch_size=100):
-    """Mean cross-entropy and top-1 accuracy of a network on a dataset."""
+    """Mean cross-entropy and top-1 accuracy of a network on a dataset;
+    NonFiniteError where the cross-entropy is not finite."""
     z = net.predict(dataset.images, batch_size)["logits"]
     ce, _ = softmax_cross_entropy(z, dataset.labels)
+    if not math.isfinite(ce):
+        raise NonFiniteError(f"cross-entropy on the {dataset.split} split is non-finite ({ce})")
     return ce, int((z.argmax(axis=1) == dataset.labels).sum()) / len(dataset)
 
 

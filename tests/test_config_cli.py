@@ -694,6 +694,7 @@ def test_cli_refuses_a_path_config_txt_cannot_carry(synth_run, tmp_path, capsys,
     {"lr": float("inf")},
     {"weight_decay": -0.01},
     {"synth_size": -4},  # (-4)**2 would pass the class-count check
+    {"out_dir": ""},  # os.makedirs("") fails with an OS error
 ])
 def test_cli_rejects_invalid_values_with_exit_2(tmp_path, override):
     cfg = synth_config(tmp_path, name="bad", **{"synth_size": 4, "epochs": 1, **override})
@@ -702,6 +703,14 @@ def test_cli_rejects_invalid_values_with_exit_2(tmp_path, override):
     assert proc.returncode == 2, proc.stderr
     assert "config error" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_rejects_an_empty_out_flag_with_exit_2(tmp_path):
+    # The command-line form of the empty out_dir case above.
+    cfg_path = write_config(synth_config(tmp_path, epochs=1), tmp_path / "cfg.txt")
+    proc = run_cli("train", "--config", cfg_path, "--quiet", "--out", "")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "config error: out_dir must not be empty\n"
 
 
 def test_trailing_batch_of_one_with_batch_discriminant(tmp_path):
@@ -734,6 +743,59 @@ def test_non_finite_loss_exit_code(tmp_path):
     cfg_path = write_config(cfg, tmp_path / "cfg.txt")
     code = main(["train", "--config", cfg_path, "--quiet"])
     assert code == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_held_out_loss_exits_3(tmp_path, capsys):
+    # One step at lr 1e300 leaves weights whose held-out logits are NaN,
+    # though the step's own loss was finite.
+    cfg = synth_config(tmp_path, name="nan", synth_size=4, synth_classes=2, synth_per_class=10,
+                       epochs=1, batch_size=100, lr=1e300, lambda_adaptive_discriminant=0.0,
+                       lambda_adaptive_center=0.0)
+    cfg_path = write_config(cfg, tmp_path / "cfg.txt")
+    assert main(["train", "--config", cfg_path, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err == "non-finite loss: cross-entropy on the test split is non-finite (nan)\n"
+    run_dir = tmp_path / "nan"
+    assert not (run_dir / "final.ckpt").exists()
+    assert (run_dir / "epochs.csv").read_text().count("\n") == 1  # the header alone
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eval_of_a_non_finite_held_out_loss_exits_3(synth_run, tmp_path, capsys):
+    _, run_dir = synth_run
+    manifest, arrays = dn.load_bundle(os.path.join(run_dir, "final.ckpt"))
+    for name in arrays:
+        if re.fullmatch(r"layers\.\d+\.w", name):
+            arrays[name] = np.full_like(arrays[name], 1e300)
+    path = str(tmp_path / "huge.ckpt")
+    dn.save_bundle(path, manifest, arrays)
+    assert main(["eval", "--ckpt", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "non-finite loss: cross-entropy on the test split is non-finite (nan)\n"
+
+
+# Each size asks for an array of at least 1 PiB, more than a 64-bit
+# process can map, so numpy refuses it before anything is allocated.
+@pytest.mark.parametrize("command, override", [
+    ("train", {"hidden_width": 10**12}),  # a 256 x 10**12 weight
+    ("train", {"synth_size": 10**7}),  # 2 class means of 10**14 pixels
+    ("eval", {"input_shape": [8, 8, 10**13]}),  # a 9*10**13 x 32 kernel
+], ids=["hidden-width", "synth-size", "input-channels"])
+def test_an_allocation_too_large_for_memory_exits_1(synth_run, tmp_path, capsys, command,
+                                                     override):
+    if command == "train":
+        cfg_path = write_config(synth_config(tmp_path, epochs=1, **override), tmp_path / "cfg.txt")
+        argv = ["train", "--config", cfg_path, "--quiet"]
+    else:
+        manifest, arrays = dn.load_bundle(os.path.join(synth_run[1], "final.ckpt"))
+        manifest["arch_params"].update(override)
+        argv = ["eval", "--ckpt", str(tmp_path / "wide.ckpt")]
+        dn.save_bundle(argv[-1], manifest, arrays)
+    assert main(argv) == 1  # a traceback would escape main and fail the test
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1, err
 
 
 def test_checkpoint_restores_accumulator_state(synth_run):
