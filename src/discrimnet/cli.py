@@ -1,10 +1,12 @@
 """Command-line interface: train, eval, export-histogram, export-scatter.
 
-Exit codes: 0 success; 1 a malformed checkpoint or IDX data, or a file
+Exit codes: 0 success; 1 a malformed checkpoint or IDX data, a file
 that cannot be opened or made (a directory given as a file, a run
-directory that is a file); 2 configuration problems, a config file that
-is not UTF-8 among them; 3 a non-finite loss during training (the
-offending component is named in the diagnostic).
+directory that is a file), or an array too large for memory;
+2 configuration problems, a config file that is not UTF-8 and an empty
+out_dir among them; 3 a non-finite loss in a training step, or a
+non-finite cross-entropy on the evaluated split in training or eval (the
+offending quantity is named in the diagnostic).
 """
 
 import argparse

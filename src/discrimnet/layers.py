@@ -55,10 +55,10 @@ class Layer:
 
 
 def check_size(value):
-    """A layer size as an int: TypeError for a bool (numpy's too) or any
-    other non-integer, such as 4.7 or ``np.float64(8.0)``, and ValueError
-    below 1."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral):
+    """A layer size as an int: TypeError for a bool (numpy's is no
+    ``Integral``) or any other non-integer, such as 4.7 or
+    ``np.float64(8.0)``, and ValueError below 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise TypeError(f"size {value!r} is not an integer")
     if value < 1:
         raise ValueError(f"layer sizes must be positive, got {value!r}")
