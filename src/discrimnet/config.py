@@ -1,11 +1,10 @@
 """Run configuration: flat key-value config files and named presets.
 
 A config file is plain text, one ``key = value`` per line, ``#`` for
-comments. The keys are the fields of RunConfig, plus retired keys that
-load only at their fixed values; unknown keys are errors so typos fail
-loudly. Presets bundle the published hyperparameter tuples; ``*-desk``
-variants shrink the data and epoch counts to laptop scale while keeping
-the loss configuration.
+comments. The keys are exactly the fields of RunConfig; unknown keys are
+errors so typos fail loudly. Presets bundle the published hyperparameter
+tuples; ``*-desk`` variants shrink the data and epoch counts to laptop
+scale while keeping the loss configuration.
 """
 
 import dataclasses
@@ -13,10 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from .data import MAX_ROTATION_DEG, MAX_SHIFT_FRAC, SCALE_RANGE
-from .losses import VAR_FLOOR
 from .network import ARCHITECTURES, DTYPES
-from .optim import LR_DROP_FACTOR, MOMENTUM
 
 
 class ConfigError(ValueError):
@@ -116,40 +112,16 @@ def _has_type_of(value, default):
 _DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
 _FLOAT_FIELDS = tuple(name for name, value in _DEFAULTS.items() if isinstance(value, float))
 
-# Former RunConfig fields, now fixed: the losses' variance floor, the
-# cross-entropy reduction (always the batch mean), the augmentation
-# bounds in data.py, the width of the comparison network's first fully
-# connected layer, SGD's momentum and learning-rate drop in optim.py, and
-# the minibatch center rule's update rate (each centroid takes its whole
-# damped delta). Config files and checkpoints written while they were
-# fields list them, so each still loads, but only at its fixed value.
-_RETIRED = {
-    "epsilon": VAR_FLOOR,
-    "ce_reduction": "mean",
-    "augment_rotation_deg": MAX_ROTATION_DEG,
-    "augment_translate_frac": MAX_SHIFT_FRAC,
-    "augment_scale_low": SCALE_RANGE[0],
-    "augment_scale_high": SCALE_RANGE[1],
-    "fc_width": 1024,
-    "momentum": MOMENTUM,
-    "lr_drop_factor": LR_DROP_FACTOR,
-    "beta": 1.0,
-}
-
-
 def _set(cfg, key, value):
-    if key in _RETIRED:
-        if value != _RETIRED[key]:
-            raise ConfigError(f"{key} is retired; it must be {_RETIRED[key]!r}, got {value!r}")
-    elif key in _DEFAULTS:
+    if key in _DEFAULTS:
         setattr(cfg, key, value)
     else:
         raise ConfigError(f"unknown key {key!r}")
 
 
 def _parse_value(key, text):
-    """Parse text as the type of the key's default (or fixed) value."""
-    default = _RETIRED.get(key, _DEFAULTS.get(key, ""))
+    """Parse text as the type of the key's default value."""
+    default = _DEFAULTS.get(key, "")
     if isinstance(default, bool):
         lowered = text.lower()
         if lowered in ("true", "1", "yes"):

@@ -147,15 +147,11 @@ class Network:
             raise CheckpointError("not a checkpoint bundle")
         try:
             params = dict(manifest.get("arch_params", {}))
-            for key, fixed in _RETIRED.items():
-                value = params.pop(key, fixed)
-                if value != fixed:
-                    raise ValueError(f"{key} is retired; it must be {fixed!r}, got {value!r}")
             unknown = sorted(set(params) - set(_ARCH_PARAMS))
             if unknown:
                 raise ValueError(f"unknown entries {unknown}")
             net = build_architecture(manifest.get("arch"), **params)
-        except (TypeError, ValueError) as e:  # bad arch, entry or size; retired entry off its value
+        except (TypeError, ValueError) as e:  # bad arch, entry or size
             raise CheckpointError(f"checkpoint carries an invalid arch or arch_params: {e}") from e
         restore_arrays(net.state_arrays(), arrays)
         for i, layer in enumerate(net.layers):
@@ -167,10 +163,6 @@ class Network:
         return net, manifest, arrays
 
 
-# Former build_architecture parameters, fixed at the widths every run built.
-# Older checkpoints list them in arch_params; each loads only at that value.
-_RETIRED = {"conv_channels": [32, 64], "fc1_width": 256, "fc_width": 1024,
-            "dropout_keep": Dropout.KEEP}
 # The arch_params entries build_architecture records, the only ones a load builds from.
 _ARCH_PARAMS = ("input_shape", "num_classes", "hidden_width", "dtype")
 

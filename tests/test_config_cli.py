@@ -595,7 +595,8 @@ def test_cli_bad_config_file(tmp_path):
 
 
 # What config files and checkpoints written before these keys were retired
-# list for them: each key at the value the engine now fixes.
+# list for them: each key at the value the engine fixed. They are refused
+# now, like any other unknown name.
 RETIRED_LINES = """\
 epsilon = 1e-08
 ce_reduction = mean
@@ -608,32 +609,41 @@ momentum = 0.9
 lr_drop_factor = 10.0
 beta = 1.0
 """
+RETIRED_CONFIG = dict(
+    epsilon=1e-8, ce_reduction="mean", augment_rotation_deg=10.0,
+    augment_translate_frac=0.1, augment_scale_low=0.9, augment_scale_high=1.1,
+    fc_width=1024, momentum=0.9, lr_drop_factor=10.0, beta=1.0,
+)
+# The build parameters checkpoints listed before the stock widths were fixed.
+RETIRED_ARCH_PARAMS = dict(conv_channels=[32, 64], fc1_width=256, fc_width=1024, dropout_keep=0.5)
+RETIRED_CASES = (
+    [("config-file", line.split(" = ")[0], line) for line in RETIRED_LINES.splitlines()]
+    + [("config", key, value) for key, value in RETIRED_CONFIG.items()]
+    + [("arch_params", key, value) for key, value in RETIRED_ARCH_PARAMS.items()]
+)
 
 
-def test_retired_keys_load_at_their_fixed_values(synth_run, tmp_path, capsys):
-    cfg, run_dir = synth_run
-    assert parse_config_text(config_to_text(cfg) + RETIRED_LINES) == cfg
-    path = tmp_path / "old.txt"
-    path.write_text(config_to_text(synth_config(tmp_path, epochs=1)) + RETIRED_LINES)
-    assert main(["train", "--config", str(path), "--quiet"]) == 0
-    capsys.readouterr()
-    ckpt = os.path.join(run_dir, "final.ckpt")
-    assert main(["eval", "--ckpt", ckpt]) == 0
-    want = capsys.readouterr().out
-    manifest, arrays = dn.load_bundle(ckpt)
-    manifest["config"].update(
-        epsilon=1e-8, ce_reduction="mean", augment_rotation_deg=10.0,
-        augment_translate_frac=0.1, augment_scale_low=0.9, augment_scale_high=1.1,
-        fc_width=1024, momentum=0.9, lr_drop_factor=10.0, beta=1.0,
-    )
-    # The build parameters checkpoints listed before the stock widths were fixed.
-    manifest["arch_params"].update(
-        conv_channels=[32, 64], fc1_width=256, fc_width=1024, dropout_keep=0.5,
-    )
-    old = str(tmp_path / "old.ckpt")
-    dn.save_bundle(old, manifest, arrays)
-    assert main(["eval", "--ckpt", old]) == 0
-    assert capsys.readouterr().out == want
+@pytest.mark.parametrize("where, key, value", RETIRED_CASES,
+                         ids=[f"{where}-{key}" for where, key, _ in RETIRED_CASES])
+def test_retired_keys_are_refused_at_their_old_fixed_values(
+        synth_run, tmp_path, capsys, where, key, value):
+    # In process, an exception escaping main (a traceback) fails the test.
+    if where == "config-file":
+        path = tmp_path / "old.txt"
+        path.write_text(config_to_text(synth_config(tmp_path, epochs=1)) + value + "\n")
+        code, args = 2, ["train", "--config", str(path), "--quiet"]
+    else:
+        _, run_dir = synth_run
+        manifest, arrays = dn.load_bundle(os.path.join(run_dir, "final.ckpt"))
+        manifest[where][key] = value
+        old = str(tmp_path / "old.ckpt")
+        dn.save_bundle(old, manifest, arrays)
+        code, args = 1, ["eval", "--ckpt", old]
+    assert main(args) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith({1: "error: ", 2: "config error: "}[code]) and key in lines[0]
+    assert not (tmp_path / "run").exists()  # no run started
 
 
 @pytest.mark.parametrize("line", [
