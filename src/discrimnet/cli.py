@@ -6,7 +6,7 @@ directory that is a file), or an array too large for memory;
 2 configuration problems, a config file that is not UTF-8 and an empty
 out_dir among them; 3 a non-finite loss in a training step, or a
 non-finite cross-entropy on the evaluated split in training or eval (the
-offending quantity is named in the diagnostic).
+offending quantity is named in a one-line diagnostic).
 """
 
 import argparse
@@ -159,7 +159,10 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A non-finite value ends the command in one named diagnostic, so
+        # numpy's floating-point warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
