@@ -54,15 +54,22 @@ class Layer:
         return [(name, getattr(self, name)) for name in self.STATE]
 
 
-def check_size(value):
-    """A layer size as an int: TypeError for a bool (numpy's is no
+def _integer(value, what):
+    """``value`` as an int: TypeError for a bool (numpy's is no
     ``Integral``) or any other non-integer, such as 4.7 or
-    ``np.float64(8.0)``, and ValueError below 1."""
+    ``np.float64(8.0)``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise TypeError(f"size {value!r} is not an integer")
-    if value < 1:
-        raise ValueError(f"layer sizes must be positive, got {value!r}")
+        raise TypeError(f"{what} {value!r} is not an integer")
     return operator.index(value)
+
+
+def check_size(value):
+    """A layer size as an int: TypeError for a non-integer, as ``_integer``
+    gives, and ValueError below 1."""
+    size = _integer(value, "size")
+    if size < 1:
+        raise ValueError(f"layer sizes must be positive, got {value!r}")
+    return size
 
 
 def _select(mask, values, out=None):
@@ -219,11 +226,11 @@ class Conv2d(_Affine):
     KSIZE = 3
 
     def __init__(self, in_channels, out_channels, padding, rng, dtype=np.float64):
-        if padding not in (0, 1):
+        self.padding = _integer(padding, "padding")
+        if self.padding not in (0, 1):
             raise ValueError("padding must be 0 or 1")
         self.in_channels = check_size(in_channels)
         self.out_channels = check_size(out_channels)
-        self.padding = int(padding)
         fan_in = self.KSIZE * self.KSIZE * self.in_channels
         self.w = _he_uniform(rng, fan_in, (fan_in, self.out_channels), dtype)
         self.b = np.zeros(self.out_channels, dtype=dtype)

@@ -755,6 +755,20 @@ def test_layer_constructors_refuse_sizes_check_size_refuses(make, error):
         make(dn.seeded_rng(0))
 
 
+def test_conv_padding_is_an_integer_0_or_1():
+    # padding in (0, 1) took True, 1.0 and np.float64(1.0) as 1.
+    rng = dn.seeded_rng(0)
+    for padding in (True, np.bool_(True), 1.0, np.float64(1.0), "1", None):
+        with pytest.raises(TypeError, match="padding .* is not an integer"):
+            dn.Conv2d(1, 4, padding, rng)
+    for padding in (2, -1, np.int64(2)):
+        with pytest.raises(ValueError, match="padding must be 0 or 1"):
+            dn.Conv2d(1, 4, padding, rng)
+    for padding in (0, 1, np.int64(1)):
+        conv = dn.Conv2d(1, 4, padding, rng)
+        assert conv.padding == padding and type(conv.padding) is int
+
+
 # --- row-blocked products ----------------------------------------------------------
 # A product of a few rows gets other bits than the same rows of a larger
 # product (1 row for every engine shape, up to 37 rows for K=64, N=32), so
