@@ -147,6 +147,12 @@ def _resample(images, rotation_deg, scale, translate_y, translate_x):
     border. Source coordinates are clipped to [-2, h] and [-2, w], NaN to
     -2: the clip only moves points whose four corners all lie outside the
     image, so they still read only border zeros, with finite weights.
+
+    Each step writes into an array it already holds wherever the formula
+    allows, so at most six batch-sized arrays and the bordered copy are
+    live at once. The result has the bits of the plain expressions
+    ``src_y = (cos * dy + sin * dx) / scale + cy`` and
+    ``out = 0 + sum over corners of weight * pixel``, in corner order.
     """
     n, h, w, c = images.shape
     cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
@@ -156,23 +162,53 @@ def _resample(images, rotation_deg, scale, translate_y, translate_x):
     rows, cols = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
     dy = rows - cy - translate_y[:, None, None]
     dx = cols - cx - translate_x[:, None, None]
-    src_y = (cos_t * dy + sin_t * dx) / scale + cy
-    src_x = (-sin_t * dy + cos_t * dx) / scale + cx
+    src_y = cos_t * dy
+    term = np.multiply(sin_t, dx)
+    src_y += term
+    src_y /= scale
+    src_y += cy
+    src_x = np.multiply(-sin_t, dy, out=dy)
+    src_x += np.multiply(cos_t, dx, out=term)
+    src_x /= scale
+    src_x += cx
+    del dx, term
     padded = np.zeros((n, h + 4, w + 4, c))
     padded[:, 2 : h + 2, 2 : w + 2, :] = images
     pixels = padded.reshape(-1, c)
     row = w + 4
-    first = np.arange(n)[:, None, None] * ((h + 4) * row)
+    index = np.arange(n)[:, None, None] * ((h + 4) * row)
+    floor = np.empty_like(src_y)
     for src, size, stride in ((src_y, h, row), (src_x, w, 1)):
         np.fmin(np.fmax(src, -2.0, out=src), size, out=src)
-        floor = np.floor(src)
+        np.floor(src, out=floor)
         src -= floor  # the fractional part: the corner weight along this axis
-        first = first + (floor.astype(np.int64) + 2) * stride
+        cell = floor.astype(np.int64)
+        cell += 2
+        cell *= stride
+        cell += index
+        index = cell
     wy, wx = src_y, src_x
-    vy, vx = 1 - wy, 1 - wx
-    out = np.zeros((n, h, w, c), dtype=np.float64)
-    for offset, a, b in ((0, vy, vx), (1, vy, wx), (row, wy, vx), (row + 1, wy, wx)):
-        out += (a * b)[..., None] * np.take(pixels, first + offset, axis=0)
+    # Corner (0, 0): its values, weighted, become the output; adding 0.0
+    # turns -0.0 into +0.0 as the sum from zero does. ``mode="clip"``
+    # leaves the in-range indices alone and lets ``take`` write into
+    # ``out=`` unbuffered.
+    weight = np.subtract(1, wy, out=floor)
+    weight *= np.subtract(1, wx)
+    out = np.take(pixels, index, axis=0)
+    out *= weight[..., None]
+    out += 0.0
+    vals = np.empty_like(out)
+
+    def add_corner(step, weight):
+        """Move the index ``step`` pixels on and add the weighted values there."""
+        np.add(index, step, out=index)
+        np.take(pixels, index, axis=0, out=vals, mode="clip")
+        np.multiply(vals, weight[..., None], out=vals)
+        np.add(out, vals, out=out)
+
+    add_corner(1, np.multiply(np.subtract(1, wy, out=weight), wx, out=weight))  # (0, 1)
+    add_corner(row - 1, np.multiply(np.subtract(1, wx, out=weight), wy, out=weight))  # (1, 0)
+    add_corner(1, np.multiply(wy, wx, out=wy))  # (1, 1)
     return out
 
 

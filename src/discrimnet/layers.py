@@ -2,13 +2,15 @@
 
 Activations flow as numpy arrays in NHWC layout (batch, height, width,
 channels) for image tensors and (batch, features) after flattening.
-Each layer caches what its backward pass needs during forward; backward
-reads what the last training forward (``train=True``) kept, stores
-parameter gradients on the layer, and returns the gradient with respect
-to its input, or None when called with ``input_grad=False`` (the first
-layer of a network, whose input gradient nothing reads). Eval forwards
-keep no backward state and drop what the last training forward kept, so
-a backward after one raises RuntimeError.
+A training forward (``train=True``) keeps what its backward needs, and
+that backward drops it: one backward per training forward. Backward
+stores parameter gradients on the layer and returns the gradient with
+respect to its input, or None when called with ``input_grad=False`` (the
+first layer of a network, whose input gradient nothing reads). Eval
+forwards keep no backward state and drop what the last training forward
+kept, so a backward after one, or a second backward after one training
+forward, raises RuntimeError. So between steps a layer holds its
+parameters and their gradients, and no activation-sized array.
 ReLU works in place: forward overwrites the array it is given and
 returns it, and backward does the same with the gradient. No other
 layer keeps its own output, so the caller (``Network``) only has to own
@@ -171,9 +173,10 @@ class Dense(_Affine):
         return out
 
     def backward(self, grad, input_grad=True):
-        if self._x is None:
+        x, self._x = self._x, None
+        if x is None:
             raise _no_state(self)
-        self._weight_grad(self._x.T, grad)
+        self._weight_grad(x.T, grad)
         self.db = _column_sums(grad)
         return _matmul(grad, self.w.T) if input_grad else None
 
@@ -183,16 +186,18 @@ class Conv2d(_Affine):
 
     The kernel is stored as (3*3*in_channels, out_channels) with patch
     entries ordered (row offset, col offset, channel). Forward copies the
-    input into a padded buffer (zero-bordered for padding 1) and keeps it
-    for backward. Both passes walk the batch in the same near-equal chunks
-    of whole samples that ``_chunks`` gives, each of at most ``ROWS``
-    output pixels, and ``_columns`` gathers each chunk's columns from a
-    strided sliding-window view of the padded input into one chunk-sized
-    workspace. Forward multiplies a chunk's columns by the kernel and adds
-    the bias while they are still in cache; backward gathers them again
-    and adds ``cols.T @ grad[chunk]`` into ``dw``. So no pass builds a
-    column matrix for the whole batch. Only a batch that runs as one chunk
-    is sure to get the bits of one whole-batch product, though: over several
+    input into a fresh padded array (zero-bordered for padding 1); a
+    training forward keeps it for one backward, which drops it. Both
+    passes walk the batch in the same near-equal chunks of whole samples
+    that ``_chunks`` gives, each of at most ``ROWS`` output pixels, and
+    ``_columns`` gathers each chunk's columns from a strided sliding-window
+    view of the padded input into one column buffer of a chunk's size,
+    allocated by each call and freed when it returns. Forward multiplies
+    a chunk's columns by the kernel and adds the bias while they are
+    still in cache; backward gathers them again and adds
+    ``cols.T @ grad[chunk]`` into ``dw``. So no pass builds a column
+    matrix for the whole batch. Only a batch that runs as one chunk is
+    sure to get the bits of one whole-batch product, though: over several
     chunks ``dw`` sums in another order, and with few output channels a
     chunk's ``out`` may differ from the same rows of one product.
 
@@ -213,14 +218,6 @@ class Conv2d(_Affine):
     gradient. ``_matmul`` runs those products in row blocks of at most
     ``ROWS`` rows, which keeps OpenBLAS's resident packing buffer at the
     size of one block.
-
-    The padded input and the column workspace are sized for the largest
-    batch seen, and reallocated only on a new per-sample shape, a new
-    dtype or a larger batch, so a trailing partial batch reuses their
-    leading entries. The output and the input gradient are fresh arrays
-    on every call, since callers keep them. An eval forward uses the
-    workspace too, but leaves the layer marked untrained, so a backward
-    after it raises rather than return the eval batch's gradients.
     """
 
     KSIZE = 3
@@ -235,23 +232,24 @@ class Conv2d(_Affine):
         self.w = _he_uniform(rng, fan_in, (fan_in, self.out_channels), dtype)
         self.b = np.zeros(self.out_channels, dtype=dtype)
         self._padded = None
-        self._cols = None
-        self._in_shape = None
-        self._trained = False
 
-    def _columns(self, n):
-        """Yield ``(row, cols)`` per chunk of the first ``n`` padded samples:
-        the chunk's first output row and its (rows, 3*3*in_channels) columns,
-        gathered into the workspace, which the next chunk overwrites. A
-        one-channel input's columns are gathered patch-major."""
+    def _columns(self, padded):
+        """Yield ``(row, cols)`` per chunk of the padded batch: the chunk's
+        first output row and its (rows, 3*3*in_channels) columns, gathered
+        into one buffer of the first (longest) chunk's size, which the
+        next chunk overwrites. A one-channel input's columns are gathered
+        patch-major."""
         k = self.KSIZE
-        windows = sliding_window_view(self._padded[:n], (k, k), axis=(1, 2))
-        _, oh, ow, c = windows.shape[:4]
+        windows = sliding_window_view(padded, (k, k), axis=(1, 2))
+        n, oh, ow, c = windows.shape[:4]
         pixels = oh * ow
-        for samples in _chunks(n, pixels):
+        chunks = _chunks(n, pixels)
+        longest = chunks[0].stop if chunks else 0
+        buffer = np.empty(longest * pixels * k * k * c, dtype=padded.dtype)
+        for samples in chunks:
             chunk = windows[samples]
             m = len(chunk) * pixels
-            cols = self._cols[: m * k * k * c]
+            cols = buffer[: m * k * k * c]
             if c == 1:
                 # (k*k, m) patch-major columns: one copy of whole output
                 # rows, used through the transpose.
@@ -264,6 +262,16 @@ class Conv2d(_Affine):
                 cols.reshape(len(chunk), oh, ow, k, k, c)[...] = chunk.transpose(0, 1, 2, 4, 5, 3)
                 yield samples.start * pixels, cols.reshape(m, k * k * c)
 
+    def _kernel_grad(self, padded, g2):
+        """Sum ``cols.T @ g2[chunk]`` over the column chunks of ``padded``
+        into ``dw``."""
+        for row, cols in self._columns(padded):
+            part = g2[row : row + len(cols)]
+            if row:  # later chunks add to the first chunk's product
+                self.dw += _matmul(cols.T, part)
+            else:
+                self._weight_grad(cols.T, part)
+
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[3] != self.in_channels:
             raise ValueError(f"expected NHWC input with {self.in_channels} channels, got {x.shape}")
@@ -273,49 +281,39 @@ class Conv2d(_Affine):
         ow = w + 2 * p - k + 1
         if oh < 1 or ow < 1:
             raise ValueError(f"input {h}x{w} too small for a 3x3 kernel with padding {p}")
-        if (
-            self._cols is None
-            or x.shape[1:] != self._in_shape[1:]
-            or x.dtype != self._cols.dtype
-            or n > len(self._padded)
-        ):
-            self._padded = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
-            chunk = min(n, max(1, ROWS // (oh * ow)))
-            self._cols = np.empty(chunk * oh * ow * k * k * c, dtype=x.dtype)
-        self._in_shape = x.shape
-        self._trained = train
-        self._padded[:n, p : p + h, p : p + w, :] = x
+        self._padded = None  # free the last training forward's input first
+        padded = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+        padded[:, p : p + h, p : p + w, :] = x
+        if train:
+            self._padded = padded
         out = np.empty((n * oh * ow, self.out_channels), dtype=np.result_type(x, self.w))
-        for row, cols in self._columns(n):
+        for row, cols in self._columns(padded):
             part = out[row : row + len(cols)]
             _matmul(cols, self.w, out=part)
             part += self.b
         return out.reshape(n, oh, ow, self.out_channels)
 
     def backward(self, grad, input_grad=True):
-        if not self._trained:
+        padded, self._padded = self._padded, None
+        if padded is None:
             raise _no_state(self)
         n, oh, ow, _ = grad.shape
-        _, h, w, c = self._in_shape
+        _, hp, wp, c = padded.shape
         p, k, m = self.padding, self.KSIZE, n * oh * ow
         g2 = grad.reshape(m, self.out_channels)
-        for row, cols in self._columns(n):
-            part = g2[row : row + len(cols)]
-            if row:  # later chunks add to the first chunk's product
-                self.dw += _matmul(cols.T, part)
-            else:
-                self._weight_grad(cols.T, part)
+        self._kernel_grad(padded, g2)
+        del padded  # free the input before the input gradient is built
         self.db = _column_sums(g2)
         if not input_grad:
             return None
-        dxp = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=grad.dtype)
+        dxp = np.zeros((n, hp, wp, c), dtype=grad.dtype)
         w_blocks = self.w.reshape(k, k, c, self.out_channels)
         prod = np.empty((m, c), dtype=np.result_type(g2, self.w))
         for i in range(k):
             for j in range(k):
                 _matmul(g2, w_blocks[i, j].T, out=prod)
                 dxp[:, i : i + oh, j : j + ow, :] += prod.reshape(n, oh, ow, c)
-        return dxp[:, p : p + h, p : p + w, :] if p else dxp
+        return dxp[:, p : hp - p, p : wp - p, :] if p else dxp
 
 
 def _no_state(layer):
@@ -326,8 +324,8 @@ def _no_state(layer):
 
 class ReLU(Layer):
     """max(x, 0), in place. A training forward keeps the boolean mask
-    x > 0; backward keeps the gradient where it is set and zeroes it
-    elsewhere, so the derivative at exactly 0 is 0.
+    x > 0 for its backward, which keeps the gradient where it is set and
+    zeroes it elsewhere, so the derivative at exactly 0 is 0.
 
     Forward overwrites ``x`` with the result and returns it, and backward
     overwrites ``grad`` the same way, so neither allocates an
@@ -343,9 +341,10 @@ class ReLU(Layer):
         return np.maximum(x, 0, out=x)
 
     def backward(self, grad, input_grad=True):
-        if self._mask is None:
+        mask, self._mask = self._mask, None
+        if mask is None:
             raise _no_state(self)
-        return _select(self._mask, grad, out=grad) if input_grad else None
+        return _select(mask, grad, out=grad) if input_grad else None
 
 
 class MaxPool2x2(Layer):
@@ -364,14 +363,13 @@ class MaxPool2x2(Layer):
     that ``_chunks`` gives, so a chunk's output, index and scratch stay in
     cache across them. A window whose maximum is NaN gets index 4, which
     matches no offset, so it routes nothing, as ``x == max`` never holds
-    for NaN. Backward views the input gradient as (n, h/2, 2, w/2, 2, c)
-    windows and writes it with one select on ``first == offset``
-    broadcast over them.
+    for NaN. Backward walks the same chunks and, per offset, writes the
+    strided view of the input gradient at that offset with one select on
+    ``first == offset``, so it builds no boolean larger than one chunk's
+    output. The backward drops the index.
     """
 
     _OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
-    # The index of each window offset, laid out like the 6-D window view.
-    _OFFSET_INDEX = np.arange(4, dtype=np.uint8).reshape(1, 1, 2, 1, 2, 1)
     _first = None
 
     def forward(self, x, train=False):
@@ -406,18 +404,22 @@ class MaxPool2x2(Layer):
         return out
 
     def backward(self, grad, input_grad=True):
-        if self._first is None:
+        first, self._first = self._first, None
+        if first is None:
             raise _no_state(self)
         if not input_grad:
             return None
         n, h, w, c = self._in_shape
         h2, w2 = h // 2, w // 2
-        hits = self._first[:, :, None, :, None, :] == self._OFFSET_INDEX
-        routed = _select(hits, grad[:, :, None, :, None, :]).reshape(n, 2 * h2, 2 * w2, c)
-        if (h, w) == (2 * h2, 2 * w2):
-            return routed
-        dx = np.zeros(self._in_shape, dtype=grad.dtype)
-        dx[:, : 2 * h2, : 2 * w2, :] = routed
+        even = (h, w) == (2 * h2, 2 * w2)
+        dx = (np.empty if even else np.zeros)(self._in_shape, dtype=grad.dtype)
+        hit = np.empty_like(first[: max(1, ROWS // (h2 * w2))], dtype=np.bool_)  # one chunk
+        for samples in _chunks(n, h2 * w2):
+            firsts, grads, dxs = first[samples], grad[samples], dx[samples]
+            hits = hit[: len(firsts)]
+            for k, (oy, ox) in enumerate(self._OFFSETS):
+                np.equal(firsts, k, out=hits)
+                _select(hits, grads, out=dxs[:, oy : 2 * h2 : 2, ox : 2 * w2 : 2, :])
         return dx
 
 
@@ -429,9 +431,10 @@ class Flatten(Layer):
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad, input_grad=True):
-        if self._in_shape is None:
+        shape, self._in_shape = self._in_shape, None
+        if shape is None:
             raise _no_state(self)
-        return grad.reshape(self._in_shape) if input_grad else None
+        return grad.reshape(shape) if input_grad else None
 
 
 class BatchNorm(Layer):
@@ -445,7 +448,7 @@ class BatchNorm(Layer):
     STATE = ("running_mean", "running_var", "batches_seen")
     MOMENTUM = 0.1
     EPS = 1e-5
-    _xhat = None
+    _xhat = _inv_std = None
 
     def __init__(self, channels, dtype=np.float64):
         self.channels = check_size(channels)
@@ -461,7 +464,7 @@ class BatchNorm(Layer):
         if x.shape[-1] != self.channels:
             raise ValueError(f"expected trailing axis of {self.channels} channels, got {x.shape}")
         axes = tuple(range(x.ndim - 1))
-        self._xhat = None  # free the last training forward's state first
+        self._xhat = self._inv_std = None  # free the last training forward's state first
         if train:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
@@ -483,7 +486,8 @@ class BatchNorm(Layer):
         return self.gamma * xhat + self.beta
 
     def backward(self, grad, input_grad=True):
-        xhat = self._xhat
+        xhat, inv_std = self._xhat, self._inv_std
+        self._xhat = self._inv_std = None
         if xhat is None:
             raise _no_state(self)
         axes = tuple(range(grad.ndim - 1))
@@ -495,7 +499,7 @@ class BatchNorm(Layer):
         m = 1
         for ax in axes:
             m *= grad.shape[ax]
-        return (self._inv_std / m) * (
+        return (inv_std / m) * (
             m * dxhat - dxhat.sum(axis=axes) - xhat * (dxhat * xhat).sum(axis=axes)
         )
 
@@ -514,14 +518,15 @@ class Dropout(Layer):
         self._mask = None
 
     def forward(self, x, train=False):
+        self._mask = None  # free the last training forward's mask first
         if not train:
-            self._mask = None
             return x
         keep = self._rng.uniform(0.0, 1.0, x.shape) < self.KEEP
         self._mask = keep.astype(x.dtype) / self.KEEP
         return x * self._mask
 
     def backward(self, grad, input_grad=True):
-        if self._mask is None:
+        mask, self._mask = self._mask, None
+        if mask is None:
             raise _no_state(self)
-        return grad * self._mask if input_grad else None
+        return grad * mask if input_grad else None

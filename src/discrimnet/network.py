@@ -29,17 +29,19 @@ class Network:
         self.arch = arch
         self.arch_params = dict(arch_params or {})
         self.dtype = np.dtype(dtype)
-        self._last_out = None  # (shape, dtype) of the last training forward's final output
+        # The last training forward's final output (shape, dtype) and tap
+        # output shapes, kept until the backward that reads them.
+        self._last_out = None
 
     def forward(self, x, train=False):
         """Run the chain in the network's dtype; returns a dict of tap
         name -> feature batch.
 
         Only the tap outputs are kept past their consumer, together with
-        a training forward's final shape and dtype for ``backward``; every
-        other layer output is freed as soon as the next layer has read it.
-        An eval forward keeps no backward state, so ``backward`` after it
-        raises RuntimeError.
+        a training forward's final shape and dtype and its tap shapes for
+        ``backward``; every other layer output is freed as soon as the
+        next layer has read it. An eval forward keeps no backward state,
+        so ``backward`` after it raises RuntimeError.
 
         Layers may overwrite the array they are given (ReLU does), so the
         network owns every array it hands one: the batch is copied on
@@ -56,24 +58,35 @@ class Network:
                 kept[i] = x
                 if i < last:
                     x = x.copy()
-        self._last_out = (x.shape, x.dtype) if train else None
-        return {name: kept[idx] for name, idx in self.taps.items()}
+        taps = {name: kept[idx] for name, idx in self.taps.items()}
+        self._last_out = None
+        if train:
+            self._last_out = (x.shape, x.dtype), {name: f.shape for name, f in taps.items()}
+        return taps
 
     def backward(self, tap_grads):
         """Backpropagate gradients injected at tap points.
 
         tap_grads maps tap names to gradients of the objective with
-        respect to that tap's output. Parameter gradients end up on the
-        layers. The first layer is asked for no input gradient, since
-        nothing reads it, so nothing is returned.
+        respect to that tap's output, each of that output's shape.
+        Parameter gradients end up on the layers. The first layer is asked
+        for no input gradient, since nothing reads it, so nothing is
+        returned. One backward consumes the training forward's state, so a
+        second one raises RuntimeError until the next training forward.
         """
         if self._last_out is None:
             raise RuntimeError("backward needs a training forward (train=True) first")
+        out, tap_shapes = self._last_out
         unknown = set(tap_grads) - set(self.taps)
         if unknown:
             raise KeyError(f"gradients for unknown tap points {sorted(unknown)}")
+        for name, g in tap_grads.items():
+            if np.shape(g) != tap_shapes[name]:
+                raise ValueError(f"gradient for tap {name!r} has shape {np.shape(g)}, "
+                                 f"its output {tap_shapes[name]}")
+        self._last_out = None
         by_index = {self.taps[name]: g for name, g in tap_grads.items()}
-        grad = np.zeros(*self._last_out)
+        grad = np.zeros(*out)
         for i in range(len(self.layers) - 1, -1, -1):
             if i in by_index:
                 grad = grad + by_index[i]

@@ -123,9 +123,10 @@ def run_training(cfg: RunConfig, progress=False):
     with open(os.path.join(run_dir, "config.txt"), "w", encoding="utf-8") as f:
         f.write(config_text)
 
-    # One copy of the train images in the network's dtype, so training
-    # batches and augment_batch run in it.
+    # One copy of each split's images in the network's dtype, so training
+    # batches and augment_batch run in it, and evaluation casts nothing.
     train.images = train.images.astype(net.dtype, copy=False)
+    test.images = test.images.astype(net.dtype, copy=False)
     step = 0
     best = None
     t_start = time.time()

@@ -135,6 +135,13 @@ def traced_peak(fn):
     return peak, held
 
 
+def held_bytes(layer):
+    """Bytes of the arrays a layer holds besides its parameters and their gradients."""
+    own = {id(a) for _, a in layer.parameters() + layer.parameter_grads()}
+    return sum(a.nbytes for a in vars(layer).values()
+               if isinstance(a, np.ndarray) and id(a) not in own)
+
+
 def separation_ratio_from_histogram(path):
     """Two-class variance ratio (within / total) of an exported neuron CSV."""
     values, targets = [], []

@@ -263,6 +263,22 @@ def test_each_epoch_evaluates_only_the_test_split(tmp_path, monkeypatch):
     assert splits == ["test"] * cfg.epochs
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_evaluation_reads_the_test_split_in_the_network_dtype(tmp_path, monkeypatch, dtype):
+    # The test split is cast once, as the training split is, so each eval
+    # batch enters Network.forward in its dtype and is not cast again.
+    dtypes, evaluate = [], train_mod.evaluate
+
+    def spy(net, dataset, batch_size=100):
+        dtypes.append((dataset.images.dtype, net.dtype))
+        return evaluate(net, dataset, batch_size)
+
+    monkeypatch.setattr(train_mod, "evaluate", spy)
+    cfg = synth_config(tmp_path, epochs=2, dtype=dtype)
+    dn.run_training(cfg)
+    assert dtypes == [(np.dtype(dtype), np.dtype(dtype))] * cfg.epochs
+
+
 def test_subsets_apply_to_synth_data(tmp_path):
     full_train, full_test = load_run_datasets(synth_config(tmp_path))
     cfg = synth_config(tmp_path, train_subset=10, test_subset=5)

@@ -6,7 +6,7 @@ from numpy.testing import assert_array_equal
 
 import discrimnet as dn
 from discrimnet.data import IdxFormatError, _resample, augment_batch, load_idx_dir
-from conftest import idx_image_bytes, idx_label_bytes
+from conftest import idx_image_bytes, idx_label_bytes, traced_peak
 
 
 @pytest.fixture
@@ -253,6 +253,18 @@ def test_resample_of_non_finite_coordinates_reads_zero():
         got = _resample(images, *params)
         want = reference_resample(images, *params)
     assert_same_bits(got, want)
+
+
+def test_resample_holds_few_batch_sized_temporaries():
+    # A 100x28x28x1 float64 batch, the benchmark's augmented shape: its
+    # output is 0.63 MB. Writing each step into an array already held
+    # peaks at 4.60 MB at numpy 2.4, six such arrays and the bordered
+    # copy; a fresh array per operation peaks at 8.37 MB.
+    rng = dn.seeded_rng(68)
+    images = rng.uniform(0.0, 1.0, (100, 28, 28, 1))
+    params = rng.uniform((-10.0, 0.9, -2.8, -2.8), (10.0, 1.1, 2.8, 2.8), (100, 4)).T
+    peak, _ = traced_peak(lambda: _resample(images, *params))
+    assert peak < 6.0e6
 
 
 def test_affine_augment_respects_shape_and_determinism():

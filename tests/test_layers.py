@@ -6,7 +6,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.testing import assert_allclose, assert_array_equal
 
 import discrimnet as dn
-from conftest import finite_difference, rel_error
+from conftest import finite_difference, held_bytes, rel_error
 from discrimnet import layers
 from discrimnet.layers import ROWS, _column_sums, _matmul
 
@@ -374,6 +374,9 @@ def test_backward_after_an_eval_forward_raises(make, shape):
         layer.backward(np.ones(shape))  # no forward yet
     out = layer.forward(x, train=True)
     layer.backward(np.ones_like(out))
+    with pytest.raises(RuntimeError, match="train=True"):
+        layer.backward(np.ones_like(out))  # the first backward dropped the state
+    layer.forward(x, train=True)
     out = layer.forward(x, train=False)  # drops the training forward's state
     with pytest.raises(RuntimeError, match="train=True"):
         layer.backward(np.ones_like(out))
@@ -420,41 +423,42 @@ def assert_close(got, want):
 
 
 @pytest.mark.parametrize("padding", [0, 1])
-def test_conv_reuses_its_workspace_and_returns_fresh_outputs(padding):
+def test_conv_keeps_only_a_training_input_and_returns_fresh_outputs(padding):
+    # An eval forward keeps nothing; a training forward keeps its padded
+    # input, a copy, until its backward. Outputs never alias each other
+    # or the kept input.
     rng = dn.seeded_rng(43)
     conv = dn.Conv2d(2, 3, padding=padding, rng=rng)
-    first = conv.forward(rng.normal(size=(2, 6, 5, 2)))
+    x = rng.normal(size=(2, 6, 5, 2))
+    first = conv.forward(x)
     kept = first.copy()
-    cols = conv._cols
-    second = conv.forward(rng.normal(size=(2, 6, 5, 2)))
-    assert conv._cols is cols
+    assert conv._padded is None
+    second = conv.forward(x, train=True)
     assert second is not first and not np.shares_memory(first, second)
+    assert not np.shares_memory(conv._padded, x) and not np.shares_memory(conv._padded, second)
     assert_bitwise_equal(first, kept)
+    assert_bitwise_equal(second, kept)
+    conv.backward(np.ones_like(second))
+    assert conv._padded is None
 
 
 @pytest.mark.parametrize("padding", [0, 1])
 @pytest.mark.parametrize("cin", [1, 3])
-def test_conv_workspace_follows_batch_size_and_dtype(padding, cin):
+def test_conv_calls_follow_batch_size_and_dtype(padding, cin):
     # The same layer sees batch 3, then batch 2, then batch 3 again, then
     # float32: each call must match the reference as if the layer were
-    # new. The smaller batch and the return to the larger one use the
-    # leading rows of the batch-3 workspace; float32 gets a new one. An
-    # eval forward comes before and after each training step: with one
-    # input channel it writes patch-major columns into the same
-    # workspace, and must still give the training output bit for bit.
+    # new, since each allocates its own padded input and column buffer.
+    # An eval forward comes before and after each training step: with one
+    # input channel it gathers patch-major columns, and must still give
+    # the training output bit for bit.
     rng = dn.seeded_rng(44)
     conv = dn.Conv2d(cin, 4, padding=padding, rng=rng)
     conv.b = rng.uniform(-0.5, 0.5, 4)
-    cols = None
-    for n, dtype, reused in ((3, np.float64, False), (2, np.float64, True),
-                             (3, np.float64, True), (2, np.float32, False)):
+    for n, dtype in ((3, np.float64), (2, np.float64), (3, np.float64), (2, np.float32)):
         conv.w, conv.b = conv.w.astype(dtype), conv.b.astype(dtype)
         x = post_relu_input(rng, (n, 7, 6, cin), dtype)
         evaluated = conv.forward(x)
-        assert (conv._cols is cols) == reused
-        cols = conv._cols
         out = conv.forward(x, train=True)
-        assert conv._cols is cols
         grad = signed_gradient(rng, out.shape, dtype)
         dx = conv.backward(grad)
         want_out, want_dw, want_db, want_dx = reference_conv(x, conv.w, conv.b, padding, grad)
@@ -502,12 +506,14 @@ def assert_conv_step(conv, x, rng):
     ``reference_conv``. db must match bit for bit, out as
     ``assert_conv_out`` says, and dw when the batch ran as one chunk:
     over several chunks it sums the same terms in another order. dx is
-    held to ``assert_close`` (see ``assert_conv_dx``). Returned arrays
-    must not alias the workspace. Returns out, dx and the reference's
-    out and dx."""
+    held to ``assert_close`` (see ``assert_conv_dx``). ``out`` must not
+    alias the padded input the forward keeps, and the backward must drop
+    it. Returns out, dx and the reference's out and dx."""
     out = conv.forward(x, train=True)
+    assert not np.shares_memory(out, conv._padded)
     grad = signed_gradient(rng, out.shape, x.dtype)
     dx = conv.backward(grad)
+    assert conv._padded is None
     want_out, want_dw, want_db, want_dx = reference_conv(x, conv.w, conv.b, conv.padding, grad)
     assert_conv_out(conv, out, want_out)
     assert_bitwise_equal(conv.db, want_db)
@@ -516,8 +522,6 @@ def assert_conv_step(conv, x, rng):
     else:
         assert_close(conv.dw, want_dw)
     assert_close(dx, want_dx)
-    for kept in (conv._cols, conv._padded):
-        assert not np.shares_memory(out, kept) and not np.shares_memory(dx, kept)
     return out, dx, want_out, want_dx
 
 
@@ -546,9 +550,8 @@ def conv_calls(draw):
 )
 def test_conv_matches_im2col_reference_across_calls(cin, cout, padding, dtype, size_calls, seed):
     # One layer sees a sequence of batch sizes, training steps and eval
-    # forwards interleaved, so each call runs on a workspace left by
-    # calls of other sizes and modes, and large inputs accumulate dw
-    # over several chunks.
+    # forwards interleaved, so each call follows calls of other sizes and
+    # modes, and large inputs accumulate dw over several chunks.
     size, calls = size_calls
     rng = dn.seeded_rng(seed)
     conv = dn.Conv2d(cin, cout, padding=padding, rng=rng, dtype=dtype)
@@ -561,7 +564,7 @@ def test_conv_matches_im2col_reference_across_calls(cin, cout, padding, dtype, s
         evaluated = conv.forward(x)
         want_out = reference_conv(x, conv.w, conv.b, padding, np.zeros_like(evaluated))[0]
         assert_conv_out(conv, evaluated, want_out)
-        assert not np.shares_memory(evaluated, conv._cols)
+        assert conv._padded is None
         with pytest.raises(RuntimeError, match="train=True"):
             conv.backward(np.ones_like(evaluated))
 
@@ -617,11 +620,13 @@ def test_one_channel_conv_dw_layouts_agree_at_the_preset_shape(dtype, n):
     # training's bits alone. CI runs this at 1 and 2 BLAS threads.
     rng = dn.seeded_rng(57)
     conv = dn.Conv2d(1, 32, padding=1, rng=rng, dtype=dtype)
-    out = conv.forward(post_relu_input(rng, (n, 28, 28, 1), dtype), train=True)
+    x = post_relu_input(rng, (n, 28, 28, 1), dtype)
+    out = conv.forward(x, train=True)
     g2 = signed_gradient(rng, out.shape, dtype).reshape(-1, 32)
     conv.backward(g2.reshape(out.shape), input_grad=False)
     # Row-major columns, (n, pixels, 9), summed over the chunks backward walks.
-    windows = sliding_window_view(conv._padded[:n], (3, 3), axis=(1, 2))
+    padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    windows = sliding_window_view(padded, (3, 3), axis=(1, 2))
     cols = np.ascontiguousarray(windows[:, :, :, 0]).reshape(n, 28 * 28, 9)
     g3 = g2.reshape(n, 28 * 28, 32)
     want = None
@@ -631,29 +636,19 @@ def test_one_channel_conv_dw_layouts_agree_at_the_preset_shape(dtype, n):
     assert_bitwise_equal(conv.dw, want)
 
 
-def held_bytes(layer):
-    """Bytes of the arrays a layer holds besides its parameters and their gradients."""
-    own = {id(a) for _, a in layer.parameters() + layer.parameter_grads()}
-    return sum(a.nbytes for a in vars(layer).values()
-               if isinstance(a, np.ndarray) and id(a) not in own)
-
-
-@pytest.mark.parametrize("cin, cout, side, chunk", [(1, 32, 28, 2), (32, 64, 14, 10)],
-                         ids=["conv0", "conv1"])
-def test_conv_holds_its_padded_input_and_one_forward_chunk(cin, cout, side, chunk):
-    # The convolutions of mnist_small at batch 100, float64, hold after
-    # forward and after backward only their padded input and the columns
-    # of one forward chunk of ROWS // (side * side) samples: conv1
-    # 100x16x16x32 (6.6 MB) and 10x14x14 by 9*32 (4.5 MB), conv0
-    # 100x30x30x1 (0.72 MB) and 2x28x28 by 9 (0.11 MB). The whole batch's
-    # columns are 45.2 and 5.6 MB.
+@pytest.mark.parametrize("cin, cout, side", [(1, 32, 28), (32, 64, 14)], ids=["conv0", "conv1"])
+def test_conv_holds_only_its_padded_input_until_backward(cin, cout, side):
+    # The convolutions of mnist_small at batch 100, float64, hold after a
+    # training forward only their padded input, conv1 100x16x16x32
+    # (6.6 MB) and conv0 100x30x30x1 (0.72 MB), and nothing after
+    # backward. Column buffers are locals of each call: keeping one
+    # forward chunk's columns held another 4.5 and 0.11 MB.
     rng = dn.seeded_rng(52)
     conv = dn.Conv2d(cin, cout, padding=1, rng=rng)
     out = conv.forward(rng.normal(size=(100, side, side, cin)), train=True)
-    bound = (100 * (side + 2) ** 2 * cin + chunk * side * side * 9 * cin) * 8
-    assert held_bytes(conv) <= bound
+    assert held_bytes(conv) == 100 * (side + 2) ** 2 * cin * 8
     conv.backward(np.ones_like(out))
-    assert held_bytes(conv) <= bound
+    assert held_bytes(conv) == 0
 
 
 @pytest.mark.parametrize("make, shape", [
@@ -668,13 +663,17 @@ def test_conv_holds_its_padded_input_and_one_forward_chunk(cin, cout, side, chun
 ], ids=["conv-pad1", "conv-pad0", "dense", "batchnorm-train", "relu", "maxpool", "flatten",
         "dropout"])
 def test_backward_without_input_grad_keeps_parameter_grads(make, shape):
+    # Each backward consumes its training forward, so the input_grad=False
+    # backward follows a second training forward of the same input.
     rng = dn.seeded_rng(45)
     layer = make(rng)
-    out = layer.forward(rng.normal(size=shape), train=True)
+    x = rng.normal(size=shape)
+    out = layer.forward(x.copy(), train=True)  # ReLU rectifies its argument in place
     grad = rng.normal(size=out.shape)
-    assert layer.backward(grad).shape == shape
+    assert layer.backward(grad.copy()).shape == shape
     want = [(name, g.copy()) for name, g in layer.parameter_grads()]
-    assert layer.backward(grad, input_grad=False) is None
+    layer.forward(x.copy(), train=True)
+    assert layer.backward(grad.copy(), input_grad=False) is None
     got = layer.parameter_grads()
     assert [name for name, _ in got] == [name for name, _ in want]
     for (_, g), (_, w) in zip(got, want):
