@@ -163,15 +163,14 @@ def _resample(images, rotation_deg, scale, translate_y, translate_x):
     dy = rows - cy - translate_y[:, None, None]
     dx = cols - cx - translate_x[:, None, None]
     src_y = cos_t * dy
-    term = np.multiply(sin_t, dx)
-    src_y += term
+    src_y += sin_t * dx
     src_y /= scale
     src_y += cy
     src_x = np.multiply(-sin_t, dy, out=dy)
-    src_x += np.multiply(cos_t, dx, out=term)
+    src_x += cos_t * dx
     src_x /= scale
     src_x += cx
-    del dx, term
+    del dx
     padded = np.zeros((n, h + 4, w + 4, c))
     padded[:, 2 : h + 2, 2 : w + 2, :] = images
     pixels = padded.reshape(-1, c)
