@@ -59,7 +59,7 @@ class RunConfig:
                 raise ConfigError(f"{name} must be of type {type(default).__name__}, "
                                   f"got {value!r}")
         for name in _FLOAT_FIELDS:
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must lie in [0, 2**64)")
@@ -94,6 +94,15 @@ class RunConfig:
         if self.lambda_center > 0 and self.lambda_adaptive_center > 0:
             raise ConfigError("enable only one of lambda_center / lambda_adaptive_center")
         return self
+
+
+def _finite(value):
+    """``math.isfinite``, False for an int too large for a float (JSON
+    allows any integer)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _has_type_of(value, default):

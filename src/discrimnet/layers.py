@@ -2,15 +2,12 @@
 
 Activations flow as numpy arrays in NHWC layout (batch, height, width,
 channels) for image tensors and (batch, features) after flattening.
-A training forward (``train=True``) keeps what its backward needs, and
-that backward drops it: one backward per training forward. Backward
-stores parameter gradients on the layer and returns the gradient with
-respect to its input, or None when called with ``input_grad=False`` (the
-first layer of a network, whose input gradient nothing reads). Eval
-forwards keep no backward state and drop what the last training forward
-kept, so a backward after one, or a second backward after one training
-forward, raises RuntimeError. So between steps a layer holds its
-parameters and their gradients, and no activation-sized array.
+Backward stores parameter gradients on the layer and returns the
+gradient with respect to its input, or None when called with
+``input_grad=False`` (the first layer of a network, whose input gradient
+nothing reads). A layer keeps what its backward needs only from its
+training forward to that backward (see ``Layer``), so between steps it
+holds its parameters and their gradients, and no activation-sized array.
 ReLU works in place: forward overwrites the array it is given and
 returns it, and backward does the same with the gradient. No other
 layer keeps its own output, so the caller (``Network``) only has to own
@@ -36,15 +33,33 @@ class Layer:
     and ``STATE`` the non-trainable arrays checkpoints keep, each an
     attribute of that name. The gradient of parameter ``name`` is
     attribute ``"d" + name``. The accessors hand out the live arrays as
-    (name, array) pairs, in declaration order."""
+    (name, array) pairs, in declaration order.
+
+    A training forward (``train=True``) keeps what its backward needs in
+    ``_kept``, and that backward takes it with ``_take()``, which drops
+    it: one backward per training forward. Every forward clears ``_kept``
+    before it allocates, so the last training forward's state is freed
+    first, and an eval forward keeps nothing. So a backward after an eval
+    forward, or a second backward after one training forward, raises
+    RuntimeError."""
 
     PARAMS = STATE = ()
+    _kept = None
 
     def forward(self, x, train=False):
         raise NotImplementedError
 
     def backward(self, grad, input_grad=True):
         raise NotImplementedError
+
+    def _take(self):
+        """The kept backward state, which the layer no longer holds."""
+        kept, self._kept = self._kept, None
+        if kept is None:
+            raise RuntimeError(
+                f"{type(self).__name__}.backward needs a training forward (train=True) first"
+            )
+        return kept
 
     def parameters(self):
         return [(name, getattr(self, name)) for name in self.PARAMS]
@@ -162,20 +177,17 @@ class Dense(_Affine):
         self.out_dim = check_size(out_dim)
         self.w = _he_uniform(rng, self.in_dim, (self.in_dim, self.out_dim), dtype)
         self.b = np.zeros(self.out_dim, dtype=dtype)
-        self._x = None
 
     def forward(self, x, train=False):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"expected (N, {self.in_dim}) input, got {x.shape}")
-        self._x = x if train else None
+        self._kept = x if train else None
         out = _matmul(x, self.w)
         out += self.b
         return out
 
     def backward(self, grad, input_grad=True):
-        x, self._x = self._x, None
-        if x is None:
-            raise _no_state(self)
+        x = self._take()
         self._weight_grad(x.T, grad)
         self.db = _column_sums(grad)
         return _matmul(grad, self.w.T) if input_grad else None
@@ -186,13 +198,13 @@ class Conv2d(_Affine):
 
     The kernel is stored as (3*3*in_channels, out_channels) with patch
     entries ordered (row offset, col offset, channel). Forward copies the
-    input into a fresh padded array (zero-bordered for padding 1); a
-    training forward keeps it for one backward, which drops it. Both
-    passes walk the batch in the same near-equal chunks of whole samples
-    that ``_chunks`` gives, each of at most ``ROWS`` output pixels, and
-    ``_columns`` gathers each chunk's columns from a strided sliding-window
-    view of the padded input into one column buffer of a chunk's size,
-    allocated by each call and freed when it returns. Forward multiplies
+    input into a fresh padded array (zero-bordered for padding 1), which
+    a training forward keeps. Both passes walk the batch in the same
+    near-equal chunks of whole samples that ``_chunks`` gives, each of at
+    most ``ROWS`` output pixels, and ``_columns`` gathers each chunk's
+    columns from a strided sliding-window view of the padded input into
+    one column buffer of a chunk's size, allocated by each call and freed
+    when it returns. Forward multiplies
     a chunk's columns by the kernel and adds the bias while they are
     still in cache; backward gathers them again and adds
     ``cols.T @ grad[chunk]`` into ``dw``. So no pass builds a column
@@ -231,7 +243,6 @@ class Conv2d(_Affine):
         fan_in = self.KSIZE * self.KSIZE * self.in_channels
         self.w = _he_uniform(rng, fan_in, (fan_in, self.out_channels), dtype)
         self.b = np.zeros(self.out_channels, dtype=dtype)
-        self._padded = None
 
     def _columns(self, padded):
         """Yield ``(row, cols)`` per chunk of the padded batch: the chunk's
@@ -281,11 +292,11 @@ class Conv2d(_Affine):
         ow = w + 2 * p - k + 1
         if oh < 1 or ow < 1:
             raise ValueError(f"input {h}x{w} too small for a 3x3 kernel with padding {p}")
-        self._padded = None  # free the last training forward's input first
+        self._kept = None
         padded = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
         padded[:, p : p + h, p : p + w, :] = x
         if train:
-            self._padded = padded
+            self._kept = padded
         out = np.empty((n * oh * ow, self.out_channels), dtype=np.result_type(x, self.w))
         for row, cols in self._columns(padded):
             part = out[row : row + len(cols)]
@@ -294,9 +305,7 @@ class Conv2d(_Affine):
         return out.reshape(n, oh, ow, self.out_channels)
 
     def backward(self, grad, input_grad=True):
-        padded, self._padded = self._padded, None
-        if padded is None:
-            raise _no_state(self)
+        padded = self._take()
         n, oh, ow, _ = grad.shape
         _, hp, wp, c = padded.shape
         p, k, m = self.padding, self.KSIZE, n * oh * ow
@@ -316,12 +325,6 @@ class Conv2d(_Affine):
         return dxp[:, p : hp - p, p : wp - p, :] if p else dxp
 
 
-def _no_state(layer):
-    return RuntimeError(
-        f"{type(layer).__name__}.backward needs a training forward (train=True) first"
-    )
-
-
 class ReLU(Layer):
     """max(x, 0), in place. A training forward keeps the boolean mask
     x > 0 for its backward, which keeps the gradient where it is set and
@@ -332,18 +335,14 @@ class ReLU(Layer):
     activation-sized array. Pass a copy to keep the argument.
     """
 
-    _mask = None
-
     def forward(self, x, train=False):
-        self._mask = None  # free the last training forward's mask first
+        self._kept = None
         if train:
-            self._mask = x > 0
+            self._kept = x > 0
         return np.maximum(x, 0, out=x)
 
     def backward(self, grad, input_grad=True):
-        mask, self._mask = self._mask, None
-        if mask is None:
-            raise _no_state(self)
+        mask = self._take()
         return _select(mask, grad, out=grad) if input_grad else None
 
 
@@ -366,19 +365,17 @@ class MaxPool2x2(Layer):
     for NaN. Backward walks the same chunks and, per offset, writes the
     strided view of the input gradient at that offset with one select on
     ``first == offset``, so it builds no boolean larger than one chunk's
-    output. The backward drops the index.
+    output.
     """
 
     _OFFSETS = ((0, 0), (0, 1), (1, 0), (1, 1))
-    _first = None
 
     def forward(self, x, train=False):
         n, h, w, c = x.shape
         h2, w2 = h // 2, w // 2
         if h2 == 0 or w2 == 0:
             raise ValueError(f"input {h}x{w} too small for 2x2 pooling")
-        self._in_shape = x.shape
-        self._first = None  # free the last training forward's index first
+        self._kept = None
         out = np.empty((n, h2, w2, c), dtype=x.dtype)
         if train:
             first = np.zeros(out.shape, dtype=np.uint8)
@@ -400,19 +397,17 @@ class MaxPool2x2(Layer):
                 moved *= len(self._OFFSETS)
                 np.maximum(firsts, moved, out=firsts)
         if train:
-            self._first = first
+            self._kept = first, x.shape
         return out
 
     def backward(self, grad, input_grad=True):
-        first, self._first = self._first, None
-        if first is None:
-            raise _no_state(self)
+        first, shape = self._take()
         if not input_grad:
             return None
-        n, h, w, c = self._in_shape
+        n, h, w, c = shape
         h2, w2 = h // 2, w // 2
         even = (h, w) == (2 * h2, 2 * w2)
-        dx = (np.empty if even else np.zeros)(self._in_shape, dtype=grad.dtype)
+        dx = (np.empty if even else np.zeros)(shape, dtype=grad.dtype)
         hit = np.empty_like(first[: max(1, ROWS // (h2 * w2))], dtype=np.bool_)  # one chunk
         for samples in _chunks(n, h2 * w2):
             firsts, grads, dxs = first[samples], grad[samples], dx[samples]
@@ -424,16 +419,12 @@ class MaxPool2x2(Layer):
 
 
 class Flatten(Layer):
-    _in_shape = None
-
     def forward(self, x, train=False):
-        self._in_shape = x.shape if train else None
+        self._kept = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad, input_grad=True):
-        shape, self._in_shape = self._in_shape, None
-        if shape is None:
-            raise _no_state(self)
+        shape = self._take()
         return grad.reshape(shape) if input_grad else None
 
 
@@ -448,7 +439,6 @@ class BatchNorm(Layer):
     STATE = ("running_mean", "running_var", "batches_seen")
     MOMENTUM = 0.1
     EPS = 1e-5
-    _xhat = _inv_std = None
 
     def __init__(self, channels, dtype=np.float64):
         self.channels = check_size(channels)
@@ -464,7 +454,7 @@ class BatchNorm(Layer):
         if x.shape[-1] != self.channels:
             raise ValueError(f"expected trailing axis of {self.channels} channels, got {x.shape}")
         axes = tuple(range(x.ndim - 1))
-        self._xhat = self._inv_std = None  # free the last training forward's state first
+        self._kept = None
         if train:
             mean = x.mean(axis=axes)
             var = x.var(axis=axes)
@@ -482,14 +472,11 @@ class BatchNorm(Layer):
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat = (x - mean) * inv_std
         if train:
-            self._xhat, self._inv_std = xhat, inv_std
+            self._kept = xhat, inv_std
         return self.gamma * xhat + self.beta
 
     def backward(self, grad, input_grad=True):
-        xhat, inv_std = self._xhat, self._inv_std
-        self._xhat = self._inv_std = None
-        if xhat is None:
-            raise _no_state(self)
+        xhat, inv_std = self._take()
         axes = tuple(range(grad.ndim - 1))
         self.dgamma = (grad * xhat).sum(axis=axes)
         self.dbeta = grad.sum(axis=axes)
@@ -515,18 +502,15 @@ class Dropout(Layer):
 
     def __init__(self, rng):
         self._rng = rng
-        self._mask = None
 
     def forward(self, x, train=False):
-        self._mask = None  # free the last training forward's mask first
+        self._kept = None
         if not train:
             return x
         keep = self._rng.uniform(0.0, 1.0, x.shape) < self.KEEP
-        self._mask = keep.astype(x.dtype) / self.KEEP
-        return x * self._mask
+        self._kept = keep.astype(x.dtype) / self.KEEP
+        return x * self._kept
 
     def backward(self, grad, input_grad=True):
-        mask, self._mask = self._mask, None
-        if mask is None:
-            raise _no_state(self)
+        mask = self._take()
         return grad * mask if input_grad else None

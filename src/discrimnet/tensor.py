@@ -123,7 +123,7 @@ def load_bundle(path):
         _check_left(f, size, blob_len, "the manifest")
         try:
             manifest = json.loads(_read_exact(f, blob_len, "manifest"))
-        except ValueError as e:
+        except (ValueError, RecursionError) as e:
             raise CheckpointError(f"unreadable manifest: {e}") from e
         if not isinstance(manifest, dict):
             raise CheckpointError("manifest is not a JSON object")

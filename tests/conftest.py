@@ -136,10 +136,13 @@ def traced_peak(fn):
 
 
 def held_bytes(layer):
-    """Bytes of the arrays a layer holds besides its parameters and their gradients."""
-    own = {id(a) for _, a in layer.parameters() + layer.parameter_grads()}
-    return sum(a.nbytes for a in vars(layer).values()
-               if isinstance(a, np.ndarray) and id(a) not in own)
+    """Bytes of the arrays a layer holds, as attributes or in a tuple
+    attribute, besides its parameters, their gradients and its
+    checkpointed state."""
+    own = {id(a) for _, a in layer.parameters() + layer.parameter_grads() + layer.state()}
+    values = [v for attr in vars(layer).values()
+              for v in (attr if isinstance(attr, tuple) else (attr,))]
+    return sum(a.nbytes for a in values if isinstance(a, np.ndarray) and id(a) not in own)
 
 
 def separation_ratio_from_histogram(path):

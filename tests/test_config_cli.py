@@ -99,6 +99,8 @@ def test_config_validation_failures():
         RunConfig(dtype="float16").validate()
     with pytest.raises(ConfigError):
         RunConfig(lambda_center=-2.0).validate()
+    with pytest.raises(ConfigError, match="lr must be finite"):
+        RunConfig(lr=10**400).validate()  # an int too large for a float
     with pytest.raises(ConfigError):
         parse_config_text("epochs = many")
 
@@ -431,6 +433,7 @@ def test_cli_readers_check_the_data_override_against_the_network(tmp_path, capsy
 @pytest.mark.parametrize("edit, named", [
     (lambda m: m["config"].update(not_a_field=1), "not_a_field"),
     (lambda m: m["config"].update(alpha=1.5), "alpha"),
+    (lambda m: m["config"].update(lr=10**400), "lr"),
     (lambda m: m["arch_params"].update(not_a_param=3), "not_a_param"),
     (lambda m: m.update(arch="no_such_arch"), "no_such_arch"),
     (lambda m: m.pop("config"), "run config"),
@@ -463,7 +466,8 @@ def test_cli_readers_check_the_data_override_against_the_network(tmp_path, capsy
     (lambda m: m["config"].update(momentum=0.5), "momentum"),
     (lambda m: m["config"].update(lr_drop_factor=2.0), "lr_drop_factor"),
     (lambda m: m["config"].update(beta=0.5), "beta"),
-], ids=["unknown-config-key", "invalid-config-value", "unknown-arch-param", "unknown-arch",
+], ids=["unknown-config-key", "invalid-config-value", "int-beyond-float-lr",
+        "unknown-arch-param", "unknown-arch",
         "no-config", "arch-params-not-a-mapping", "input-shape-not-a-sequence",
         "rng-arch-param",
         "hidden-width-mismatch-with-center-loss", "hidden-width-mismatch-without-center-loss",

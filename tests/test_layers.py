@@ -351,14 +351,14 @@ def test_maxpool_sample_chunks_match_one_pass_reference(dtype, shape):
     pool = dn.MaxPool2x2()
     assert len(layers._chunks(len(x), want_out.shape[1] * want_out.shape[2])) >= 3
     assert_bitwise_equal(pool.forward(x), want_out)
-    assert pool._first is None
+    assert pool._kept is None
     assert_bitwise_equal(pool.forward(x, train=True), want_out)
-    assert_bitwise_equal(pool._first, want_first)
+    assert_bitwise_equal(pool._kept[0], want_first)
     grad = signed_gradient(rng, want_out.shape, dtype)
     assert_bitwise_equal(pool.backward(grad), reference_pool_backward(x, want_out, grad))
 
 
-@pytest.mark.parametrize("make, shape", [
+every_layer_kind = pytest.mark.parametrize("make, shape", [
     (dn.ReLU, (2, 4, 4, 3)),
     (dn.MaxPool2x2, (2, 4, 4, 3)),
     (lambda: dn.BatchNorm(3), (2, 4, 4, 3)),
@@ -367,6 +367,9 @@ def test_maxpool_sample_chunks_match_one_pass_reference(dtype, shape):
     (lambda: dn.Conv2d(3, 4, padding=1, rng=dn.seeded_rng(49)), (2, 4, 4, 3)),
     (dn.Flatten, (2, 4, 4, 3)),
 ], ids=["relu", "maxpool", "batchnorm", "dropout", "dense", "conv", "flatten"])
+
+
+@every_layer_kind
 def test_backward_after_an_eval_forward_raises(make, shape):
     layer = make()
     x = dn.seeded_rng(47).normal(size=shape)
@@ -380,6 +383,26 @@ def test_backward_after_an_eval_forward_raises(make, shape):
     out = layer.forward(x, train=False)  # drops the training forward's state
     with pytest.raises(RuntimeError, match="train=True"):
         layer.backward(np.ones_like(out))
+
+
+@every_layer_kind
+def test_kept_holds_all_backward_state_until_backward(make, shape):
+    # Besides its parameters, their gradients and its checkpointed
+    # statistics, a layer holds only what _kept holds (an array or a
+    # tuple), and only from a training forward to its backward, with or
+    # without the input gradient. An eval forward keeps nothing.
+    layer = make()
+    x = dn.seeded_rng(61).normal(size=shape)
+    for input_grad in (True, False):
+        out = layer.forward(x.copy(), train=True)
+        assert layer._kept is not None
+        kept = layer._kept if isinstance(layer._kept, tuple) else (layer._kept,)
+        assert held_bytes(layer) == sum(a.nbytes for a in kept if isinstance(a, np.ndarray))
+        layer.backward(np.ones_like(out), input_grad=input_grad)
+        assert layer._kept is None and held_bytes(layer) == 0
+    layer.forward(x.copy(), train=True)
+    layer.forward(x.copy())
+    assert layer._kept is None and held_bytes(layer) == 0
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -432,14 +455,14 @@ def test_conv_keeps_only_a_training_input_and_returns_fresh_outputs(padding):
     x = rng.normal(size=(2, 6, 5, 2))
     first = conv.forward(x)
     kept = first.copy()
-    assert conv._padded is None
+    assert conv._kept is None
     second = conv.forward(x, train=True)
     assert second is not first and not np.shares_memory(first, second)
-    assert not np.shares_memory(conv._padded, x) and not np.shares_memory(conv._padded, second)
+    assert not np.shares_memory(conv._kept, x) and not np.shares_memory(conv._kept, second)
     assert_bitwise_equal(first, kept)
     assert_bitwise_equal(second, kept)
     conv.backward(np.ones_like(second))
-    assert conv._padded is None
+    assert conv._kept is None
 
 
 @pytest.mark.parametrize("padding", [0, 1])
@@ -510,10 +533,10 @@ def assert_conv_step(conv, x, rng):
     alias the padded input the forward keeps, and the backward must drop
     it. Returns out, dx and the reference's out and dx."""
     out = conv.forward(x, train=True)
-    assert not np.shares_memory(out, conv._padded)
+    assert not np.shares_memory(out, conv._kept)
     grad = signed_gradient(rng, out.shape, x.dtype)
     dx = conv.backward(grad)
-    assert conv._padded is None
+    assert conv._kept is None
     want_out, want_dw, want_db, want_dx = reference_conv(x, conv.w, conv.b, conv.padding, grad)
     assert_conv_out(conv, out, want_out)
     assert_bitwise_equal(conv.db, want_db)
@@ -564,7 +587,7 @@ def test_conv_matches_im2col_reference_across_calls(cin, cout, padding, dtype, s
         evaluated = conv.forward(x)
         want_out = reference_conv(x, conv.w, conv.b, padding, np.zeros_like(evaluated))[0]
         assert_conv_out(conv, evaluated, want_out)
-        assert conv._padded is None
+        assert conv._kept is None
         with pytest.raises(RuntimeError, match="train=True"):
             conv.backward(np.ones_like(evaluated))
 

@@ -52,6 +52,15 @@ def test_manifest_longer_than_the_file_is_refused_before_reading(tmp_path):
         dn.load_bundle(path)
 
 
+def test_deeply_nested_manifest_is_refused(tmp_path):
+    # json.loads recurses once per level and raises RecursionError.
+    path = tmp_path / "b.bin"
+    manifest = b"[" * 200000 + b"]" * 200000
+    path.write_bytes(b"DTRB0001" + struct.pack("<I", len(manifest)) + manifest)
+    with pytest.raises(dn.CheckpointError, match="unreadable manifest"):
+        dn.load_bundle(path)
+
+
 def test_bundle_round_trip_and_truncation(tmp_path):
     path = tmp_path / "b.bin"
     arrays = {"a": np.arange(4.0), "b": np.ones((2, 2))}
