@@ -21,6 +21,7 @@ one product when the right operand is wide enough, as every preset
 convolution's is (see ``ROWS``).
 """
 
+import math
 import numbers
 import operator
 
@@ -275,7 +276,10 @@ class Conv2d(_Affine):
 
     def _kernel_grad(self, padded, g2):
         """Sum ``cols.T @ g2[chunk]`` over the column chunks of ``padded``
-        into ``dw``."""
+        into ``dw``. An empty batch has no chunks, and writes the zero
+        product that Dense's does."""
+        if not len(g2):
+            self._weight_grad(np.empty((len(self.w), 0), padded.dtype), g2)
         for row, cols in self._columns(padded):
             part = g2[row : row + len(cols)]
             if row:  # later chunks add to the first chunk's product
@@ -421,7 +425,7 @@ class MaxPool2x2(Layer):
 class Flatten(Layer):
     def forward(self, x, train=False):
         self._kept = x.shape if train else None
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(x.shape[0], math.prod(x.shape[1:]))  # -1 fails on no rows
 
     def backward(self, grad, input_grad=True):
         shape = self._take()

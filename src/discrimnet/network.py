@@ -13,7 +13,16 @@ import numpy as np
 from .layers import BatchNorm, Conv2d, Dense, Dropout, Flatten, MaxPool2x2, ReLU, check_size
 from .tensor import CheckpointError, load_bundle, restore_arrays, save_bundle, seeded_rng
 
-ARCHITECTURES = ("mnist_small", "comparison")
+# Each stock network: its conv stages, as (out_channels, padding) of each
+# 3x3 conv with a pool after each stage; its first Dense width; and whether
+# it is regularized, with batchnorm after each conv and dropout after each
+# hidden Dense.
+_STOCK = {
+    "mnist_small": ((((32, 1),), ((64, 1),)), 256, False),
+    "comparison": ((((128, 1),) * 3, ((256, 1),) * 3, ((512, 0), (256, 0), (128, 0))),
+                   1024, True),
+}
+ARCHITECTURES = tuple(_STOCK)
 DTYPES = ("float32", "float64")
 
 
@@ -97,10 +106,11 @@ class Network:
         ``batch_size``; returns tap name -> features of every image.
 
         Each tap's output is allocated once, after the first batch, and
-        every batch is copied into its rows.
+        every batch is copied into its rows. Zero images run one empty
+        batch, so each tap comes back with no rows.
         """
         out = None
-        for start in range(0, len(images), batch_size):
+        for start in range(0, len(images), batch_size) or [0]:
             taps = self.forward(images[start : start + batch_size], train=False)
             if out is None:
                 out = {
@@ -180,15 +190,6 @@ class Network:
 _ARCH_PARAMS = ("input_shape", "num_classes", "hidden_width", "dtype")
 
 
-# comparison's conv stages: (out_channels, padding) of each 3x3 conv. The
-# last stage's three unpadded convs shrink each side of its input by 6.
-_COMPARISON_STAGES = (
-    ((128, 1), (128, 1), (128, 1)),
-    ((256, 1), (256, 1), (256, 1)),
-    ((512, 0), (256, 0), (128, 0)),
-)
-
-
 def _check_pool_chain(h, w, pools):
     side = 2**pools
     if min(h, w) < side or h % side or w % side:
@@ -206,21 +207,22 @@ def build_architecture(
     hidden_width=100,
     dtype="float64",
 ):
-    """Construct one of the two stock classification networks.
+    """Construct a stock classification network from its ``_STOCK`` entry.
 
-    "mnist_small": conv/pool stages of 32 and 64 channels, then dense
-    layers of 256, ``hidden_width`` and ``num_classes`` units. "comparison":
-    the three conv stages of ``_COMPARISON_STAGES``, each conv followed by
-    batchnorm and each stage by a pool, then dense layers of 1024,
-    ``hidden_width`` and ``num_classes`` units, each of the first two
-    followed by dropout at keep probability ``Dropout.KEEP``. Both networks
-    tap ``hidden_preact`` at the output of the second-to-last Dense (width
-    ``hidden_width``) and ``logits`` at the output of the last. Parameters
-    and activations are ``dtype``, float32 or float64. Weights, and the
-    dropout masks of "comparison", draw from ``rng``, a numpy Generator
-    that defaults to ``seeded_rng(0)``. Every size in ``input_shape``,
-    ``num_classes`` and ``hidden_width`` goes through ``check_size``, the
-    layers' one rule: an integer of at least 1, never a float or a bool.
+    One loop builds both: each 3x3 conv of a stage, then batchnorm where
+    the entry is regularized, then ReLU; a pool after each stage; Flatten;
+    Dense and ReLU, then dropout at keep probability ``Dropout.KEEP`` where
+    regularized, at the entry's first width and again at ``hidden_width``;
+    a last Dense of ``num_classes`` units. The loop walks the spatial side,
+    which gives the first Dense's fan-in. An input side that is no multiple
+    of 4, or a pool on a side below 2, raises ValueError. Both networks tap
+    ``hidden_preact`` at the output of the second-to-last Dense and
+    ``logits`` at the output of the last. Parameters and activations are
+    ``dtype``, float32 or float64. Weights, and the dropout masks of
+    "comparison", draw from ``rng``, a numpy Generator that defaults to
+    ``seeded_rng(0)``. Every size in ``input_shape``, ``num_classes`` and
+    ``hidden_width`` goes through ``check_size``, the layers' one rule: an
+    integer of at least 1, never a float or a bool.
     """
     if rng is None:
         rng = seeded_rng(0)
@@ -232,45 +234,25 @@ def build_architecture(
     if arch not in ARCHITECTURES:
         raise ValueError(f"unknown architecture {arch!r}")
     _check_pool_chain(h, w, 2)
-    if arch == "mnist_small":
-        layers = [
-            Conv2d(c, 32, padding=1, rng=rng, dtype=dt),
-            ReLU(),
-            MaxPool2x2(),
-            Conv2d(32, 64, padding=1, rng=rng, dtype=dt),
-            ReLU(),
-            MaxPool2x2(),
-            Flatten(),
-            Dense((h // 4) * (w // 4) * 64, 256, rng, dt),
-            ReLU(),
-            Dense(256, hidden_width, rng, dt),
-            ReLU(),
-            Dense(hidden_width, num_classes, rng, dt),
-        ]
-    else:
-        side_h, side_w = h // 4 - 6, w // 4 - 6
+    stages, first_width, regularized = _STOCK[arch]
+    layers, channels, side_h, side_w = [], c, h, w
+    for stage in stages:
+        for out_channels, padding in stage:
+            layers.append(Conv2d(channels, out_channels, padding=padding, rng=rng, dtype=dt))
+            layers += [BatchNorm(out_channels, dtype=dt), ReLU()] if regularized else [ReLU()]
+            channels = out_channels
+            side_h, side_w = side_h + 2 * padding - 2, side_w + 2 * padding - 2
         if side_h < 2 or side_w < 2:
-            raise ValueError(
-                f"input {h}x{w} is incompatible with the pooling chain "
-                f"(unpadded convolutions leave {side_h}x{side_w})"
-            )
-        layers, channels = [], c
-        for stage in _COMPARISON_STAGES:
-            for out_channels, padding in stage:
-                conv = Conv2d(channels, out_channels, padding=padding, rng=rng, dtype=dt)
-                layers.extend([conv, BatchNorm(out_channels, dtype=dt), ReLU()])
-                channels = out_channels
-            layers.append(MaxPool2x2())
-        layers += [
-            Flatten(),
-            Dense((side_h // 2) * (side_w // 2) * channels, 1024, rng, dt),
-            ReLU(),
-            Dropout(rng),
-            Dense(1024, hidden_width, rng, dt),
-            ReLU(),
-            Dropout(rng),
-            Dense(hidden_width, num_classes, rng, dt),
-        ]
+            raise ValueError(f"input {h}x{w} is incompatible with the pooling chain "
+                             f"(its convolutions leave {side_h}x{side_w} before a pool)")
+        layers.append(MaxPool2x2())
+        side_h, side_w = side_h // 2, side_w // 2
+    layers.append(Flatten())
+    fan_in = side_h * side_w * channels
+    for width in (first_width, hidden_width):
+        layers += [Dense(fan_in, width, rng, dt), ReLU()] + ([Dropout(rng)] if regularized else [])
+        fan_in = width
+    layers.append(Dense(fan_in, num_classes, rng, dt))
     dense = [i for i, layer in enumerate(layers) if isinstance(layer, Dense)]
     taps = {"hidden_preact": dense[-2], "logits": dense[-1]}
     arch_params = {"input_shape": (h, w, c), "num_classes": num_classes,

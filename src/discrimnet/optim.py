@@ -1,5 +1,7 @@
 """SGD with momentum, coupled weight decay, and a step learning-rate drop."""
 
+import sys
+
 import numpy as np
 
 from .tensor import NonFiniteError
@@ -7,15 +9,26 @@ from .tensor import NonFiniteError
 BLOCK = 1 << 15  # elements per update block: 256 KB of float64 scratch
 MOMENTUM = 0.9  # the published protocol's SGD momentum
 LR_DROP_FACTOR = 10.0  # each drop divides the learning rate tenfold
+MAX_DROPS = sys.float_info.max_10_exp  # the most drops whose LR_DROP_FACTOR power is finite
 
 
 def lr_at_epoch(epoch, base_lr, drop_period):
-    """Step schedule: base_lr divided by LR_DROP_FACTOR every drop_period epochs."""
+    """Step schedule: base_lr divided by LR_DROP_FACTOR every drop_period epochs.
+
+    Past MAX_DROPS drops the factor's power overflows a float, so the rest
+    divide in steps of at most MAX_DROPS drops each, until the rate
+    underflows to 0.0: the rate never rises, and no epoch raises.
+    """
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
     if base_lr <= 0 or drop_period < 1:
         raise ValueError("base_lr and drop_period must be positive")
-    return base_lr / LR_DROP_FACTOR ** (int(epoch) // int(drop_period))
+    drops = int(epoch) // int(drop_period)
+    lr = base_lr / LR_DROP_FACTOR ** min(drops, MAX_DROPS)
+    while drops > MAX_DROPS and lr:
+        drops -= MAX_DROPS
+        lr /= LR_DROP_FACTOR ** min(drops, MAX_DROPS)
+    return lr
 
 
 class SGD:

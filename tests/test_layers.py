@@ -81,6 +81,24 @@ def test_dense_shape_validation():
         layer.forward(np.zeros((2, 4)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_and_dense_write_zero_weight_grads_for_an_empty_batch(dtype):
+    # Conv2d sums its weight gradient over column chunks, and an empty
+    # batch has none: it kept the last batch's dw while db became zeros.
+    rng = dn.seeded_rng(53)
+    for layer, shape in ((dn.Conv2d(2, 3, padding=1, rng=rng, dtype=dtype), (4, 4, 2)),
+                         (dn.Dense(5, 3, rng, dtype), (5,))):
+        for n in (4, 0):
+            out = layer.forward(rng.normal(size=(n,) + shape).astype(dtype), train=True)
+            layer.backward(np.ones_like(out))
+        assert layer.dw.shape == layer.w.shape
+        for grad in (layer.dw, layer.db):
+            assert grad.dtype == dtype and not grad.any()
+    conv = dn.Conv2d(2, 3, padding=0, rng=rng, dtype=dtype)  # a first call allocates dw
+    conv.backward(conv.forward(np.zeros((0, 4, 4, 2), dtype), train=True))
+    assert conv.dw.shape == conv.w.shape and conv.dw.dtype == dtype and not conv.dw.any()
+
+
 # --- conv ----------------------------------------------------------------------
 
 def test_conv_output_shape_with_padding():

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import re
 import weakref
 
@@ -139,6 +140,30 @@ def test_stock_builders_keep_their_layers_draws_and_inputs(arch, shape, classes,
             dn.build_architecture(name, **{"input_shape": shape, **sizes})
     dn.build_architecture("comparison", input_shape=(36, 36, 3), num_classes=10,
                           hidden_width=8, dtype="float32")  # its third pool gets an odd side
+
+
+def test_builders_accept_the_sides_their_pools_take_on_a_grid():
+    # Sides must be multiples of 4, and comparison's unpadded convs must
+    # leave a side of at least 2 for its third pool: h // 4 - 6 >= 2. The
+    # first Dense's fan-in is what the last pool leaves, times its channels.
+    sides = (2, 3, 4, 6, 28, 30, 32, 36, 40)
+    rules = {
+        "mnist_small": (lambda h, w: True, lambda h, w: (h // 4) * (w // 4) * 64),
+        "comparison": (lambda h, w: min(h, w) // 4 - 6 >= 2,
+                       lambda h, w: ((h // 4 - 6) // 2) * ((w // 4 - 6) // 2) * 128),
+    }
+    for arch, (fits, in_dim) in rules.items():
+        for h, w, c in itertools.product(sides, sides, (1, 3)):
+            shape = (h, w, c)
+            if h % 4 or w % 4 or not fits(h, w):
+                with pytest.raises(ValueError, match="pooling chain"):
+                    dn.build_architecture(arch, input_shape=shape, num_classes=2,
+                                          hidden_width=2, dtype="float32")
+                continue
+            net = dn.build_architecture(arch, input_shape=shape, num_classes=2,
+                                        hidden_width=2, dtype="float32")
+            first = next(layer for layer in net.layers if isinstance(layer, dn.Dense))
+            assert first.in_dim == in_dim(h, w), (arch, shape)
 
 
 @pytest.mark.parametrize("sizes", [
@@ -302,6 +327,18 @@ def test_predict_concatenates_batches_in_the_network_dtype():
         assert features.dtype == np.float32 and features.shape == whole[name].shape
         assert_allclose(features, whole[name], rtol=1e-5, atol=1e-6)
         assert_array_equal(features, np.concatenate([taps[name] for taps in per_batch]))
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_predict_on_zero_images_gives_empty_taps(dtype):
+    # predict allocated its outputs after the first batch and zero images
+    # run none, so it returned None; Flatten's reshape(n, -1) also refused
+    # a batch of no samples.
+    net = dn.build_architecture("mnist_small", input_shape=(8, 8, 1), num_classes=3,
+                                hidden_width=4, dtype=dtype)
+    got = net.predict(np.zeros((0, 8, 8, 1)), 5)
+    assert {name: (f.shape, f.dtype) for name, f in got.items()} == {
+        "hidden_preact": ((0, 4), np.dtype(dtype)), "logits": ((0, 3), np.dtype(dtype))}
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])

@@ -129,6 +129,22 @@ def test_lr_schedule_is_non_increasing():
             dn.lr_at_epoch(*bad)
 
 
+def test_lr_schedule_past_the_largest_finite_drop_factor():
+    # 10.0 ** 309 overflows, so a run of epochs = 310 at lr_drop_period = 1
+    # raised OverflowError at its last epoch.
+    assert dn.lr_at_epoch(308, 0.01, 1) == 0.01 / 10.0**308  # unchanged while finite
+    assert dn.lr_at_epoch(309, 1e300, 1) == pytest.approx(1e-9, rel=1e-12)
+    assert 0.0 < dn.lr_at_epoch(309, 0.01, 1) < dn.lr_at_epoch(308, 0.01, 1)
+    assert dn.lr_at_epoch(400, 1e300, 1) == pytest.approx(1e-100, rel=1e-12)
+    assert dn.lr_at_epoch(400, 0.01, 1) == 0.0  # 1e-402 underflows
+    assert dn.lr_at_epoch(10**400, 1e300, 1) == 0.0
+    assert dn.lr_at_epoch(10**400, 0.01, 10**399) == pytest.approx(1e-12, rel=1e-12)
+    for base_lr in (0.01, 1e300, np.finfo(np.float64).max):
+        values = [dn.lr_at_epoch(e, base_lr, 1) for e in range(300, 1000)]
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        assert values[-1] == 0.0
+
+
 def test_optimizer_state_round_trip(tmp_path):
     rng = dn.seeded_rng(52)
     for dtype in (np.float64, np.float32):
