@@ -8,10 +8,12 @@ gradient with respect to its input, or None when called with
 nothing reads). A layer keeps what its backward needs only from its
 training forward to that backward (see ``Layer``), so between steps it
 holds its parameters and their gradients, and no activation-sized array.
+Backward refuses a gradient of another shape than that forward's output.
 ReLU works in place: forward overwrites the array it is given and
-returns it, and backward does the same with the gradient. No other
-layer keeps its own output, so the caller (``Network``) only has to own
-what it hands the chain.
+returns it, and backward does the same with the gradient. Its mask is
+kept as packed bits, an eighth of a byte per element. No other layer
+keeps its own output, and every other backward returns a fresh array,
+so the caller (``Network``) only has to own what it hands the chain.
 Dense and Conv2d write their weight gradient ``dw`` into a buffer they
 own, reallocated only when its shape or dtype changes.
 Every layer product runs through ``_matmul`` in near-equal row blocks
@@ -37,12 +39,14 @@ class Layer:
     (name, array) pairs, in declaration order.
 
     A training forward (``train=True``) keeps what its backward needs in
-    ``_kept``, and that backward takes it with ``_take()``, which drops
-    it: one backward per training forward. Every forward clears ``_kept``
-    before it allocates, so the last training forward's state is freed
-    first, and an eval forward keeps nothing. So a backward after an eval
-    forward, or a second backward after one training forward, raises
-    RuntimeError."""
+    ``_kept``, with ``_keep``, and that backward takes it with
+    ``_take(grad)``, which drops it: one backward per training forward.
+    Every forward clears ``_kept`` before it allocates, so the last
+    training forward's state is freed first, and an eval forward keeps
+    nothing. So a backward after an eval forward, or a second backward
+    after one training forward, raises RuntimeError. A gradient of
+    another shape than that forward's output raises ValueError and leaves
+    the state kept."""
 
     PARAMS = STATE = ()
     _kept = None
@@ -53,13 +57,21 @@ class Layer:
     def backward(self, grad, input_grad=True):
         raise NotImplementedError
 
-    def _take(self):
-        """The kept backward state, which the layer no longer holds."""
+    def _keep(self, state, shape):
+        """Keep ``state`` for the backward of a training forward whose
+        output has ``shape``."""
+        self._kept, self._out_shape = state, shape
+
+    def _take(self, grad):
+        """The kept backward state, which the layer no longer holds, once
+        ``grad`` has the shape of the training forward's output."""
+        name = type(self).__name__
+        if self._kept is None:
+            raise RuntimeError(f"{name}.backward needs a training forward (train=True) first")
+        if grad.shape != self._out_shape:
+            raise ValueError(f"{name}.backward got a gradient of shape {grad.shape}, "
+                             f"its training forward's output {self._out_shape}")
         kept, self._kept = self._kept, None
-        if kept is None:
-            raise RuntimeError(
-                f"{type(self).__name__}.backward needs a training forward (train=True) first"
-            )
         return kept
 
     def parameters(self):
@@ -101,6 +113,18 @@ def _select(mask, values, out=None):
     uint = np.dtype(f"u{values.itemsize}")
     bits = np.multiply(mask, values.view(uint), out=None if out is None else out.view(uint))
     return bits.view(values.dtype)
+
+
+def _row_major(a, size):
+    """Yield ``(start, part)``: the elements of ``a`` in row-major order,
+    ``size`` at a time, as 1-D arrays the caller may overwrite. Where the
+    strides of ``a`` allow no flat view they are parts of one copy, which
+    is written back into ``a`` after the last part."""
+    flat = a.reshape(-1)
+    for start in range(0, flat.size, size):
+        yield start, flat[start : start + size]
+    if not np.may_share_memory(flat, a):
+        a[...] = flat.reshape(a.shape)
 
 
 # Rows per matrix product. OpenBLAS keeps a packing buffer the size of the
@@ -151,6 +175,13 @@ def _column_sums(a):
     return np.einsum("ij->j", a)
 
 
+def _overlap(shift, outs, ins):
+    """Slices ``(inputs, outputs)`` of the positions ``o < outs`` whose
+    input ``o + shift`` lies in ``range(ins)``."""
+    lo, hi = max(0, -shift), min(outs, ins - shift)
+    return slice(lo + shift, hi + shift), slice(lo, hi)
+
+
 def _he_uniform(rng, fan_in, shape, dtype):
     limit = np.sqrt(6.0 / fan_in)
     return rng.uniform(-limit, limit, shape).astype(dtype)
@@ -182,13 +213,15 @@ class Dense(_Affine):
     def forward(self, x, train=False):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ValueError(f"expected (N, {self.in_dim}) input, got {x.shape}")
-        self._kept = x if train else None
+        self._kept = None
+        if train:
+            self._keep(x, (len(x), self.out_dim))
         out = _matmul(x, self.w)
         out += self.b
         return out
 
     def backward(self, grad, input_grad=True):
-        x = self._take()
+        x = self._take(grad)
         self._weight_grad(x.T, grad)
         self.db = _column_sums(grad)
         return _matmul(grad, self.w.T) if input_grad else None
@@ -227,10 +260,13 @@ class Conv2d(_Affine):
 
     The input gradient multiplies by the kernel once per kernel offset,
     ``grad @ w[offset].T``, into one (N*oh*ow, in_channels) buffer, and
-    adds each result into its shifted window of the padded input
-    gradient. ``_matmul`` runs those products in row blocks of at most
-    ``ROWS`` rows, which keeps OpenBLAS's resident packing buffer at the
-    size of one block.
+    adds each result straight into a fresh (N, h, w, in_channels) array,
+    over its shifted window clipped to the input. So every element sums
+    the terms a padded buffer's interior would, in the same offset order,
+    and no padded buffer stays alive behind the returned gradient.
+    ``_matmul`` runs those products in row blocks of at most ``ROWS``
+    rows, which keeps OpenBLAS's resident packing buffer at the size of
+    one block.
     """
 
     KSIZE = 3
@@ -300,7 +336,7 @@ class Conv2d(_Affine):
         padded = np.zeros((n, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
         padded[:, p : p + h, p : p + w, :] = x
         if train:
-            self._kept = padded
+            self._keep(padded, (n, oh, ow, self.out_channels))
         out = np.empty((n * oh * ow, self.out_channels), dtype=np.result_type(x, self.w))
         for row, cols in self._columns(padded):
             part = out[row : row + len(cols)]
@@ -309,45 +345,76 @@ class Conv2d(_Affine):
         return out.reshape(n, oh, ow, self.out_channels)
 
     def backward(self, grad, input_grad=True):
-        padded = self._take()
+        padded = self._take(grad)
         n, oh, ow, _ = grad.shape
-        _, hp, wp, c = padded.shape
         p, k, m = self.padding, self.KSIZE, n * oh * ow
+        h, w, c = padded.shape[1] - 2 * p, padded.shape[2] - 2 * p, padded.shape[3]
         g2 = grad.reshape(m, self.out_channels)
         self._kernel_grad(padded, g2)
         del padded  # free the input before the input gradient is built
         self.db = _column_sums(g2)
         if not input_grad:
             return None
-        dxp = np.zeros((n, hp, wp, c), dtype=grad.dtype)
+        dx = np.zeros((n, h, w, c), dtype=grad.dtype)
         w_blocks = self.w.reshape(k, k, c, self.out_channels)
         prod = np.empty((m, c), dtype=np.result_type(g2, self.w))
+        terms = prod.reshape(n, oh, ow, c)
         for i in range(k):
+            rows, out_rows = _overlap(i - p, oh, h)
             for j in range(k):
+                cols, out_cols = _overlap(j - p, ow, w)
                 _matmul(g2, w_blocks[i, j].T, out=prod)
-                dxp[:, i : i + oh, j : j + ow, :] += prod.reshape(n, oh, ow, c)
-        return dxp[:, p : hp - p, p : wp - p, :] if p else dxp
+                dx[:, rows, cols, :] += terms[:, out_rows, out_cols, :]
+        return dx
 
 
 class ReLU(Layer):
-    """max(x, 0), in place. A training forward keeps the boolean mask
-    x > 0 for its backward, which keeps the gradient where it is set and
-    zeroes it elsewhere, so the derivative at exactly 0 is 0.
+    """max(x, 0), in place. A training forward keeps the mask x > 0 for
+    its backward, which keeps the gradient where it is set and zeroes it
+    elsewhere, so the derivative at exactly 0 (and at NaN) is 0.
+
+    The mask is kept as packed bits: one uint8 per 8 elements, the
+    ``np.packbits`` of ``x > 0`` in row-major element order, so relu0 of
+    ``mnist_small`` keeps 0.31 MB at batch 100 where a boolean took 2.5
+    MB. Forward tests, packs and rectifies ``PACK`` elements at a time,
+    so its scratch is one chunk's boolean and packed bytes, and no
+    full-size boolean exists. Backward unpacks ``UNPACK`` elements at a
+    time, a byte each, and selects the gradient with them as ``_select``
+    does; numpy casts the bytes to the gradient's bit width in a buffer
+    of up to ``np.getbufsize()`` elements, so that buffer plus 8 KB is
+    all backward allocates. Both walk the array through ``_row_major``,
+    so any strides work.
 
     Forward overwrites ``x`` with the result and returns it, and backward
     overwrites ``grad`` the same way, so neither allocates an
-    activation-sized array. Pass a copy to keep the argument.
+    activation-sized array (except a flat copy where the strides allow no
+    flat view). Pass a copy to keep the argument.
     """
+
+    PACK = 65536
+    UNPACK = 8192
 
     def forward(self, x, train=False):
         self._kept = None
-        if train:
-            self._kept = x > 0
-        return np.maximum(x, 0, out=x)
+        if not train:
+            return np.maximum(x, 0, out=x)
+        packed = np.empty(-(-x.size // 8), dtype=np.uint8)
+        for start, part in _row_major(x, self.PACK):
+            packed[start // 8 : (start + len(part) + 7) // 8] = np.packbits(part > 0)
+            np.maximum(part, 0, out=part)
+        self._keep(packed, x.shape)
+        return x
 
     def backward(self, grad, input_grad=True):
-        mask = self._take()
-        return _select(mask, grad, out=grad) if input_grad else None
+        packed = self._take(grad)
+        if not input_grad:
+            return None
+        # _select on the gradient's bits, viewed once for all the chunks.
+        uint = grad.view(f"u{grad.itemsize}")
+        for start, part in _row_major(uint, self.UNPACK):
+            mask = np.unpackbits(packed[start // 8 : (start + self.UNPACK) // 8], count=len(part))
+            np.multiply(mask, part, out=part)
+        return grad
 
 
 class MaxPool2x2(Layer):
@@ -401,11 +468,11 @@ class MaxPool2x2(Layer):
                 moved *= len(self._OFFSETS)
                 np.maximum(firsts, moved, out=firsts)
         if train:
-            self._kept = first, x.shape
+            self._keep((first, x.shape), out.shape)
         return out
 
     def backward(self, grad, input_grad=True):
-        first, shape = self._take()
+        first, shape = self._take(grad)
         if not input_grad:
             return None
         n, h, w, c = shape
@@ -424,11 +491,14 @@ class MaxPool2x2(Layer):
 
 class Flatten(Layer):
     def forward(self, x, train=False):
-        self._kept = x.shape if train else None
-        return x.reshape(x.shape[0], math.prod(x.shape[1:]))  # -1 fails on no rows
+        self._kept = None
+        out = x.reshape(x.shape[0], math.prod(x.shape[1:]))  # -1 fails on no rows
+        if train:
+            self._keep(x.shape, out.shape)
+        return out
 
     def backward(self, grad, input_grad=True):
-        shape = self._take()
+        shape = self._take(grad)
         return grad.reshape(shape) if input_grad else None
 
 
@@ -476,11 +546,11 @@ class BatchNorm(Layer):
         inv_std = 1.0 / np.sqrt(var + self.EPS)
         xhat = (x - mean) * inv_std
         if train:
-            self._kept = xhat, inv_std
+            self._keep((xhat, inv_std), x.shape)
         return self.gamma * xhat + self.beta
 
     def backward(self, grad, input_grad=True):
-        xhat, inv_std = self._take()
+        xhat, inv_std = self._take(grad)
         axes = tuple(range(grad.ndim - 1))
         self.dgamma = (grad * xhat).sum(axis=axes)
         self.dbeta = grad.sum(axis=axes)
@@ -512,9 +582,9 @@ class Dropout(Layer):
         if not train:
             return x
         keep = self._rng.uniform(0.0, 1.0, x.shape) < self.KEEP
-        self._kept = keep.astype(x.dtype) / self.KEEP
+        self._keep(keep.astype(x.dtype) / self.KEEP, x.shape)
         return x * self._kept
 
     def backward(self, grad, input_grad=True):
-        mask = self._take()
+        mask = self._take(grad)
         return grad * mask if input_grad else None

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -291,6 +293,64 @@ def test_relu_overwrites_its_arguments_bit_for_bit(dtype):
     assert_bitwise_equal(dx, want_dx)
 
 
+# Each case: the shape of the array that owns the memory, and the view of
+# it a ReLU test passes to the layer.
+RELU_CASES = {
+    "4d": ((3, 5, 5, 4), lambda a: a),
+    "2d": ((7, 13), lambda a: a),
+    "chunks": ((150, 1001), lambda a: a),
+    "empty": ((0, 5, 5, 4), lambda a: a),
+    "strided": ((6, 9, 7, 5), lambda a: a[:, ::2, 1:, :]),
+    "transposed": ((5, 6, 7, 3), lambda a: a.transpose(2, 0, 3, 1)),
+}
+
+
+def relu_operand(rng, shape, dtype):
+    """Signed normals with NaN of either sign, +-0.0 and +-inf spread
+    through them."""
+    a = signed_gradient(rng, shape, dtype)
+    flat = a.reshape(-1)
+    specials = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf], dtype)
+    picks = rng.permutation(flat.size)[: 4 * len(specials)]
+    flat[picks] = np.resize(specials, len(picks))
+    return a
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", list(RELU_CASES))
+def test_packed_relu_gives_the_boolean_masks_bits(dtype, case):
+    # The mask kept as packed bits gives the bits of the boolean one,
+    # np.maximum(x, 0) and np.where(x > 0, grad, 0), with the specials of
+    # relu_operand in input and gradient. No size is a multiple of 8;
+    # "chunks" (150150 elements) spans three forward and nineteen backward
+    # chunks; "strided" and "transposed" are views whose strides allow no
+    # flat view, and their bases must change only inside the view; "empty"
+    # has no samples. The kept array is np.packbits(x > 0) in the view's
+    # row-major order.
+    shape, view = RELU_CASES[case]
+    rng = dn.seeded_rng(63)
+    x_base, grad_base = relu_operand(rng, shape, dtype), relu_operand(rng, shape, dtype)
+    x, grad = view(x_base), view(grad_base)
+    assert (x.size % 8 > 0) == (case != "empty")
+    assert case != "chunks" or x.size > 2 * dn.ReLU.PACK
+    x_first, grad_first = x.copy(), grad.copy()
+    want_x, want_grad = x_base.copy(), grad_base.copy()
+    view(want_x)[...] = np.maximum(x, 0)
+    view(want_grad)[...] = np.where(x > 0, grad, np.zeros((), dtype))
+    relu = dn.ReLU()
+    assert relu.forward(x, train=True) is x
+    assert relu._kept.dtype == np.uint8
+    assert_array_equal(relu._kept, np.packbits(x_first > 0))
+    assert_bitwise_equal(x_base, want_x)
+    assert relu.backward(grad) is grad
+    assert_bitwise_equal(grad_base, want_grad)
+    relu.forward(x_first, train=True)
+    untouched = grad_first.copy()
+    assert relu.backward(untouched, input_grad=False) is None
+    assert relu._kept is None
+    assert_bitwise_equal(untouched, grad_first)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("shape", [(4, 8, 8, 3), (3, 7, 7, 2), (2, 6, 9, 5)])
 def test_maxpool_backward_matches_mask_reference(dtype, shape):
@@ -404,6 +464,32 @@ def test_backward_after_an_eval_forward_raises(make, shape):
 
 
 @every_layer_kind
+def test_backward_refuses_a_gradient_of_another_shape(make, shape):
+    # More samples than the forward had, a gradient that broadcasts
+    # against its output, or one axis fewer, each raise ValueError naming
+    # the layer and both shapes, and leave the kept state for a backward
+    # with the right gradient, which gives what a fresh layer gives.
+    # Unchecked, conv took dw from the first samples, and pool, batchnorm
+    # and dropout broadcast the gradient.
+    x = dn.seeded_rng(62).normal(size=shape)
+    want_layer = make()
+    out = want_layer.forward(x.copy(), train=True)
+    grad = dn.seeded_rng(63).normal(size=out.shape)
+    want = want_layer.backward(grad.copy())
+    layer = make()
+    layer.forward(x.copy(), train=True)
+    n, *rest = out.shape
+    for bad in [(n + 1, *rest), (1, *rest), (n, *rest[:-1], 1), (n, *rest[:-1])]:
+        message = (f"{type(layer).__name__}.backward got a gradient of shape {bad}, "
+                   f"its training forward's output {out.shape}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            layer.backward(np.ones(bad))
+    assert_bitwise_equal(layer.backward(grad.copy()), want)
+    for (_, got), (_, expected) in zip(layer.parameter_grads(), want_layer.parameter_grads()):
+        assert_bitwise_equal(got, expected)
+
+
+@every_layer_kind
 def test_kept_holds_all_backward_state_until_backward(make, shape):
     # Besides its parameters, their gradients and its checkpointed
     # statistics, a layer holds only what _kept holds (an array or a
@@ -440,6 +526,45 @@ def test_conv_matches_im2col_reference(dtype, padding, cin):
     assert_bitwise_equal(conv.dw, want_dw)
     assert_bitwise_equal(conv.db, want_db)
     assert_conv_dx(dx, want_dx, cin)
+
+
+def reference_conv_dx_padded(grad, w, padding, in_shape):
+    """The input gradient as a padded buffer's interior: each kernel
+    offset's product, through ``_matmul`` as ``Conv2d`` runs it, added
+    into its shifted window of a zeroed (N, h+2p, w+2p, C) buffer."""
+    n, oh, ow, cout = grad.shape
+    _, h, wd, c = in_shape
+    g2 = grad.reshape(-1, cout)
+    blocks = w.reshape(3, 3, c, cout)
+    dxp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=grad.dtype)
+    for i in range(3):
+        for j in range(3):
+            dxp[:, i : i + oh, j : j + ow, :] += _matmul(g2, blocks[i, j].T).reshape(n, oh, ow, c)
+    return dxp[:, padding : padding + h, padding : padding + wd, :]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", [0, 1])
+@pytest.mark.parametrize("cin", [1, 3])
+@pytest.mark.parametrize("n, h, w", [(3, 7, 6), (2, 8, 8), (2, 5, 9), (37, 14, 13), (0, 6, 7)],
+                         ids=["odd-even", "even", "odd", "chunks", "empty"])
+def test_conv_input_gradient_is_the_padded_interior_in_a_fresh_array(dtype, padding, cin, n, h, w):
+    # Each offset's product goes straight into the clipped window of an
+    # unpadded array, so every element sums the padded buffer's terms in
+    # the same order: the bits are equal. "chunks" runs its products in
+    # three row blocks of _matmul. The result is C-contiguous, owns its
+    # memory and shares none with the layer's arrays or the arguments.
+    rng = dn.seeded_rng(64)
+    conv = dn.Conv2d(cin, 4, padding=padding, rng=rng, dtype=dtype)
+    x = post_relu_input(rng, (n, h, w, cin), dtype)
+    out = conv.forward(x, train=True)
+    grad = signed_gradient(rng, out.shape, dtype)
+    assert n != 37 or len(grad.reshape(-1, 4)) > 2 * ROWS
+    dx = conv.backward(grad)
+    assert_bitwise_equal(dx, reference_conv_dx_padded(grad, conv.w, padding, x.shape))
+    assert dx.flags.c_contiguous and dx.flags.owndata
+    for a in (conv.w, conv.b, conv.dw, conv.db, x, grad, out):
+        assert not np.shares_memory(dx, a)
 
 
 def assert_conv_dx(dx, want_dx, cin):
